@@ -2,8 +2,8 @@
 and splitting types along lines.
 
 For r >= 3 the parameter space is P^{r-1}; full splitting types no longer
-exist, but generic ranks are still computed exactly (grid + extension
-blowups), constancy is decided Monte Carlo with an explicit failure bound,
+exist, but generic ranks are still computed exactly (a grid of points in
+an extension field), constancy is decided Monte Carlo with an explicit failure bound,
 and restrictions to lines recover honest P^1 splitting types.
 """
 

@@ -24,7 +24,6 @@ from .genker import (
 )
 from .io import digest, load_module, module_to_dict, save_module
 from .modules import (
-    KEModule,
     PointSpec,
     constant_jordan_type,
     direct_sum,
@@ -61,10 +60,6 @@ def _coerce(obj):
     return repr(obj)
 
 
-def _load(path) -> KEModule:
-    return load_module(path)
-
-
 def _parse_point(text: str, ctx: FieldCtx):
     try:
         coords = [int(x) for x in text.split(",")]
@@ -81,7 +76,7 @@ def _parse_matrix(text: str):
 
 
 def cmd_validate(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     rep = m.validate()
     _emit({"command": "validate", "input": digest(module_to_dict(m)), "ok": rep.ok,
            "violations": rep.violations, "p": m.ctx.p, "r": m.r, "dim": m.dim}, args)
@@ -89,7 +84,7 @@ def cmd_validate(args):
 
 
 def cmd_jtype(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     pt = PointSpec.generic() if args.generic or not args.point else _parse_point(args.point, m.ctx)
     jt = jordan_type(m, pt)
     _emit({"command": "jtype", "input": digest(module_to_dict(m)),
@@ -99,7 +94,7 @@ def cmd_jtype(args):
 
 
 def cmd_cjt(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     dec = constant_jordan_type(m, samples=args.samples, ext_degree=args.ext_degree, seed=args.seed)
     rep = {"command": "cjt", "input": digest(module_to_dict(m)), "verdict": dec.kind, "seed": args.seed}
     if dec.jordan_type is not None:
@@ -114,7 +109,7 @@ def cmd_cjt(args):
 
 
 def cmd_bundle(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     window = None
     engine = "auto"
     if args.window and args.window != "auto":
@@ -131,7 +126,7 @@ def cmd_bundle(args):
 
 
 def cmd_restrict(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     amat = _parse_matrix(args.matrix)
     out = restrict(m, amat)
     save_module(out, args.out_file, metadata={"name": "restricted", "matrix": args.matrix})
@@ -141,7 +136,7 @@ def cmd_restrict(args):
 
 
 def cmd_line_splitting(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     amat = _parse_matrix(args.line)
     st = line_restriction_splitting(m, amat, args.i)
     _emit({"command": "line-splitting", "input": digest(module_to_dict(m)), "i": args.i,
@@ -150,31 +145,25 @@ def cmd_line_splitting(args):
 
 
 def cmd_genker(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     rep = generic_kernel_power(m, args.power)
     _emit({"command": "genker", "input": digest(module_to_dict(m)), "power": args.power,
            "dim": rep.dim, "method": rep.method, "certified": rep.certified,
-           "basis": _rows_out(rep.subspace)}, args)
+           "basis": m.ctx.serialize(rep.subspace.basis)}, args)
     return 0
 
 
 def cmd_genimg(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     sub = generic_image_power(m, args.power)
     _emit({"command": "genimg", "input": digest(module_to_dict(m)), "power": args.power,
            "dim": sub.dim, "method": "duality+direct-check" if m.r == 2 else "duality",
-           "basis": _rows_out(sub)}, args)
+           "basis": m.ctx.serialize(sub.basis)}, args)
     return 0
 
 
-def _rows_out(sub):
-    if sub.ctx.k == 1:
-        return [[int(x) for x in row] for row in sub.rows()]
-    return [[e.serialize() for e in row] for row in sub.rows()]
-
-
 def cmd_filtration(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     layers = generic_kernel_filtration(m)
     _emit({"command": "filtration", "input": digest(module_to_dict(m)),
            "layers": [{"index": l.index, "dim": l.subspace.dim} for l in layers]}, args)
@@ -182,7 +171,7 @@ def cmd_filtration(args):
 
 
 def cmd_layer(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     out = layer_module(m, args.top, args.bottom)
     save_module(out, args.out_file, metadata={"name": f"layer[{args.top},{args.bottom})"})
     _emit({"command": "layer", "input": digest(module_to_dict(m)), "top": args.top,
@@ -191,7 +180,7 @@ def cmd_layer(args):
 
 
 def cmd_dual(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     save_module(dual(m), args.out_file, metadata={"name": "dual"})
     _emit({"command": "dual", "input": digest(module_to_dict(m)), "output": str(args.out_file)}, args)
     return 0
@@ -214,8 +203,8 @@ def cmd_syzygy(args):
 
 
 def cmd_dsum(args):
-    a = _load(args.a)
-    b = _load(args.b)
+    a = load_module(args.a)
+    b = load_module(args.b)
     mod = direct_sum(a, b)
     save_module(mod, args.out_file, metadata={"name": "direct sum"})
     _emit({"command": "dsum", "dim": mod.dim, "output": str(args.out_file)}, args)
@@ -223,7 +212,7 @@ def cmd_dsum(args):
 
 
 def cmd_chern(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     p = m.ctx.p
     splittings = {i: splitting_type(m, i) for i in range(1, p + 1)}
     chk = filtration_chern_check(m, splittings)
@@ -234,7 +223,7 @@ def cmd_chern(args):
 
 
 def cmd_decompose(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     dec = decompose(m, seed=args.seed, rounds=args.rounds)
     _emit({"command": "decompose", "input": digest(module_to_dict(m)), "seed": args.seed,
            "rounds": args.rounds, "summand_dims": [s.dim for s in dec.summands],
@@ -243,8 +232,8 @@ def cmd_decompose(args):
 
 
 def cmd_isoprobe(args):
-    a = _load(args.a)
-    b = _load(args.b)
+    a = load_module(args.a)
+    b = load_module(args.b)
     verdict = iso_probe(a, b, seed=args.seed, rounds=args.rounds)
     _emit({"command": "isoprobe", "verdict": verdict.kind, "seed": args.seed,
            "witness": verdict.witness}, args)
@@ -252,7 +241,7 @@ def cmd_isoprobe(args):
 
 
 def cmd_verify_theorems(args):
-    m = _load(args.file)
+    m = load_module(args.file)
     rep = verify_theorems(m, seed=args.seed)
     rep["command"] = "verify-theorems"
     rep["input"] = digest(module_to_dict(m))

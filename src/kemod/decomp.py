@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .modules import (
     KEModule,
     generic_power_ranks,
@@ -42,52 +42,22 @@ def hom_space(a: KEModule, b: KEModule) -> HomSpace:
     b.require_valid()
     if a.r != b.r or not a.ctx.same_field(b.ctx):
         raise InputError("hom space needs matching p, r, field")
-    da, db = a.dim, b.dim
-    if not (a.fast and b.fast):
-        return _hom_space_generic(a, b)
-    p = a.ctx.p
+    F, da, db = a.ctx, a.dim, b.dim
     blocks = []
     idb = np.eye(db, dtype=np.int64)
     ida = np.eye(da, dtype=np.int64)
     for i in range(a.r):
-        # row-major vec: vec(f Xa) = (I (x) Xa^T) vec f, vec(Xb f) = (Xb (x) I) vec f
-        blocks.append((np.kron(idb, a.mats[i].T) - np.kron(b.mats[i], ida)) % p)
-    big = np.vstack(blocks)
-    kern = linalg.kernel_fp(big, p)
+        # row-major vec: vec(f Xa) = (I (x) Xa^T) vec f, vec(Xb f) = (Xb (x) I) vec f;
+        # a Kronecker factor of 0s and 1s multiplies codes exactly
+        blocks.append(F.sub(np.kron(idb, a.mats[i].T), np.kron(b.mats[i], ida)))
+    kern = linalg.kernel_fp(np.vstack(blocks), F)
     basis = [row.reshape(db, da) for row in kern]
     for f in basis:
         for i in range(a.r):
-            lhs = linalg.matmul_fp(f, a.mats[i], p)
-            rhs = linalg.matmul_fp(b.mats[i], f, p)
+            lhs = linalg.matmul_fp(f, a.mats[i], F)
+            rhs = linalg.matmul_fp(b.mats[i], f, F)
             if not np.array_equal(lhs, rhs):
-                raise AssertionError("hom basis element fails to intertwine")
-    return HomSpace(a, b, basis)
-
-
-def _hom_space_generic(a: KEModule, b: KEModule) -> HomSpace:
-    ctx = a.ctx
-    da, db = a.dim, b.dim
-    nunk = da * db
-    rows = []
-    for i in range(a.r):
-        for u in range(db):
-            for v in range(da):
-                row = [ctx.zero] * nunk
-                # (f Xa)[u,v] = sum_w f[u,w] Xa[w,v]
-                for w in range(da):
-                    c = a.mats[i][w][v]
-                    if c:
-                        row[u * da + w] = row[u * da + w] + c
-                # -(Xb f)[u,v] = -sum_w Xb[u,w] f[w,v]
-                for w in range(db):
-                    c = b.mats[i][u][w]
-                    if c:
-                        row[w * da + v] = row[w * da + v] - c
-                rows.append(row)
-    kern = linalg.kernel_gen(rows, ctx.zero, ctx.one)
-    basis = []
-    for flat in kern:
-        basis.append(tuple(tuple(flat[u * da + v] for v in range(da)) for u in range(db)))
+                raise ConsistencyError("hom basis element fails to intertwine")
     return HomSpace(a, b, basis)
 
 
@@ -108,12 +78,10 @@ class Decomposition:
         """Conjugating the block-diagonal summand action by the certificate
         must reproduce the module's generators exactly."""
         m = self.module
-        if not m.fast:
-            return True
-        p = m.ctx.p
+        F = m.ctx
         pmat = self.certificate
         try:
-            pinv = linalg.inv_fp(pmat, p)
+            pinv = linalg.inv_fp(pmat, F)
         except InputError:
             return False
         for i in range(m.r):
@@ -124,8 +92,8 @@ class Decomposition:
                 k = bmat.shape[0]
                 bd[off : off + k, off : off + k] = bmat
                 off += k
-            recon = linalg.matmul_fp(linalg.matmul_fp(pmat, bd, p), pinv, p)
-            if not np.array_equal(recon, m.mats[i] % p):
+            recon = linalg.matmul_fp(linalg.matmul_fp(pmat, bd, F), pinv, F)
+            if not np.array_equal(recon, m.mats[i]):
                 return False
         return True
 
@@ -133,8 +101,6 @@ class Decomposition:
 def decompose(m: KEModule, seed: int = 0, rounds: int = 50) -> Decomposition:
     """Split into (probable) indecomposables by random Fitting elements."""
     m.require_valid()
-    if not m.fast:
-        raise InputError("decomposition is implemented for prime base fields")
     rng = random.Random(seed)
     parts = _split_rec(m, rng, rounds)
     inclusions = []
@@ -143,7 +109,7 @@ def decompose(m: KEModule, seed: int = 0, rounds: int = 50) -> Decomposition:
     uncertain = []
     for idx, (summand, embed_rows, certain) in enumerate(parts):
         summands.append(summand)
-        inc = embed_rows.T % m.ctx.p  # dim x dim_s
+        inc = embed_rows.T  # dim x dim_s
         inclusions.append(inc)
         cols.append(inc)
         if not certain:
@@ -153,7 +119,7 @@ def decompose(m: KEModule, seed: int = 0, rounds: int = 50) -> Decomposition:
     if uncertain:
         dec.flags["rounds_exhausted_blocks"] = uncertain
     if sum(s.dim for s in summands) != m.dim or not dec.verify():
-        raise AssertionError("decomposition certificate failed to verify")
+        raise ConsistencyError("decomposition certificate failed to verify")
     return dec
 
 
@@ -162,35 +128,41 @@ def _split_rec(m: KEModule, rng: random.Random, rounds: int):
     d = m.dim
     if d == 0:
         return []
-    p = m.ctx.p
+    F = m.ctx
     hom = hom_space(m, m)
     if hom.dim <= 1:
         # only scalar endomorphisms: indecomposable for certain
         return [(m, np.eye(d, dtype=np.int64), True)]
     for _ in range(rounds):
-        e = np.zeros((d, d), dtype=np.int64)
-        for f in hom.basis:
-            c = rng.randrange(p)
-            if c:
-                e = (e + c * f) % p
-        en = linalg.matpow_fp(e, d, p)
-        ker = linalg.kernel_fp(en, p)
+        e = _random_combination(F, hom.basis, rng, (d, d))
+        en = linalg.matpow_fp(e, d, F)
+        ker = linalg.kernel_fp(en, F)
         if 0 < ker.shape[0] < d:
             ksub = Subspace.span(m.ctx, d, ker)
             isub = Subspace.span(m.ctx, d, en.T)
             if ksub.dim + isub.dim != d:
-                raise AssertionError("Fitting split dimensions do not add up")
+                raise ConsistencyError("Fitting split dimensions do not add up")
             kmod, krows = sub_as_module(m, ksub)
             imod, irows = sub_as_module(m, isub)
             return _part_list(kmod, krows, rng, rounds) + _part_list(imod, irows, rng, rounds)
     return [(m, np.eye(d, dtype=np.int64), False)]
 
 
+def _random_combination(F, basis, rng: random.Random, shape) -> np.ndarray:
+    """sum c_f f over the basis with uniformly random c_f in F_q."""
+    out = np.zeros(shape, dtype=np.int64)
+    for f in basis:
+        c = rng.randrange(F.q)
+        if c:
+            out = F.add(out, F.mul(c, f))
+    return out
+
+
 def _part_list(mod: KEModule, rows, rng, rounds):
     """Recurse on a summand; compose embedding rows back to the parent."""
     out = []
     for part, prows, certain in _split_rec(mod, rng, rounds):
-        comp = linalg.matmul_fp(prows, np.asarray(rows, dtype=np.int64), mod.ctx.p)
+        comp = linalg.matmul_fp(prows, rows, mod.ctx)
         out.append((part, comp, certain))
     return out
 
@@ -227,24 +199,18 @@ def iso_probe(a: KEModule, b: KEModule, seed: int = 0, rounds: int = 64) -> IsoV
         db = [s.dim for s in fn(b)]
         if da != db:
             return IsoVerdict("not_isomorphic", witness={"invariant": name, "a": da, "b": db})
-    if not (a.fast and b.fast):
-        return IsoVerdict("unknown")
     hom = hom_space(a, b)
     if hom.dim == 0:
         return IsoVerdict("not_isomorphic", witness={"invariant": "hom space", "dim": 0})
-    p = a.ctx.p
+    F = a.ctx
     rng = random.Random(seed)
     for _ in range(rounds):
-        f = np.zeros((b.dim, a.dim), dtype=np.int64)
-        for g in hom.basis:
-            c = rng.randrange(p)
-            if c:
-                f = (f + c * g) % p
-        if linalg.rank_fp(f, p) == a.dim:
+        f = _random_combination(F, hom.basis, rng, (b.dim, a.dim))
+        if linalg.rank_fp(f, F) == a.dim:
             for i in range(a.r):
-                lhs = linalg.matmul_fp(f, a.mats[i], p)
-                rhs = linalg.matmul_fp(b.mats[i], f, p)
+                lhs = linalg.matmul_fp(f, a.mats[i], F)
+                rhs = linalg.matmul_fp(b.mats[i], f, F)
                 if not np.array_equal(lhs, rhs):
-                    raise AssertionError("certificate fails to intertwine")
+                    raise ConsistencyError("certificate fails to intertwine")
             return IsoVerdict("isomorphic", certificate=f)
     return IsoVerdict("unknown")

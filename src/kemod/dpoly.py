@@ -2,8 +2,8 @@
 
 Polynomials are plain lists of coefficients, ascending degree, with no
 trailing zeros (the zero polynomial is the empty list).  Coefficients are
-whatever the supplied ``ops`` adapter manipulates: python ints for a prime
-field, ``FieldScalar`` values for extensions.  Keeping the representation
+whatever the supplied ``ops`` adapter manipulates: element codes of any F_q
+(``FieldCtx.ops``), or ``FieldScalar`` values.  Keeping the representation
 this primitive makes the Smith-normal-form and factor-extraction code the
 same for every base field.
 """

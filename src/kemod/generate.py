@@ -57,16 +57,7 @@ def _random_w_quotient(ctx: FieldCtx, rng: random.Random, max_dim: int) -> KEMod
     pick = [rows[rng.randrange(len(rows))]]
     if len(rows) > 1 and rng.random() < 0.5:
         pick.append(rows[rng.randrange(len(rows))])
-    if ctx.k == 1:
-        import numpy as np
-
-        mix = []
-        for v in pick:
-            c = rng.randrange(1, ctx.p)
-            mix.append((c * np.asarray(v)) % ctx.p)
-        sub = submodule_spin(w, mix)
-    else:
-        sub = submodule_spin(w, pick)
+    sub = submodule_spin(w, [ctx.mul(rng.randrange(1, ctx.p), v) for v in pick])
     if sub.dim >= w.dim:
         return w
     return quotient_module(w, sub)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 
-from . import linalg, pencil
+from . import dpoly, linalg, pencil
 from .errors import ConsistencyError, InputError, MathRefusal
-from .gf import some_irreducible_factor, splitting_extension
+from .gf import scalar_ops, some_irreducible_factor, splitting_extension
 from .modules import (
     KEModule,
     PointSpec,
@@ -26,14 +25,14 @@ from .modules import (
     constant_jrank_decide,
     dual,
     generic_power_ranks,
-    gmat_pow_poly,
     is_invariant,
+    mats_over,
     preimage_under_all,
     radical,
     subquotient,
     x_alpha,
 )
-from .poly import RationalFunction, coefficient_vectors
+from .poly import Poly, RationalFunction, coefficient_vectors
 from .subspace import Subspace
 
 
@@ -65,22 +64,12 @@ def generic_kernel_power(m: KEModule, n: int) -> GenericKernelReport:
         return m._cache[key]
     if m.r == 1:
         # only one point; the kernel of X_1^n itself
-        if m.fast:
-            ker = linalg.kernel_fp(linalg.matpow_fp(m.mats[0], n, m.ctx.p), m.ctx.p)
-            sub = Subspace.span(m.ctx, m.dim, ker)
-        else:
-            from .modules import gmat_pow
-
-            ap = gmat_pow(m.mats[0], n, m.ctx.zero, m.ctx.one)
-            sub = Subspace.span(
-                m.ctx, m.dim, linalg.kernel_gen([list(r) for r in ap], m.ctx.zero, m.ctx.one)
-            )
-        rep = GenericKernelReport(n, sub, "single-point-kernel", True)
-    elif m.r == 2 and m.fast:
+        ker = linalg.kernel_fp(linalg.matpow_fp(m.mats[0], n, m.ctx), m.ctx)
+        rep = GenericKernelReport(n, Subspace.span(m.ctx, m.dim, ker), "single-point-kernel", True)
+    elif m.r == 2:
         rho = generic_power_ranks(m, n)[n - 1]
-        gens = pencil.graded_kernel_basis(m.power_pencil(n), m.ctx.p, m.dim - rho)
-        rows = pencil.coefficient_rows(gens)
-        sub = Subspace.span(m.ctx, m.dim, rows.reshape(-1, m.dim) if rows.size else rows.reshape(0, m.dim))
+        gens = pencil.graded_kernel_basis(m.power_pencil(n), m.ctx, m.dim - rho)
+        sub = Subspace.span(m.ctx, m.dim, pencil.coefficient_rows(gens))
         rep = GenericKernelReport(n, sub, "generic-point-coefficients", True)
     else:
         sub = _genker_symbolic(m, n)
@@ -94,7 +83,7 @@ def generic_kernel_power(m: KEModule, n: int) -> GenericKernelReport:
 def _genker_symbolic(m: KEModule, n: int) -> Subspace:
     """Rational-function-field kernel + cleared denominators (any r, any k)."""
     a_sym = x_alpha(m, PointSpec.generic())
-    apow = gmat_pow_poly(a_sym, n, m.ctx)
+    apow = _poly_mat_pow(a_sym, n, m.ctx)
     nv = apow[0][0].nvars
     rows = [[RationalFunction.from_poly(e) for e in row] for row in apow]
     zero = RationalFunction.const(m.ctx, nv, 0)
@@ -114,14 +103,35 @@ def _genker_symbolic(m: KEModule, n: int) -> Subspace:
             polys.append(val.num * val.den.constant_value().inverse())
         for cv in coefficient_vectors(polys):
             coeff_rows.append(cv)
-    if m.fast:
-        arr = (
-            np.array([[c.coeffs[0] for c in row] for row in coeff_rows], dtype=np.int64)
-            if coeff_rows
-            else np.zeros((0, m.dim), dtype=np.int64)
-        )
-        return Subspace.span(m.ctx, m.dim, arr)
     return Subspace.span(m.ctx, m.dim, coeff_rows)
+
+
+def _poly_mat_pow(a, e: int, ctx):
+    n = len(a)
+    one = Poly.const(ctx, a[0][0].nvars, 1)
+    zero = Poly.zero(ctx, a[0][0].nvars)
+    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    base = a
+    while e:
+        if e & 1:
+            result = _poly_mat_mul(result, base, zero)
+        base = _poly_mat_mul(base, base, zero)
+        e >>= 1
+    return result
+
+
+def _poly_mat_mul(a, b, zero):
+    n, mdim, k = len(a), len(b), len(b[0])
+    out = [[zero for _ in range(k)] for _ in range(n)]
+    for i in range(n):
+        for s in range(mdim):
+            c = a[i][s]
+            if c.is_zero():
+                continue
+            for j in range(k):
+                if not b[s][j].is_zero():
+                    out[i][j] = out[i][j] + c * b[s][j]
+    return out
 
 
 def generic_kernel(m: KEModule) -> GenericKernelReport:
@@ -164,27 +174,18 @@ def _direct_image_r2(m: KEModule, n: int, generic_part: Subspace) -> Subspace:
     nonunits = [f for f in snf.invariant_factors if len(f) > 1]
     if not nonunits:
         return out
-    if not m.fast:
-        # extension-point cuts are implemented for prime base fields only;
-        # leave the duality value (flagged by the caller's method tag)
-        return out
-    remaining = nonunits[-1]
+    ops = scalar_ops(ctx)
     seen: set[tuple] = set()
-    ops_ctx = [ctx.scalar(c) for c in remaining]
+    ops_ctx = [ctx.decode(c) for c in nonunits[-1]]
     while len(ops_ctx) > 1:
         g = some_irreducible_factor(ctx, ops_ctx, seed=23)
-        gkey = tuple(c.coeffs[0] for c in g)
-        if gkey in seen:
+        if tuple(g) in seen:
             break
-        seen.add(gkey)
+        seen.add(tuple(g))
         out = _cut_by_ext_image(m, n, out, g)
-        from . import dpoly
-        from .gf import scalar_ops
-
-        ops = scalar_ops(ctx)
         q, rem = dpoly.divmod_(ops, ops_ctx, g)
         if rem:
-            raise AssertionError("irreducible factor does not divide")
+            raise ConsistencyError("irreducible factor does not divide")
         ops_ctx = q
         while len(ops_ctx) > 1:
             q2, rem2 = dpoly.divmod_(ops, ops_ctx, g)
@@ -195,50 +196,30 @@ def _direct_image_r2(m: KEModule, n: int, generic_part: Subspace) -> Subspace:
 
 
 def _image_at_infinity(m: KEModule, n: int) -> Subspace:
-    if m.fast:
-        ap = linalg.matpow_fp(m.mats[1], n, m.ctx.p)
-        return Subspace.span(m.ctx, m.dim, ap.T)
-    from .modules import gmat_pow
-
-    ap = gmat_pow(m.mats[1], n, m.ctx.zero, m.ctx.one)
-    cols = [[ap[a][b] for a in range(m.dim)] for b in range(m.dim)]
-    return Subspace.span(m.ctx, m.dim, cols)
+    ap = linalg.matpow_fp(m.mats[1], n, m.ctx)
+    return Subspace.span(m.ctx, m.dim, ap.T)
 
 
 def _cut_by_ext_image(m: KEModule, n: int, w: Subspace, g: list) -> Subspace:
     """F_q-rational part of w cut by Im(X_alpha^n) at the point (1, theta),
-    theta a root of the irreducible g over the prime base field."""
+    theta a root of the irreducible g over F_q."""
     ctx = m.ctx
     ext, root = splitting_extension(ctx, g)
-    p = ctx.p
-    if ext is ctx or getattr(ext, "k", None) == 1:
-        a = (m.mats[0] + root.coeffs[0] * m.mats[1]) % p
-        ap = linalg.matpow_fp(a, n, p)
+    x1, x2 = mats_over(m, ext)
+    ap = linalg.matpow_fp(ext.add(x1, ext.mul(ext.encode(root), x2)), n, ext)
+    if ext is ctx:
         return w.intersect(Subspace.span(ctx, m.dim, ap.T))
-    mdeg = ext.k
-    blow = linalg.BlowupCtx(p, mdeg, list(ext.modulus))
-    t = np.zeros((m.dim, m.dim, mdeg), dtype=np.int64)
-    t[:, :, 0] = m.mats[0]
-    t = (t + np.einsum("ab,j->abj", m.mats[1], np.array(root.coeffs, dtype=np.int64))) % p
-    big = blow.blowup(t)                       # (d*mdeg, d*mdeg)
-    bigpow = linalg.matpow_fp(big, n, p)
-    # left kernel rows of bigpow = relations satisfied by the image columns
-    perp_rows = linalg.kernel_fp(bigpow.T, p)  # each row length d*mdeg
+    # x is in the image iff u . x = 0 for every left kernel row u of ap; for
+    # x = lam . w with lam over F_q these are F_q-linear conditions on lam,
+    # one per coordinate of u . w_i over F_q in the basis 1, theta, ...
+    perp_rows = linalg.kernel_fp(ap.T, ext)
     if perp_rows.shape[0] == 0 or w.dim == 0:
         return w
-    # x real in Im  <=>  u . x = 0 for ext covectors u; the real rows of the
-    # blowup left kernel are exactly those conditions expanded over F_p
-    wb = np.asarray(w.basis, dtype=np.int64)   # (wdim, d)
-    # embed real vector x into the blowup coordinate layout: x_b in the
-    # theta^0 coordinate of block b
-    embed = np.zeros((wb.shape[0], m.dim * mdeg), dtype=np.int64)
-    embed[:, 0::mdeg] = wb
-    cond = linalg.matmul_fp(perp_rows, embed.T, p)   # (conds, wdim)
-    lam = linalg.kernel_fp(cond, p)
+    cond = ext.coordinates(linalg.matmul_fp(perp_rows, ext.embed(w.basis, ctx).T, ext))
+    lam = linalg.kernel_fp(cond.transpose(0, 2, 1).reshape(-1, w.dim), ctx)
     if lam.shape[0] == 0:
         return Subspace.zero(ctx, m.dim)
-    newrows = linalg.matmul_fp(lam, wb, p)
-    return Subspace.span(ctx, m.dim, newrows)
+    return Subspace.span(ctx, m.dim, linalg.matmul_fp(lam, w.basis, ctx))
 
 
 # ---------------------------------------------------------------------------

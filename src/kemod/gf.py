@@ -1,21 +1,33 @@
 """Prime-power finite fields F_q, q = p^k, in exact coefficient form.
 
 A ``FieldCtx`` fixes p, the extension degree k and a monic irreducible
-modulus over F_p; ``FieldScalar`` values are coefficient vectors in the
-power basis of the modulus.  The module also provides the univariate
+modulus over F_p.  An element is encoded as an integer in [0, q) whose
+base-p digits are its coefficients in the power basis of the modulus, so
+a matrix over any F_q is an int64 array of codes and ``FieldCtx`` alone
+holds the arithmetic on such arrays.  ``FieldScalar`` wraps one code for
+polynomial arithmetic.  The module also provides the univariate
 factor-extraction routines (square-free part, one irreducible factor)
 needed to name jump points of polynomial matrices by their minimal
-polynomials, and quotient-ring scalars for splitting-field checks over
-non-prime base fields.
+polynomials, and the extension fields F_{q^m} that contain those points.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+
+import numpy as np
 
 from . import dpoly
 from .dpoly import IntModOps, ScalarOps
 from .errors import InputError, MathRefusal
+
+# Exact range of the int64/float64 kernels: products of two residues (and
+# sums of a few thousand of them) must stay below 2^53, codes below 2^63.
+MAX_P = 2**20
+MAX_Q = 2**62
+# Fields up to this size multiply through log/antilog tables.
+TABLE_Q = 2**16
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -94,16 +106,45 @@ def find_irreducible_fp(p: int, k: int, seed: int = 0) -> list[int]:
             return f
 
 
-class FieldCtx:
-    """The field F_{p^k} = F_p[x]/(modulus)."""
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p for residue arrays, via float64 BLAS when safe."""
+    inner = a.shape[-1]
+    if inner == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    if (p - 1) * (p - 1) * inner < 2**53:
+        c = a.astype(np.float64) @ b.astype(np.float64)
+        np.remainder(c, p, out=c)
+        return c.astype(np.int64)
+    return (a @ b) % p
 
-    __slots__ = ("p", "k", "modulus", "_ops", "_zero", "_one")
+
+class FieldCtx:
+    """The field F_{p^k} = F_p[x]/(modulus).
+
+    The element c_0 + c_1 x + ... + c_{k-1} x^{k-1} has the code
+    c_0 + c_1 p + ... + c_{k-1} p^{k-1} in [0, q); F_p is the codes 0..p-1
+    of every F_{p^k}.  The array methods (add, sub, neg, mul, sub_mul, inv,
+    matmul) act on int64 arrays of codes and are the only code that depends
+    on k: residues mod p for k = 1; log/antilog tables, XOR (p = 2) or
+    base-p digits with the modulus's structure constants for k > 1.  A
+    field made by ``splitting_extension`` or ``extension`` keeps the field
+    it extends as ``base``, with the embedding it was built with, so
+    matrices over the base and points of the extension always meet through
+    the same map.
+    """
+
+    __slots__ = ("p", "k", "q", "modulus", "base", "ops", "_pw", "_fold_mat",
+                 "_to_base", "_from_base", "_log", "_exp", "_log_l", "_exp_l")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
             raise InputError(f"p = {p} is not prime")
         if k < 1:
             raise InputError(f"extension degree must be >= 1, got {k}")
+        if p >= MAX_P or p**k >= MAX_Q:
+            raise InputError(
+                f"F_{p}^{k} is outside the exact range of the int64 kernels (p < 2^20, p^k < 2^62)"
+            )
         if modulus is None:
             modulus = tuple(find_irreducible_fp(p, k))
         modulus = tuple(c % p for c in modulus)
@@ -113,49 +154,59 @@ class FieldCtx:
             raise InputError("modulus is not irreducible over F_p")
         self.p = p
         self.k = k
+        self.q = p**k
         self.modulus = modulus
-        self._ops = IntModOps(p)
-        self._zero = FieldScalar(self, (0,) * k)
-        self._one = FieldScalar(self, (1,) + (0,) * (k - 1))
+        self.base = None
+        self._pw = p ** np.arange(k, dtype=np.int64)
+        # row i*k + j: the digits of x^(i+j) mod the modulus
+        ops = IntModOps(p)
+        red = []
+        for e in range(2 * k - 1):
+            r = dpoly.rem(ops, [0] * e + [1], list(modulus))
+            red.append(r + [0] * (k - len(r)))
+        self._fold_mat = np.array(
+            [red[i + j] for i in range(k) for j in range(k)], dtype=np.float64
+        )
+        self._log = None
+        self.ops = IntModOps(p) if k == 1 else _ExtOps(self)
 
-    @property
-    def q(self) -> int:
-        return self.p**self.k
+    # -- scalars ---------------------------------------------------------------
 
     @property
     def zero(self) -> "FieldScalar":
-        return self._zero
+        return FieldScalar(self, 0)
 
     @property
     def one(self) -> "FieldScalar":
-        return self._one
+        return FieldScalar(self, 1)
+
+    def encode(self, value) -> int:
+        """Code of a FieldScalar (of this field or a subfield it embeds), a
+        coefficient list, or an int read as an element of F_p."""
+        if isinstance(value, FieldScalar):
+            if value.ctx is self or value.ctx.same_field(self):
+                return value.v
+            return int(self.embed(value.v, value.ctx))
+        if isinstance(value, (int, np.integer)) or hasattr(value, "__index__"):
+            return int(value) % self.p
+        coeffs = [int(c) % self.p for c in value]
+        if len(coeffs) > self.k:
+            raise InputError("coefficient vector longer than the extension degree")
+        return sum(c * self.p**i for i, c in enumerate(coeffs))
+
+    def decode(self, code) -> "FieldScalar":
+        return FieldScalar(self, int(code))
 
     def scalar(self, value) -> "FieldScalar":
         """Coerce an int, coefficient list, or FieldScalar into this field."""
-        if isinstance(value, FieldScalar):
-            if value.ctx is not self and (value.ctx.p, value.ctx.k, value.ctx.modulus) != (
-                self.p,
-                self.k,
-                self.modulus,
-            ):
-                raise InputError("scalar from a different field")
-            return FieldScalar(self, value.coeffs)
-        if isinstance(value, int) or hasattr(value, "__index__"):
-            return FieldScalar(self, (int(value) % self.p,) + (0,) * (self.k - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) > self.k:
-            raise InputError("coefficient vector longer than the extension degree")
-        coeffs = coeffs + (0,) * (self.k - len(coeffs))
-        return FieldScalar(self, coeffs)
+        return FieldScalar(self, self.encode(value))
 
     def gen(self) -> "FieldScalar":
         """The residue of x, a generator of the field over F_p (k > 1)."""
-        if self.k == 1:
-            return self._one
-        return FieldScalar(self, (0, 1) + (0,) * (self.k - 2))
+        return FieldScalar(self, self.p if self.k > 1 else 1)
 
     def random_scalar(self, rng: random.Random) -> "FieldScalar":
-        return FieldScalar(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return FieldScalar(self, sum(rng.randrange(self.p) * self.p**i for i in range(self.k)))
 
     def random_nonzero(self, rng: random.Random) -> "FieldScalar":
         while True:
@@ -165,14 +216,206 @@ class FieldCtx:
 
     def elements(self):
         """Iterate all q elements (small fields only)."""
-        def rec(prefix):
-            if len(prefix) == self.k:
-                yield FieldScalar(self, tuple(prefix))
-                return
-            for c in range(self.p):
-                yield from rec(prefix + [c])
+        return (FieldScalar(self, v) for v in range(self.q))
 
-        yield from rec([])
+    def coeffs(self, code) -> tuple[int, ...]:
+        """Power-basis coefficients of one code."""
+        out = []
+        for _ in range(self.k):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return tuple(out)
+
+    def serialize(self, a):
+        """File and report form of codes: ints over F_p, coefficient lists otherwise."""
+        if self.k == 1:
+            return np.asarray(a).tolist()
+        return self._digits(a).tolist()
+
+    def format(self, code) -> str:
+        if self.k == 1:
+            return str(code)
+        return "+".join(
+            f"{c}x^{i}" if i else str(c) for i, c in enumerate(self.coeffs(code)) if c
+        ) or "0"
+
+    # -- arrays of codes ---------------------------------------------------------
+
+    def array(self, a, ndim: int = 2) -> np.ndarray:
+        """Codes of a nested sequence of field elements, as an int64 array.
+
+        An int array (or a list of them) is taken as codes already; other
+        entries may be FieldScalars, coefficient lists, or ints, which are
+        read as elements of F_p.
+        """
+        if isinstance(a, (list, tuple)) and a and isinstance(a[0], np.ndarray):
+            a = np.asarray(a)
+        if isinstance(a, np.ndarray) and a.dtype != object:
+            a = a.astype(np.int64, copy=False)
+            if self.k == 1:
+                return a % self.p
+            if a.size and (a.min() < 0 or a.max() >= self.q):
+                raise InputError(f"element codes must lie in [0, {self.q})")
+            return a
+        if isinstance(a, np.ndarray):
+            a = a.tolist()
+        try:
+            arr = np.asarray(a, dtype=np.int64)
+            if arr.ndim == ndim:
+                return arr % self.p
+        except (TypeError, ValueError, OverflowError):
+            pass
+        if ndim == 0:
+            return np.int64(self.encode(a))
+        rows = [self.array(x, ndim - 1) for x in a]
+        if not rows:
+            return np.zeros((0,) * ndim, dtype=np.int64)
+        return np.array(rows, dtype=np.int64)
+
+    def canon(self, a) -> np.ndarray:
+        """An int array of internal codes (reduced mod p over F_p)."""
+        a = np.asarray(a, dtype=np.int64)
+        return a % self.p if self.k == 1 else a
+
+    def add(self, a, b):
+        if self.k == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        return self._undigits((self._digits(a) + self._digits(b)) % self.p)
+
+    def sub(self, a, b):
+        if self.k == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        return self._undigits((self._digits(a) - self._digits(b)) % self.p)
+
+    def neg(self, a):
+        if self.k == 1:
+            return (-a) % self.p
+        if self.p == 2:
+            return np.asarray(a, dtype=np.int64)
+        return self._undigits((-self._digits(a)) % self.p)
+
+    def mul(self, a, b):
+        """Elementwise product (with numpy broadcasting)."""
+        if self.k == 1:
+            return (a * b) % self.p
+        if self._tables():
+            return self._exp[self._log[a] + self._log[b]]
+        return self._mul_digits(a, b)
+
+    def sub_mul(self, x, a, b):
+        """x - a * b elementwise."""
+        if self.k == 1:
+            return (x - a * b) % self.p
+        return self.sub(x, self.mul(a, b))
+
+    def inv(self, a) -> int:
+        """Inverse of one nonzero code."""
+        a = int(a)
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        if self.k == 1:
+            return pow(a, -1, self.p)
+        if self._tables():
+            return self._exp_l[self.q - 1 - self._log_l[a]]
+        # extended Euclid in F_p[x] against the modulus
+        ops = IntModOps(self.p)
+        r0, r1 = list(self.modulus), dpoly.trim(ops, list(self.coeffs(a)))
+        s0, s1 = [], [1]
+        while r1:
+            quo, rem = dpoly.divmod_(ops, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, dpoly.sub(ops, s0, dpoly.mul(ops, quo, s1))
+        s0 = dpoly.scale(ops, s0, ops.inv(r0[-1]))
+        return sum(c * self.p**i for i, c in enumerate(s0))
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product: one BLAS product over F_p for k = 1; for k > 1 one
+        product of the stacked digit planes, folded by the modulus."""
+        if self.k == 1:
+            return _matmul_mod(a, b, self.p)
+        k, n, inner, m = self.k, a.shape[0], a.shape[1], b.shape[1]
+        da = self._digits(a).transpose(2, 0, 1).reshape(k * n, inner)
+        db = self._digits(b).reshape(inner, m * k)
+        planes = _matmul_mod(da, db, self.p).reshape(k, n, m, k)
+        return self._fold(planes.transpose(1, 2, 0, 3))
+
+    def embed(self, a, src: "FieldCtx"):
+        """Codes over the subfield src, mapped into this field."""
+        if src.same_field(self) or (src.k == 1 and src.p == self.p):
+            return a
+        if self.base is None or not self.base.same_field(src):
+            raise InputError("cannot embed scalars into an unrelated field")
+        return self._undigits((src._digits(a) @ self._from_base) % self.p)
+
+    def coordinates(self, a) -> np.ndarray:
+        """Coordinates over ``base`` of codes of this field, in the basis
+        1, theta, theta^2, ... with theta the root the field was built from:
+        shape (..., k / base.k) of base-field codes."""
+        kb = self.base.k
+        vec = (self._digits(a) @ self._to_base) % self.p
+        return self.base._undigits(vec.reshape(vec.shape[:-1] + (self.k // kb, kb)))
+
+    def _digits(self, a) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)[..., None]
+        if self.p == 2:
+            return (a >> np.arange(self.k)) & 1
+        return (a // self._pw) % self.p
+
+    def _undigits(self, d: np.ndarray):
+        return d @ self._pw
+
+    def _fold(self, outer: np.ndarray):
+        """Codes of sum_ij outer[..., i, j] x^(i+j), outer holding residues."""
+        flat = outer.reshape(outer.shape[:-2] + (self.k * self.k,)).astype(np.float64)
+        return self._undigits((flat @ self._fold_mat).astype(np.int64) % self.p)
+
+    def _mul_digits(self, a, b):
+        da, db = self._digits(a), self._digits(b)
+        return self._fold((da[..., :, None] * db[..., None, :]) % self.p)
+
+    def _tables(self) -> bool:
+        """Build the log/antilog tables on first use; False when q is too big."""
+        if self._log is not None:
+            return self._log is not False
+        if self.q > TABLE_Q:
+            self._log = False
+            return False
+        n = self.q - 1
+        g = self._primitive_root()
+        pows, gp = np.ones(1, dtype=np.int64), g
+        while pows.size < n:
+            pows = np.concatenate([pows, self._mul_digits(pows, gp)])
+            gp = int(self._mul_digits(gp, gp))
+        pows = pows[:n]
+        log = np.empty(self.q, dtype=np.int64)
+        log[pows] = np.arange(n)
+        log[0] = 2 * n  # any sum with the log of 0 lands in the zero tail
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[: 2 * n] = np.concatenate([pows, pows])
+        self._log, self._exp = log, exp
+        self._log_l, self._exp_l = log.tolist(), exp.tolist()
+        return True
+
+    def _primitive_root(self) -> int:
+        n = self.q - 1
+        ell = _prime_divisors(n)
+
+        def power(a, e):
+            r = 1
+            while e:
+                if e & 1:
+                    r = int(self._mul_digits(r, a))
+                a = int(self._mul_digits(a, a))
+                e >>= 1
+            return r
+
+        return next(g for g in range(2, self.q) if all(power(g, n // l) != 1 for l in ell))
+
+    # -- identity ------------------------------------------------------------------
 
     def same_field(self, other: "FieldCtx") -> bool:
         return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
@@ -189,85 +432,109 @@ class FieldCtx:
         return f"GF({self.p}^{self.k})"
 
 
-class FieldScalar:
-    """An element of F_{p^k}, stored as k coefficients in the power basis."""
+class _ExtOps:
+    """dpoly coefficient ops on codes of F_{p^k}, k > 1 (IntModOps serves k = 1)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "p")
+    zero = 0
+    one = 1
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.p = ctx.p
 
-    def _binop_ctx(self, other) -> "FieldScalar":
+    def _digitwise(self, a, b, sign):
+        p, out, unit = self.p, 0, 1
+        while a or b:
+            out += (a % p + sign * (b % p)) % p * unit
+            a //= p
+            b //= p
+            unit *= p
+        return out
+
+    def add(self, a, b):
+        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
+
+    def sub(self, a, b):
+        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
+
+    def neg(self, a):
+        return a if self.p == 2 else self._digitwise(0, a, -1)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        ctx = self.ctx
+        if ctx._tables():
+            return ctx._exp_l[ctx._log_l[a] + ctx._log_l[b]]
+        return int(ctx._mul_digits(a, b))
+
+    def inv(self, a):
+        return self.ctx.inv(a)
+
+    def is_zero(self, a):
+        return a == 0
+
+
+class FieldScalar:
+    """One element of F_{p^k}: its field and its code (see FieldCtx)."""
+
+    __slots__ = ("ctx", "v")
+
+    def __init__(self, ctx: FieldCtx, v: int):
+        self.ctx = ctx
+        self.v = v
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.ctx.coeffs(self.v)
+
+    def _code(self, other):
+        """Code of the other operand in this field, or None if unsupported."""
         if isinstance(other, int):
-            return self.ctx.scalar(other)
+            return self.ctx.encode(other)
         if not isinstance(other, FieldScalar):
-            return NotImplemented
+            return None
         if other.ctx is not self.ctx and not self.ctx.same_field(other.ctx):
             raise InputError("mixed-field arithmetic")
-        return other
+        return other.v
 
     def __add__(self, other):
-        o = self._binop_ctx(other)
-        if o is NotImplemented:
-            return o
-        p = self.ctx.p
-        return FieldScalar(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        o = self._code(other)
+        if o is None:
+            return NotImplemented
+        return FieldScalar(self.ctx, self.ctx.ops.add(self.v, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._binop_ctx(other)
-        if o is NotImplemented:
-            return o
-        p = self.ctx.p
-        return FieldScalar(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        o = self._code(other)
+        if o is None:
+            return NotImplemented
+        return FieldScalar(self.ctx, self.ctx.ops.sub(self.v, o))
 
     def __rsub__(self, other):
         return self.ctx.scalar(other) - self
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldScalar(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return FieldScalar(self.ctx, self.ctx.ops.neg(self.v))
 
     def __mul__(self, other):
-        o = self._binop_ctx(other)
-        if o is NotImplemented:
-            return o
-        ctx = self.ctx
-        if ctx.k == 1:
-            return FieldScalar(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
-        ops = ctx._ops
-        prod = dpoly.mul(ops, list(self.coeffs), list(o.coeffs))
-        prod = dpoly.rem(ops, prod, list(ctx.modulus))
-        prod = prod + [0] * (ctx.k - len(prod))
-        return FieldScalar(ctx, tuple(prod))
+        o = self._code(other)
+        if o is None:
+            return NotImplemented
+        return FieldScalar(self.ctx, self.ctx.ops.mul(self.v, o))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
-        ctx = self.ctx
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        if ctx.k == 1:
-            return FieldScalar(ctx, (pow(self.coeffs[0], -1, ctx.p),))
-        # Extended Euclid in F_p[x] against the modulus.
-        ops = ctx._ops
-        a, b = list(ctx.modulus), dpoly.trim(ops, list(self.coeffs))
-        s0, s1 = [], [1]
-        while b:
-            q, r = dpoly.divmod_(ops, a, b)
-            a, b = b, r
-            s0, s1 = s1, dpoly.sub(ops, s0, dpoly.mul(ops, q, s1))
-        s0 = dpoly.scale(ops, s0, ops.inv(a[-1]))
-        s0 = s0 + [0] * (ctx.k - len(s0))
-        return FieldScalar(ctx, tuple(s0))
+        return FieldScalar(self.ctx, self.ctx.inv(self.v))
 
     def __truediv__(self, other):
-        o = self._binop_ctx(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        o = self._code(other)
+        if o is None:
+            return NotImplemented
+        return FieldScalar(self.ctx, self.ctx.ops.mul(self.v, self.ctx.inv(o)))
 
     def __rtruediv__(self, other):
         return self.ctx.scalar(other) / self
@@ -289,30 +556,24 @@ class FieldScalar:
         return self ** (self.ctx.p ** (self.ctx.k - 1))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.v != 0
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == self.ctx.scalar(other)
+            return self.v == self.ctx.encode(other)
         if not isinstance(other, FieldScalar):
             return NotImplemented
-        return self.ctx.same_field(other.ctx) and self.coeffs == other.coeffs
+        return self.ctx.same_field(other.ctx) and self.v == other.v
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.k, self.coeffs))
+        return hash((self.ctx.p, self.ctx.k, self.v))
 
     def serialize(self):
         """File form: a bare int for prime fields, a coefficient list otherwise."""
-        if self.ctx.k == 1:
-            return self.coeffs[0]
-        return list(self.coeffs)
+        return self.ctx.serialize(self.v)
 
     def __repr__(self):
-        if self.ctx.k == 1:
-            return str(self.coeffs[0])
-        return "+".join(
-            f"{c}x^{i}" if i else str(c) for i, c in enumerate(self.coeffs) if c
-        ) or "0"
+        return self.ctx.format(self.v)
 
 
 def scalar_ops(ctx: FieldCtx) -> ScalarOps:
@@ -414,112 +675,70 @@ def some_irreducible_factor(ctx: FieldCtx, f: list, seed: int = 0) -> list:
 
 
 def splitting_extension(ctx: FieldCtx, g: list, seed: int = 0):
-    """A field containing a root of the irreducible g, plus the root.
+    """A field containing a root of the monic irreducible g over ctx, and the root.
 
-    Over a prime base this is an ordinary FieldCtx with modulus g; over an
-    extension base it is a quotient-ring context whose elements behave like
-    field scalars in the generic linear algebra.
+    For deg g = m > 1 the field is ctx[t]/(g) = F_{q^m}, written as
+    FieldCtx(p, k*m) in the powers of a primitive element (t itself when
+    that generates, so over a prime base the modulus is g).  It keeps ctx as
+    its ``base`` with the embedding of ctx and the F_p-basis x^i t^j of the
+    quotient ring, which ``embed`` and ``coordinates`` use.
     """
     deg = len(g) - 1
     if deg == 1:
-        root = -(g[0] / g[1])
-        return ctx, root
-    if ctx.k == 1:
-        ext = FieldCtx(ctx.p, deg, tuple(c.coeffs[0] for c in g))
-        return ext, ext.gen()
-    ext = QuotExtCtx(ctx, tuple(g))
-    return ext, ext.gen()
+        return ctx, -(g[0] / g[1])
+    from .linalg import inv_fp, rank_fp
+
+    p, k = ctx.p, ctx.k
+    n = k * deg
+    ops = scalar_ops(ctx)
+    g = dpoly.monic(ops, list(g))
+
+    def vec(f):
+        """ctx[t]/(g) -> F_p^n, the coefficient of x^i t^j at j*k + i."""
+        out = np.zeros(n, dtype=np.int64)
+        for j, c in enumerate(f):
+            out[j * k : (j + 1) * k] = c.coeffs
+        return out
+
+    for z in _primitive_candidates(ctx, deg, seed):
+        powers = [[ctx.one]]
+        for _ in range(n):
+            powers.append(dpoly.rem(ops, dpoly.mul(ops, powers[-1], z), g))
+        to_base = np.array([vec(f) for f in powers[:n]])
+        if rank_fp(to_base, p) < n:
+            continue
+        from_base = inv_fp(to_base, p)
+        top = (vec(powers[n]) @ from_base) % p  # z^n in the basis 1, z, ..., z^(n-1)
+        ext = FieldCtx(p, n, tuple(int(c) for c in (-top) % p) + (1,))
+        ext.base, ext._to_base, ext._from_base = ctx, to_base, from_base[:k]
+        return ext, ext.decode(ext._undigits(from_base[k]))
+    raise MathRefusal("no primitive element found")  # unreachable: candidates never end
 
 
-class QuotExtCtx:
-    """F_q[t]/(g) for irreducible g over a non-prime F_q."""
-
-    __slots__ = ("base", "modulus", "deg")
-
-    def __init__(self, base: FieldCtx, modulus: tuple):
-        self.base = base
-        self.modulus = modulus
-        self.deg = len(modulus) - 1
-
-    @property
-    def p(self):
-        return self.base.p
-
-    @property
-    def q(self):
-        return self.base.q**self.deg
-
-    @property
-    def zero(self):
-        return QuotExtScalar(self, (self.base.zero,) * self.deg)
-
-    @property
-    def one(self):
-        return QuotExtScalar(self, (self.base.one,) + (self.base.zero,) * (self.deg - 1))
-
-    def gen(self):
-        c = [self.base.zero] * self.deg
-        c[1 % self.deg] = self.base.one
-        return QuotExtScalar(self, tuple(c))
-
-    def embed(self, s: FieldScalar):
-        return QuotExtScalar(self, (s,) + (self.base.zero,) * (self.deg - 1))
+def _primitive_candidates(ctx: FieldCtx, deg: int, seed: int):
+    """t, then t + s for s in F_q, then seeded random elements of ctx[t]/(g)."""
+    yield [ctx.zero, ctx.one]
+    for s in ctx.elements():
+        if s:
+            yield [s, ctx.one]
+    rng = random.Random(seed)
+    while True:
+        yield [ctx.random_scalar(rng) for _ in range(deg)]
 
 
-class QuotExtScalar:
-    """Element of a quotient extension; supports field operator protocol."""
+def irreducible_of_degree(ctx: FieldCtx, deg: int) -> list:
+    """A monic irreducible of degree deg over F_q from a seeded search; over
+    F_p it is the polynomial find_irreducible_fp draws."""
+    rng = random.Random(f"irr:{ctx.p}:{deg}:0")
+    while True:
+        f = [ctx.random_scalar(rng) for _ in range(deg)] + [ctx.one]
+        if len(some_irreducible_factor(ctx, f, seed=7)) - 1 == deg:
+            return f
 
-    __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: QuotExtCtx, coeffs: tuple):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def _ops(self):
-        return scalar_ops(self.ctx.base)
-
-    def _wrap(self, lst):
-        lst = list(lst) + [self.ctx.base.zero] * (self.ctx.deg - len(lst))
-        return QuotExtScalar(self.ctx, tuple(lst[: self.ctx.deg]))
-
-    def __add__(self, other):
-        return self._wrap(dpoly.add(self._ops(), list(self.coeffs), list(other.coeffs)))
-
-    def __sub__(self, other):
-        return self._wrap(dpoly.sub(self._ops(), list(self.coeffs), list(other.coeffs)))
-
-    def __neg__(self):
-        return self._wrap(dpoly.neg(self._ops(), list(self.coeffs)))
-
-    def __mul__(self, other):
-        ops = self._ops()
-        prod = dpoly.mul(ops, list(self.coeffs), list(other.coeffs))
-        return self._wrap(dpoly.rem(ops, prod, list(self.ctx.modulus)))
-
-    def inverse(self):
-        ops = self._ops()
-        a, b = list(self.ctx.modulus), dpoly.trim(ops, list(self.coeffs))
-        if not b:
-            raise ZeroDivisionError("inverse of zero")
-        s0, s1 = [], [self.ctx.base.one]
-        while b:
-            q, r = dpoly.divmod_(ops, a, b)
-            a, b = b, r
-            s0, s1 = s1, dpoly.sub(ops, s0, dpoly.mul(ops, q, s1))
-        s0 = dpoly.scale(ops, s0, a[-1].inverse())
-        return self._wrap(s0)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, QuotExtScalar) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"ext({self.coeffs})"
+@functools.lru_cache(maxsize=None)
+def extension(ctx: FieldCtx, m: int) -> FieldCtx:
+    """F_{q^m} built over ctx (ctx itself for m = 1)."""
+    if m == 1:
+        return ctx
+    return splitting_extension(ctx, irreducible_of_degree(ctx, m))[0]

@@ -12,8 +12,6 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError
 from .gf import FieldCtx
 from .modules import KEModule
@@ -23,24 +21,18 @@ VERSION = 1
 
 
 def module_to_dict(m: KEModule, metadata: dict | None = None) -> dict:
+    k = m.ctx.k
     doc = {
         "format": FORMAT,
         "version": VERSION,
         "p": m.ctx.p,
-        "field_degree": m.ctx.k,
+        "field_degree": k,
         "r": m.r,
         "dim": m.dim,
     }
-    if m.ctx.k > 1:
+    if k > 1:
         doc["modulus"] = list(m.ctx.modulus)
-    gens = []
-    if m.fast:
-        for x in m.mats:
-            gens.append([int(v) for v in x.reshape(-1)])
-    else:
-        for x in m.mats:
-            gens.append([list(e.coeffs) for row in x for e in row])
-    doc["generators"] = gens
+    doc["generators"] = [m.ctx.serialize(x.reshape(-1)) for x in m.mats]
     meta = dict(metadata or {})
     if m.labels and "basis_labels" not in meta:
         meta["basis_labels"] = list(m.labels)
@@ -62,24 +54,15 @@ def module_from_dict(doc: dict) -> KEModule:
         raise InputError(f"malformed module file: {e}") from e
     if len(gens) != r:
         raise InputError(f"expected {r} generator matrices, found {len(gens)}")
-    if k == 1:
-        ctx = FieldCtx(p)
-        mats = []
-        for g in gens:
-            if len(g) != dim * dim:
-                raise InputError("generator matrix has wrong number of entries")
-            mats.append(np.array(g, dtype=np.int64).reshape(dim, dim))
-    else:
-        modulus = doc.get("modulus")
-        if modulus is None:
-            raise InputError("extension-field module file lacks a modulus")
-        ctx = FieldCtx(p, k, tuple(int(c) for c in modulus))
-        mats = []
-        for g in gens:
-            if len(g) != dim * dim:
-                raise InputError("generator matrix has wrong number of entries")
-            scal = [ctx.scalar(e) for e in g]
-            mats.append(tuple(tuple(scal[a * dim + b] for b in range(dim)) for a in range(dim)))
+    modulus = doc.get("modulus")
+    if k > 1 and modulus is None:
+        raise InputError("extension-field module file lacks a modulus")
+    ctx = FieldCtx(p, k, None if k == 1 else tuple(int(c) for c in modulus))
+    mats = []
+    for g in gens:
+        if len(g) != dim * dim:
+            raise InputError("generator matrix has wrong number of entries")
+        mats.append(ctx.array(g, ndim=1).reshape(dim, dim))
     labels = None
     meta = doc.get("metadata") or {}
     if isinstance(meta, dict) and meta.get("basis_labels"):

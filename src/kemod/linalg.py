@@ -1,141 +1,146 @@
-"""Dense exact linear algebra: a fast numpy lane for prime fields and a
-generic lane for any scalar type with field operators.
+"""Dense exact linear algebra over any F_q, plus a generic lane for the
+rational-function scalars of the symbolic generic-point computations.
 
-The numpy lane stores matrices as int64 arrays with entries in [0, p).
-Row reduction is vectorized per pivot; matrix products go through float64
-BLAS when the intermediate values provably fit in the 53-bit mantissa,
-which they always do at this package's scale.
+Matrices over F_q are int64 arrays of element codes (see ``gf.FieldCtx``);
+every routine takes the field as a ``FieldCtx`` or, for a prime field, as
+the plain prime p, and does its arithmetic through the field's array
+methods.  Row reduction is vectorized per pivot; matrix products go
+through float64 BLAS when the intermediate values provably fit in the
+53-bit mantissa.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InputError
+from .gf import FieldCtx
 
 # ---------------------------------------------------------------------------
-# numpy lane: matrices over F_p, k = 1
+# numpy lane: matrices of codes over F_q
 # ---------------------------------------------------------------------------
 
 
-def asmod(a, p: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % p
+@functools.lru_cache(maxsize=None)
+def _prime_field(p: int) -> FieldCtx:
+    return FieldCtx(p)
 
 
-def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p via float64 BLAS when safe."""
-    inner = a.shape[-1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if (p - 1) * (p - 1) * inner < 2**53:
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        return (c % p).astype(np.int64)
-    return (a @ b) % p
+def field(F) -> FieldCtx:
+    """The field given as a FieldCtx or as a prime."""
+    return F if isinstance(F, FieldCtx) else _prime_field(F)
 
 
-def matpow_fp(a: np.ndarray, e: int, p: int) -> np.ndarray:
+def matmul_fp(a: np.ndarray, b: np.ndarray, F) -> np.ndarray:
+    """Exact a @ b over F_q."""
+    return field(F).matmul(a, b)
+
+
+def matpow_fp(a: np.ndarray, e: int, F) -> np.ndarray:
+    F = field(F)
     result = np.eye(a.shape[0], dtype=np.int64)
-    base = a % p
+    base = F.canon(a)
     while e:
         if e & 1:
-            result = matmul_fp(result, base, p)
-        base = matmul_fp(base, base, p)
+            result = F.matmul(result, base)
+        base = F.matmul(base, base)
         e >>= 1
     return result
 
 
-def rref_fp(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p.
+def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_q.
 
     Returns:
         (R, pivots): R with unit pivots and zeros above/below them,
         pivots the list of pivot column indices.
     """
-    R = asmod(a, p).copy()
+    F = field(F)
+    R = F.canon(a).copy()
     rows, cols = R.shape
     pivots: list[int] = []
     pr = 0
     for c in range(cols):
         if pr >= rows:
             break
-        col = R[pr:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(R[pr:, c])[0]
         if nz.size == 0:
             continue
         r0 = pr + nz[0]
         if r0 != pr:
             R[[pr, r0]] = R[[r0, pr]]
-        inv = pow(int(R[pr, c]), -1, p)
-        if inv != 1:
-            R[pr] = (R[pr] * inv) % p
+        lead = int(R[pr, c])
+        if lead != 1:
+            R[pr] = F.mul(R[pr], F.inv(lead))
         coef = R[:, c].copy()
         coef[pr] = 0
         mask = coef != 0
         if mask.any():
-            R[mask] = (R[mask] - np.outer(coef[mask], R[pr])) % p
+            R[mask] = F.sub_mul(R[mask], coef[mask][:, None], R[pr])
         pivots.append(c)
         pr += 1
     return R, pivots
 
 
-def rank_fp(a, p: int) -> int:
-    return len(rref_fp(a, p)[1])
+def rank_fp(a, F) -> int:
+    return len(rref_fp(a, F)[1])
 
 
-def kernel_fp(a, p: int) -> np.ndarray:
-    """Row basis of the right kernel {x : a @ x = 0} over F_p."""
-    a = asmod(a, p)
-    rows, cols = a.shape
-    R, pivots = rref_fp(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-R[r, fc]) % p
+def kernel_fp(a, F) -> np.ndarray:
+    """Row basis of the right kernel {x : a @ x = 0} over F_q."""
+    F = field(F)
+    R, pivots = rref_fp(a, F)
+    cols = R.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.nonzero(is_free)[0]
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = F.neg(R[: len(pivots)][:, free].T)
     return basis
 
 
-def solve_fp(a, b, p: int):
+def solve_fp(a, b, F):
     """One solution x of a @ x = b (column sense), or None."""
-    a = asmod(a, p)
-    b = asmod(b, p).reshape(-1, 1)
-    aug = np.hstack([a, b])
-    R, pivots = rref_fp(aug, p)
+    F = field(F)
+    a = F.canon(a)
     cols = a.shape[1]
+    R, pivots = rref_fp(np.hstack([a, F.canon(b).reshape(-1, 1)]), F)
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, cols]
+    x[pivots] = R[: len(pivots), cols]
     return x
 
 
-def inv_fp(a, p: int) -> np.ndarray:
-    a = asmod(a, p)
+def inv_fp(a, F) -> np.ndarray:
+    F = field(F)
+    a = F.canon(a)
     n = a.shape[0]
-    R, pivots = rref_fp(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if pivots[: n] != list(range(n)):
+    R, pivots = rref_fp(np.hstack([a, np.eye(n, dtype=np.int64)]), F)
+    if pivots[:n] != list(range(n)):
         raise InputError("matrix not invertible")
     return R[:, n:]
 
 
-def row_space_fp(a, p: int) -> tuple[np.ndarray, list[int]]:
+def row_space_fp(a, F) -> tuple[np.ndarray, list[int]]:
     """Echelonized row space with zero rows dropped."""
-    R, pivots = rref_fp(a, p)
+    R, pivots = rref_fp(a, F)
     return R[: len(pivots)].copy(), pivots
 
 
-def reduce_rows_fp(vecs: np.ndarray, ech: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+def reduce_rows_fp(vecs: np.ndarray, ech: np.ndarray, pivots: list[int], F) -> np.ndarray:
     """Residuals of row vectors after reduction by an echelon basis."""
+    F = field(F)
     if len(pivots) == 0 or vecs.size == 0:
-        return vecs % p
-    coef = vecs[:, pivots]
-    return (vecs - matmul_fp(coef, ech, p)) % p
+        return F.canon(vecs)
+    return F.sub(vecs, F.matmul(vecs[:, pivots], ech))
 
 
 # ---------------------------------------------------------------------------
-# generic lane: any scalar with +,-,*,inverse(),bool
+# generic lane: any scalar with +,-,*,inverse(),bool (rational functions)
 # ---------------------------------------------------------------------------
 
 
@@ -189,59 +194,3 @@ def kernel_gen(rows: list[list], zero, one) -> list[list]:
             v[pc] = -R[r][fc]
         out.append(v)
     return out
-
-
-def solve_gen(rows: list[list], rhs: list, zero):
-    """One solution of rows @ x = rhs (column sense), or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    R, pivots = rref_gen(aug, zero)
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][ncols]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# extension-point ranks via multiplication-matrix blowup (prime base field)
-# ---------------------------------------------------------------------------
-
-
-class BlowupCtx:
-    """Precomputed powers of the companion matrix of F_{p^m}'s modulus.
-
-    Turns an F_{p^m}-matrix, given as an (r, c, m) coefficient tensor,
-    into an (r*m, c*m) matrix over F_p with m * rank_ext = rank_fp.
-    """
-
-    def __init__(self, p: int, m: int, modulus: list[int] | None = None):
-        from .gf import find_irreducible_fp
-
-        self.p = p
-        self.m = m
-        if modulus is None:
-            modulus = find_irreducible_fp(p, m)
-        self.modulus = modulus
-        comp = np.zeros((m, m), dtype=np.int64)
-        for i in range(m - 1):
-            comp[i + 1, i] = 1
-        comp[:, m - 1] = [(-modulus[i]) % p for i in range(m)]
-        pows = [np.eye(m, dtype=np.int64)]
-        for _ in range(m - 1):
-            pows.append(matmul_fp(pows[-1], comp, p))
-        self.comp_pows = np.stack(pows)  # (m, m, m)
-
-    def blowup(self, coeffs: np.ndarray) -> np.ndarray:
-        """(r, c, m) coefficient tensor -> (r*m, c*m) F_p matrix."""
-        r, c, m = coeffs.shape
-        big = np.einsum("rcj,jab->racb", coeffs.astype(np.int64), self.comp_pows) % self.p
-        return big.reshape(r * m, c * m)
-
-    def rank_ext(self, coeffs: np.ndarray) -> int:
-        big = self.blowup(coeffs)
-        rk = rank_fp(big, self.p)
-        if rk % self.m:
-            raise AssertionError("blowup rank not divisible by extension degree")
-        return rk // self.m

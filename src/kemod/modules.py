@@ -1,15 +1,16 @@
 """Modules over k[X_1..X_r]/(X_i^p) as commuting nilpotent matrices.
 
 The central object is KEModule: r commuting d x d matrices over F_q with
-vanishing p-th powers.  Module elements are column vectors; subspaces are
+vanishing p-th powers, stored as int64 arrays of element codes (see
+``gf.FieldCtx``).  Module elements are column vectors; subspaces are
 row-echelon bases.  Everything downstream (Jordan types, generic kernels,
 sheaf slices) is phrased in terms of this class.
 
 Exact generic ranks — the rank of X_alpha^j at the generic point of the
 projective parameter space — are computed by maximizing numeric ranks over
-a grid larger than the degree of any maximal minor, passing to an extension
-field (via multiplication-matrix blowups) when the base field is too small.
-That keeps the hot paths in numpy while staying exact.
+a grid larger than the degree of any maximal minor, taken in an extension
+field F_{q^m} when the base field is too small.  That keeps the hot paths
+in numpy while staying exact.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pencil
-from .errors import InputError, MathRefusal
-from .gf import FieldCtx, FieldScalar, QuotExtCtx, some_irreducible_factor, splitting_extension
+from .errors import ConsistencyError, InputError, MathRefusal
+from .gf import FieldCtx, extension, some_irreducible_factor, splitting_extension
 from .poly import Poly
 from .snf import smith_normal_form
 from .subspace import Subspace
@@ -123,45 +124,17 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# generic-lane matrix helpers (extension fields; small sizes)
-# ---------------------------------------------------------------------------
-
-
-def gmat_mul(a, b, zero):
-    n, m, k = len(a), len(b), len(b[0]) if b else 0
-    out = [[zero for _ in range(k)] for _ in range(n)]
-    for i in range(n):
-        for s in range(m):
-            c = a[i][s]
-            if not c:
-                continue
-            row = b[s]
-            oi = out[i]
-            for j in range(k):
-                if row[j]:
-                    oi[j] = oi[j] + c * row[j]
-    return out
-
-
-def gmat_pow(a, e, zero, one):
-    n = len(a)
-    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    base = a
-    while e:
-        if e & 1:
-            result = gmat_mul(result, base, zero)
-        base = gmat_mul(base, base, zero)
-        e >>= 1
-    return result
-
-
-# ---------------------------------------------------------------------------
 # KEModule
 # ---------------------------------------------------------------------------
 
 
 class KEModule:
-    """r commuting d x d nilpotent generator matrices over F_q."""
+    """r commuting d x d nilpotent generator matrices over F_q.
+
+    ``mats`` may be int64 arrays of element codes, or nested lists of
+    FieldScalars, coefficient lists, or ints (read as elements of F_p);
+    they are stored as a tuple of (d, d) int64 code arrays.
+    """
 
     __slots__ = ("ctx", "r", "dim", "mats", "labels", "_cache")
 
@@ -170,27 +143,16 @@ class KEModule:
             raise InputError("rank r must be >= 1")
         self.ctx = ctx
         self.r = r
-        if ctx.k == 1:
-            mats = tuple(np.asarray(m, dtype=np.int64) % ctx.p for m in mats)
-            dims = {m.shape for m in mats}
-            if len(mats) != r or (mats and (len(dims) != 1 or mats[0].shape[0] != mats[0].shape[1])):
-                raise InputError("need r square matrices of equal size")
-            self.dim = int(mats[0].shape[0]) if mats else 0
-        else:
-            mats = tuple(tuple(tuple(ctx.scalar(e) for e in row) for row in m) for m in mats)
-            self.dim = len(mats[0]) if mats else 0
-            for m in mats:
-                if len(m) != self.dim or any(len(row) != self.dim for row in m):
-                    raise InputError("need square matrices of equal size")
+        mats = tuple(ctx.array(m) for m in mats)
+        dims = {m.shape for m in mats}
+        if len(mats) != r or len(dims) != 1 or mats[0].ndim != 2 or mats[0].shape[0] != mats[0].shape[1]:
+            raise InputError("need r square matrices of equal size")
+        self.dim = int(mats[0].shape[0])
         self.mats = mats
         self.labels = tuple(labels) if labels else None
         self._cache = {}
 
     # -- bookkeeping ----------------------------------------------------------
-
-    @property
-    def fast(self) -> bool:
-        return self.ctx.k == 1
 
     def mat(self, i: int):
         return self.mats[i]
@@ -201,29 +163,16 @@ class KEModule:
         if key in self._cache:
             return self._cache[key]
         violations = []
-        p = self.ctx.p
-        if self.fast:
-            for i in range(self.r):
-                for j in range(i + 1, self.r):
-                    a = linalg.matmul_fp(self.mats[i], self.mats[j], p)
-                    b = linalg.matmul_fp(self.mats[j], self.mats[i], p)
-                    if not np.array_equal(a, b):
-                        violations.append({"kind": "commutativity", "pair": (i + 1, j + 1)})
-            for i in range(self.r):
-                if linalg.matpow_fp(self.mats[i], p, p).any():
-                    violations.append({"kind": "pth_power", "index": i + 1})
-        else:
-            zero, one = self.ctx.zero, self.ctx.one
-            for i in range(self.r):
-                for j in range(i + 1, self.r):
-                    a = gmat_mul(self.mats[i], self.mats[j], zero)
-                    b = gmat_mul(self.mats[j], self.mats[i], zero)
-                    if a != b:
-                        violations.append({"kind": "commutativity", "pair": (i + 1, j + 1)})
-            for i in range(self.r):
-                pw = gmat_pow(self.mats[i], p, zero, one)
-                if any(any(bool(e) for e in row) for row in pw):
-                    violations.append({"kind": "pth_power", "index": i + 1})
+        F = self.ctx
+        for i in range(self.r):
+            for j in range(i + 1, self.r):
+                a = linalg.matmul_fp(self.mats[i], self.mats[j], F)
+                b = linalg.matmul_fp(self.mats[j], self.mats[i], F)
+                if not np.array_equal(a, b):
+                    violations.append({"kind": "commutativity", "pair": (i + 1, j + 1)})
+        for i in range(self.r):
+            if linalg.matpow_fp(self.mats[i], F.p, F).any():
+                violations.append({"kind": "pth_power", "index": i + 1})
         report = ValidationReport(not violations, violations)
         self._cache[key] = report
         return report
@@ -234,9 +183,9 @@ class KEModule:
             raise MathRefusal(f"invalid module: {rep.violations[0]}")
 
     def pencil(self) -> pencil.Pm:
-        """X_1 + t X_2 (r = 2, prime field only)."""
-        if self.r != 2 or not self.fast:
-            raise InputError("pencil form needs r = 2 over a prime field")
+        """X_1 + t X_2 (r = 2)."""
+        if self.r != 2:
+            raise InputError("pencil form needs r = 2")
         key = "pencil"
         if key not in self._cache:
             self._cache[key] = pencil.pm_from_pair(self.mats[0], self.mats[1])
@@ -245,7 +194,7 @@ class KEModule:
     def power_pencil(self, j: int) -> pencil.Pm:
         key = ("power_pencil", j)
         if key not in self._cache:
-            self._cache[key] = pencil.pm_pow(self.pencil(), j, self.ctx.p)
+            self._cache[key] = pencil.pm_pow(self.pencil(), j, self.ctx)
         return self._cache[key]
 
     def __repr__(self):
@@ -258,8 +207,9 @@ class KEModule:
 
 
 def x_alpha(m: KEModule, pt: PointSpec):
-    """The operator sum(lambda_i X_i) at a closed point, or the symbolic
-    X_1 + t_2 X_2 + ... at the generic point (Poly entries, chart lambda_1 = 1)."""
+    """The operator sum(lambda_i X_i) at a closed point (a code array over the
+    point's field), or the symbolic X_1 + t_2 X_2 + ... at the generic point
+    (Poly entries, chart lambda_1 = 1)."""
     m.require_valid()
     if pt.is_generic:
         nv = max(m.r - 1, 1)
@@ -269,7 +219,7 @@ def x_alpha(m: KEModule, pt: PointSpec):
             for b in range(m.dim):
                 terms = {}
                 for i in range(m.r):
-                    c = _entry_scalar(m, i, a, b)
+                    c = m.ctx.decode(m.mats[i][a, b])
                     if not c:
                         continue
                     e = [0] * nv
@@ -287,119 +237,29 @@ def x_alpha(m: KEModule, pt: PointSpec):
     coords = pt.coords
     if len(coords) != m.r:
         raise InputError("point has wrong number of coordinates")
-    if m.fast and isinstance(coords[0], FieldScalar) and coords[0].ctx.same_field(m.ctx):
-        out = np.zeros((m.dim, m.dim), dtype=np.int64)
-        for i, c in enumerate(coords):
-            out = (out + c.coeffs[0] * m.mats[i]) % m.ctx.p
-        return out
-    # Extension-field point: generic matrix over the point's field.
     fld = coords[0].ctx
-    zero = fld.zero
-    out = [[zero for _ in range(m.dim)] for _ in range(m.dim)]
-    for i, c in enumerate(coords):
-        if not c:
-            continue
-        for a in range(m.dim):
-            for b in range(m.dim):
-                e = _entry_in(m, i, a, b, fld)
-                if e:
-                    out[a][b] = out[a][b] + c * e
+    return _combine(fld, mats_over(m, fld), [fld.encode(c) for c in coords])
+
+
+def mats_over(m: KEModule, fld: FieldCtx) -> tuple:
+    """The generators as code arrays over a field containing m's field."""
+    return tuple(fld.embed(x, m.ctx) for x in m.mats)
+
+
+def _combine(fld: FieldCtx, mats, coords) -> np.ndarray:
+    """sum_i coords[i] * mats[i] over fld."""
+    out = np.zeros(mats[0].shape, dtype=np.int64)
+    for c, x in zip(coords, mats):
+        if c:
+            out = fld.add(out, fld.mul(c, x))
     return out
-
-
-def _entry_scalar(m: KEModule, i: int, a: int, b: int) -> FieldScalar:
-    if m.fast:
-        v = int(m.mats[i][a, b])
-        return m.ctx.scalar(v)
-    return m.mats[i][a][b]
-
-
-def _entry_in(m: KEModule, i: int, a: int, b: int, fld):
-    """Entry (a,b) of X_i embedded into the field `fld`."""
-    if m.fast:
-        v = int(m.mats[i][a, b])
-        if isinstance(fld, QuotExtCtx):
-            return fld.embed(m.ctx.scalar(v))
-        return fld.scalar(v)
-    e = m.mats[i][a][b]
-    if isinstance(fld, QuotExtCtx):
-        return fld.embed(e)
-    if fld.same_field(m.ctx):
-        return e
-    # prime-coefficient embedding only makes sense from a prime base
-    raise InputError("cannot embed extension scalars into an unrelated field")
 
 
 def rank_at_point(m: KEModule, coords, power: int = 1) -> int:
     """Rank of X_alpha^power at a closed point (exact, any field)."""
     fld = coords[0].ctx
-    if m.fast and isinstance(fld, FieldCtx) and fld.k == 1 and fld.same_field(m.ctx):
-        a = x_alpha(m, PointSpec.closed(m.ctx, coords))
-        return linalg.rank_fp(linalg.matpow_fp(a, power, m.ctx.p), m.ctx.p)
-    if m.fast and isinstance(fld, FieldCtx):
-        # coefficient-tensor blowup to F_p
-        mdeg = fld.k
-        blow = linalg.BlowupCtx(m.ctx.p, mdeg, list(fld.modulus))
-        t = np.zeros((m.dim, m.dim, mdeg), dtype=np.int64)
-        for i, c in enumerate(coords):
-            t = (t + np.einsum("ab,j->abj", m.mats[i], np.array(c.coeffs, dtype=np.int64))) % m.ctx.p
-        big = blow.blowup(t)
-        big = linalg.matpow_fp(big, power, m.ctx.p)
-        rk = linalg.rank_fp(big, m.ctx.p)
-        if rk % mdeg:
-            raise AssertionError("extension rank not divisible by degree")
-        return rk // mdeg
     a = x_alpha(m, PointSpec(coords, fld))
-    zero = fld.zero
-    one = fld.one if not isinstance(fld, QuotExtCtx) else fld.one
-    apow = gmat_pow(a, power, zero, one)
-    return linalg.rank_gen(apow, zero)
-
-
-def _ext_points(ctx: FieldCtx, count: int):
-    """`count` distinct points: from the base field if big enough, else from
-    the smallest extension that fits.  Returns (field, list of scalars)."""
-    if ctx.q >= count:
-        if ctx.k == 1:
-            return ctx, [ctx.scalar(v) for v in range(count)]
-        out = list(itertools.islice(ctx.elements(), count))
-        return ctx, out
-    if ctx.k == 1:
-        mdeg = 1
-        while ctx.p**mdeg < count:
-            mdeg += 1
-        ext = FieldCtx(ctx.p, mdeg)
-        out = list(itertools.islice(ext.elements(), count))
-        return ext, out
-    # extension of an extension: quotient ring scalars
-    mdeg = 1
-    while ctx.q**mdeg < count:
-        mdeg += 1
-    g = _some_irreducible_over(ctx, mdeg)
-    ext = QuotExtCtx(ctx, tuple(g))
-    out = []
-    it = itertools.product(ctx.elements(), repeat=mdeg)
-    for tup in it:
-        out.append(ext.embed(tup[0]) if mdeg == 1 else _quot_from_coeffs(ext, tup))
-        if len(out) == count:
-            break
-    return ext, out
-
-
-def _quot_from_coeffs(ext: QuotExtCtx, tup):
-    from .gf import QuotExtScalar
-
-    return QuotExtScalar(ext, tuple(tup))
-
-
-def _some_irreducible_over(ctx: FieldCtx, deg: int):
-    """A monic irreducible of given degree over F_q (search + factor test)."""
-    rng = random.Random(f"irrover:{ctx.p}:{ctx.k}:{deg}")
-    while True:
-        coeffs = [ctx.random_scalar(rng) for _ in range(deg)] + [ctx.one]
-        f = some_irreducible_factor(ctx, coeffs, seed=7)
-        if len(f) - 1 == deg:
-            return f
+    return linalg.rank_fp(linalg.matpow_fp(a, power, fld), fld)
 
 
 def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
@@ -411,67 +271,37 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
     """
     m.require_valid()
     key = ("generic_ranks", jmax)
-    if key in self_cache(m):
+    if key in m._cache:
         return m._cache[key]
-    p, d = m.ctx.p, m.dim
-    jmax = min(jmax, p)
+    F, d = m.ctx, m.dim
+    jmax = min(jmax, F.p)
     if d == 0 or m.r == 1:
-        if m.fast:
-            ranks = [
-                linalg.rank_fp(linalg.matpow_fp(m.mats[0], j, p), p) if d else 0
-                for j in range(1, jmax + 1)
-            ]
-        else:
-            zero, one = m.ctx.zero, m.ctx.one
-            ranks = [
-                linalg.rank_gen(gmat_pow(m.mats[0], j, zero, one), zero) if d else 0
-                for j in range(1, jmax + 1)
-            ]
+        ranks = [
+            linalg.rank_fp(linalg.matpow_fp(m.mats[0], j, F), F) if d else 0
+            for j in range(1, jmax + 1)
+        ]
         m._cache[key] = ranks
         return ranks
     bound = jmax * d + 1
     nvars = m.r - 1
     if nvars >= 2 and bound**nvars > 300_000:
         raise InputError("generic-rank grid too large for this rank and dimension")
-    fld, pts = _ext_points(m.ctx, bound)
+    mdeg = 1
+    while F.q**mdeg < bound:
+        mdeg += 1
+    fld = extension(F, mdeg)
+    mats = mats_over(m, fld)
     ranks = [0] * jmax
-    if m.fast and isinstance(fld, FieldCtx):
-        mdeg = fld.k
-        blow = linalg.BlowupCtx(p, mdeg, list(fld.modulus)) if mdeg > 1 else None
-        for tup in itertools.product(pts, repeat=nvars):
-            if mdeg == 1:
-                a = m.mats[0].copy()
-                for i, c in enumerate(tup):
-                    a = (a + c.coeffs[0] * m.mats[i + 1]) % p
-                pw = a
-                for j in range(1, jmax + 1):
-                    if j > 1:
-                        pw = linalg.matmul_fp(pw, a, p)
-                    ranks[j - 1] = max(ranks[j - 1], linalg.rank_fp(pw, p))
-            else:
-                t = np.zeros((d, d, mdeg), dtype=np.int64)
-                t[:, :, 0] = m.mats[0]
-                for i, c in enumerate(tup):
-                    t = (t + np.einsum("ab,j->abj", m.mats[i + 1], np.array(c.coeffs, dtype=np.int64))) % p
-                big = blow.blowup(t)
-                pw = big
-                for j in range(1, jmax + 1):
-                    if j > 1:
-                        pw = linalg.matmul_fp(pw, big, p)
-                    rk = linalg.rank_fp(pw, p)
-                    ranks[j - 1] = max(ranks[j - 1], rk // mdeg)
-    else:
-        one = fld.one
-        for tup in itertools.product(pts, repeat=nvars):
-            coords = (one,) + tuple(tup)
-            for j in range(1, jmax + 1):
-                ranks[j - 1] = max(ranks[j - 1], rank_at_point(m, coords, j))
+    # the codes 0..bound-1 are distinct elements of fld
+    for tup in itertools.product(range(bound), repeat=nvars):
+        a = _combine(fld, mats, (1,) + tup)
+        pw = a
+        for j in range(1, jmax + 1):
+            if j > 1:
+                pw = linalg.matmul_fp(pw, a, fld)
+            ranks[j - 1] = max(ranks[j - 1], linalg.rank_fp(pw, fld))
     m._cache[key] = ranks
     return ranks
-
-
-def self_cache(m: KEModule) -> dict:
-    return m._cache
 
 
 def jordan_type(m: KEModule, pt: PointSpec | None = None) -> JordanType:
@@ -524,49 +354,11 @@ def _snf_of_power(m: KEModule, j: int):
     key = ("snf", j)
     if key in m._cache:
         return m._cache[key]
-    if m.fast:
-        pj = m.power_pencil(j)
-        entries = [
-            [list(map(int, pj[a, b, :])) for b in range(m.dim)]
-            for a in range(m.dim)
-        ]
-        res = smith_normal_form(entries, m.ctx)
-    else:
-        zero, one = m.ctx.zero, m.ctx.one
-        a_sym = x_alpha(m, PointSpec.generic())
-        apow = gmat_pow_poly(a_sym, j, m.ctx)
-        entries = [[e for e in row] for row in apow]
-        res = smith_normal_form(entries, m.ctx)
+    pj = m.power_pencil(j)
+    entries = [[list(map(int, pj[a, b, :])) for b in range(m.dim)] for a in range(m.dim)]
+    res = smith_normal_form(entries, m.ctx)
     m._cache[key] = res
     return res
-
-
-def gmat_pow_poly(a, e: int, ctx):
-    n = len(a)
-    one = Poly.const(ctx, a[0][0].nvars, 1)
-    zero = Poly.zero(ctx, a[0][0].nvars)
-    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mat_mul(result, base, zero)
-        base = _poly_mat_mul(base, base, zero)
-        e >>= 1
-    return result
-
-
-def _poly_mat_mul(a, b, zero):
-    n, mdim, k = len(a), len(b), len(b[0])
-    out = [[zero for _ in range(k)] for _ in range(n)]
-    for i in range(n):
-        for s in range(mdim):
-            c = a[i][s]
-            if c.is_zero():
-                continue
-            for j in range(k):
-                if not b[s][j].is_zero():
-                    out[i][j] = out[i][j] + c * b[s][j]
-    return out
 
 
 def constant_jrank_decide(
@@ -596,7 +388,7 @@ def constant_jrank_decide(
     if m.r == 2:
         snf = _snf_of_power(m, j)
         if snf.rank != rho:
-            raise AssertionError("SNF rank disagrees with generic rank")
+            raise ConsistencyError("SNF rank disagrees with generic rank")
         nonunit = next((f for f in snf.invariant_factors if len(f) > 1), None)
         if nonunit is not None:
             dec = _witness_from_factor(m, j, rho, nonunit)
@@ -623,10 +415,7 @@ def constant_jrank_decide(
         ext_degree = 1
         while (m.ctx.q**ext_degree) <= 2**20:
             ext_degree += 1
-    if m.ctx.k == 1:
-        ext = FieldCtx(m.ctx.p, ext_degree) if ext_degree > 1 else m.ctx
-    else:
-        ext = m.ctx if ext_degree == 1 else QuotExtCtx(m.ctx, tuple(_some_irreducible_over(m.ctx, ext_degree)))
+    ext = extension(m.ctx, ext_degree)
     rng = random.Random(seed)
     for _ in range(samples):
         coords = _random_projective_point(ext, m.r, rng)
@@ -640,22 +429,15 @@ def constant_jrank_decide(
             )
             m._cache[key] = dec
             return dec
-    qext = ext.q if hasattr(ext, "q") else m.ctx.q**ext_degree
-    per = min(1.0, (j * m.dim) / qext)
+    per = min(1.0, (j * m.dim) / ext.q)
     dec = JRankDecision("probably_constant", j, rho, confidence=1.0 - per**samples if samples else 0.0)
     m._cache[key] = dec
     return dec
 
 
-def _random_projective_point(fld, r: int, rng: random.Random):
+def _random_projective_point(fld: FieldCtx, r: int, rng: random.Random):
     while True:
-        if isinstance(fld, QuotExtCtx):
-            coords = tuple(
-                _quot_from_coeffs(fld, tuple(fld.base.random_scalar(rng) for _ in range(fld.deg)))
-                for _ in range(r)
-            )
-        else:
-            coords = tuple(fld.random_scalar(rng) for _ in range(r))
+        coords = tuple(fld.random_scalar(rng) for _ in range(r))
         if any(bool(c) for c in coords):
             return coords
 
@@ -664,18 +446,12 @@ def _witness_from_factor(m: KEModule, j: int, rho: int, factor) -> JRankDecision
     """Name a jump point by the minimal polynomial of a root of a non-unit
     invariant factor, and re-verify the rank drop over the splitting field."""
     ctx = m.ctx
-    if ctx.k == 1:
-        fs = [ctx.scalar(c) for c in factor]
-    else:
-        fs = list(factor)
-    g = some_irreducible_factor(ctx, fs, seed=11)
+    g = some_irreducible_factor(ctx, [ctx.decode(c) for c in factor], seed=11)
     ext, root = splitting_extension(ctx, g)
-    one = ext.one if isinstance(ext, QuotExtCtx) else ext.one
-    coords = (one, root)
-    rk = rank_at_point(m, coords, j)
+    rk = rank_at_point(m, (ext.one, root), j)
     if rk >= rho:
-        raise AssertionError("claimed jump point has full rank")
-    minpoly = [c.serialize() if isinstance(c, FieldScalar) else c for c in g]
+        raise ConsistencyError("claimed jump point has full rank")
+    minpoly = [c.serialize() for c in g]
     return JRankDecision(
         "not_constant",
         j,
@@ -717,11 +493,7 @@ def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None 
 
 
 def trivial_module(ctx: FieldCtx, r: int, d: int = 1) -> KEModule:
-    if ctx.k == 1:
-        return KEModule(ctx, r, [np.zeros((d, d), dtype=np.int64) for _ in range(r)])
-    zero = ctx.zero
-    zmat = tuple(tuple(zero for _ in range(d)) for _ in range(d))
-    return KEModule(ctx, r, [zmat] * r)
+    return KEModule(ctx, r, [np.zeros((d, d), dtype=np.int64) for _ in range(r)])
 
 
 def w_module(p_or_ctx, n: int, d: int) -> KEModule:
@@ -749,46 +521,25 @@ def w_module(p_or_ctx, n: int, d: int) -> KEModule:
                     x1[idx(ell + 1, jj - 1), idx(ell, jj)] = 1
                 if jj <= n - ell - 1:
                     x2[idx(ell + 1, jj), idx(ell, jj)] = 1
-    if ctx.k > 1:
-        return KEModule(ctx, 2, [x1.tolist(), x2.tolist()], labels=labels)
     return KEModule(ctx, 2, [x1, x2], labels=labels)
 
 
 def direct_sum(a: KEModule, b: KEModule) -> KEModule:
     if a.r != b.r or not a.ctx.same_field(b.ctx):
         raise InputError("direct sum needs matching p, r, field")
-    if a.fast:
-        mats = []
-        for i in range(a.r):
-            m = np.zeros((a.dim + b.dim, a.dim + b.dim), dtype=np.int64)
-            m[: a.dim, : a.dim] = a.mats[i]
-            m[a.dim :, a.dim :] = b.mats[i]
-            mats.append(m)
-        return KEModule(a.ctx, a.r, mats)
-    zero = a.ctx.zero
     mats = []
     for i in range(a.r):
-        n = a.dim + b.dim
-        m = [[zero for _ in range(n)] for _ in range(n)]
-        for x in range(a.dim):
-            for y in range(a.dim):
-                m[x][y] = a.mats[i][x][y]
-        for x in range(b.dim):
-            for y in range(b.dim):
-                m[a.dim + x][a.dim + y] = b.mats[i][x][y]
-        mats.append(tuple(tuple(row) for row in m))
+        m = np.zeros((a.dim + b.dim, a.dim + b.dim), dtype=np.int64)
+        m[: a.dim, : a.dim] = a.mats[i]
+        m[a.dim :, a.dim :] = b.mats[i]
+        mats.append(m)
     return KEModule(a.ctx, a.r, mats)
 
 
 def dual(m: KEModule) -> KEModule:
     """k-linear dual: X_i acts by plain transpose."""
     m.require_valid()
-    if m.fast:
-        return KEModule(m.ctx, m.r, [x.T.copy() for x in m.mats])
-    mats = []
-    for x in m.mats:
-        mats.append(tuple(tuple(x[b][a] for b in range(m.dim)) for a in range(m.dim)))
-    return KEModule(m.ctx, m.r, mats)
+    return KEModule(m.ctx, m.r, [x.T.copy() for x in m.mats])
 
 
 def restrict(m: KEModule, a_matrix) -> KEModule:
@@ -797,37 +548,13 @@ def restrict(m: KEModule, a_matrix) -> KEModule:
     a_matrix: r x s over the base field, full column rank s.
     """
     m.require_valid()
-    if m.fast:
-        A = np.asarray(a_matrix, dtype=np.int64) % m.ctx.p
-        if A.ndim != 2 or A.shape[0] != m.r:
-            raise InputError("restriction matrix must be r x s")
-        s = A.shape[1]
-        if linalg.rank_fp(A, m.ctx.p) != s:
-            raise InputError("restriction matrix must have full column rank")
-        mats = []
-        for jcol in range(s):
-            t = np.zeros((m.dim, m.dim), dtype=np.int64)
-            for i in range(m.r):
-                t = (t + A[i, jcol] * m.mats[i]) % m.ctx.p
-            mats.append(t)
-        return KEModule(m.ctx, s, mats, labels=m.labels)
-    A = [[m.ctx.scalar(e) for e in row] for row in a_matrix]
-    s = len(A[0])
-    if linalg.rank_gen([list(r) for r in A], m.ctx.zero) != s:
+    A = m.ctx.array(a_matrix)
+    if A.ndim != 2 or A.shape[0] != m.r:
+        raise InputError("restriction matrix must be r x s")
+    s = A.shape[1]
+    if linalg.rank_fp(A, m.ctx) != s:
         raise InputError("restriction matrix must have full column rank")
-    zero = m.ctx.zero
-    mats = []
-    for jcol in range(s):
-        t = [[zero for _ in range(m.dim)] for _ in range(m.dim)]
-        for i in range(m.r):
-            c = A[i][jcol]
-            if not c:
-                continue
-            for x in range(m.dim):
-                for y in range(m.dim):
-                    if m.mats[i][x][y]:
-                        t[x][y] = t[x][y] + c * m.mats[i][x][y]
-        mats.append(tuple(tuple(row) for row in t))
+    mats = [_combine(m.ctx, m.mats, A[:, jcol]) for jcol in range(s)]
     return KEModule(m.ctx, s, mats, labels=m.labels)
 
 
@@ -838,21 +565,9 @@ def restrict(m: KEModule, a_matrix) -> KEModule:
 
 def apply_generator(m: KEModule, i: int, sub: Subspace) -> Subspace:
     """Image of a subspace under X_i."""
-    if m.fast:
-        if sub.dim == 0:
-            return Subspace.zero(m.ctx, m.dim)
-        rows = linalg.matmul_fp(sub.basis, m.mats[i].T, m.ctx.p)
-        return Subspace.span(m.ctx, m.dim, rows)
-    rows = []
-    for v in sub.rows():
-        w = [m.ctx.zero] * m.dim
-        for b, c in enumerate(v):
-            if c:
-                for a in range(m.dim):
-                    if m.mats[i][a][b]:
-                        w[a] = w[a] + m.mats[i][a][b] * c
-        rows.append(w)
-    return Subspace.span(m.ctx, m.dim, rows)
+    if sub.dim == 0:
+        return Subspace.zero(m.ctx, m.dim)
+    return Subspace.span(m.ctx, m.dim, linalg.matmul_fp(sub.basis, m.mats[i].T, m.ctx))
 
 
 def radical(m: KEModule) -> Subspace:
@@ -868,15 +583,7 @@ def radical(m: KEModule) -> Subspace:
 def socle(m: KEModule) -> Subspace:
     """Soc(M) = intersection of the kernels of the X_i."""
     m.require_valid()
-    if m.fast:
-        stacked = np.vstack(m.mats)
-        return Subspace.span(m.ctx, m.dim, linalg.kernel_fp(stacked, m.ctx.p))
-    rows = []
-    for x in m.mats:
-        rows.extend([list(r) for r in x])
-    return Subspace.span(
-        m.ctx, m.dim, linalg.kernel_gen(rows, m.ctx.zero, m.ctx.one)
-    )
+    return Subspace.span(m.ctx, m.dim, linalg.kernel_fp(np.vstack(m.mats), m.ctx))
 
 
 def radical_series(m: KEModule) -> list[Subspace]:
@@ -903,27 +610,11 @@ def socle_series(m: KEModule) -> list[Subspace]:
 
 def preimage_under_all(m: KEModule, sub: Subspace) -> Subspace:
     """{v : X_i v in sub for all i}."""
-    if m.fast:
-        perp = sub.perp()
-        if perp.dim == 0:
-            return Subspace.full(m.ctx, m.dim)
-        rows = [linalg.matmul_fp(perp.basis, x, m.ctx.p) for x in m.mats]
-        stacked = np.vstack(rows)
-        return Subspace.span(m.ctx, m.dim, linalg.kernel_fp(stacked, m.ctx.p))
     perp = sub.perp()
     if perp.dim == 0:
         return Subspace.full(m.ctx, m.dim)
-    rows = []
-    for x in m.mats:
-        for u in perp.rows():
-            row = [m.ctx.zero] * m.dim
-            for a, c in enumerate(u):
-                if c:
-                    for b in range(m.dim):
-                        if x[a][b]:
-                            row[b] = row[b] + c * x[a][b]
-            rows.append(row)
-    return Subspace.span(m.ctx, m.dim, linalg.kernel_gen(rows, m.ctx.zero, m.ctx.one))
+    stacked = np.vstack([linalg.matmul_fp(perp.basis, x, m.ctx) for x in m.mats])
+    return Subspace.span(m.ctx, m.dim, linalg.kernel_fp(stacked, m.ctx))
 
 
 def loewy_length(m: KEModule) -> int:
@@ -965,41 +656,10 @@ def subquotient_with_lift(m: KEModule, top: Subspace, bottom: Subspace):
     if not is_invariant(m, top) or not is_invariant(m, bottom):
         raise InputError("subquotient needs X-invariant subspaces")
     comp = bottom.complement_in(top)
-    newdim = len(comp)
-    if m.fast:
-        comp_arr = (
-            np.array(comp, dtype=np.int64).reshape(newdim, m.dim)
-            if newdim
-            else np.zeros((0, m.dim), dtype=np.int64)
-        )
-        if newdim == 0:
-            zero = np.zeros((0, 0), dtype=np.int64)
-            return KEModule(m.ctx, m.r, [zero.copy() for _ in range(m.r)]), comp_arr
-        comp_sub = Subspace.span(m.ctx, m.dim, comp_arr)
-        mats = []
-        for i in range(m.r):
-            imgs = linalg.matmul_fp(comp_arr, m.mats[i].T, m.ctx.p)
-            red = np.array(
-                [bottom.reduce_vec(v) for v in imgs], dtype=np.int64
-            ).reshape(newdim, m.dim)
-            coords = red[:, list(comp_sub.pivots)]
-            mats.append(coords.T % m.ctx.p)
-        return KEModule(m.ctx, m.r, mats), comp_arr
-    comp_sub = Subspace.span(m.ctx, m.dim, comp)
-    pivots = comp_sub.pivots
-    mats = []
-    for i in range(m.r):
-        cols = []
-        for v in comp:
-            w = [m.ctx.zero] * m.dim
-            for b, c in enumerate(v):
-                if c:
-                    for a in range(m.dim):
-                        if m.mats[i][a][b]:
-                            w[a] = w[a] + m.mats[i][a][b] * c
-            red = bottom.reduce_vec(w)
-            cols.append([red[pc] for pc in pivots])
-        mats.append(tuple(tuple(cols[b][a] for b in range(newdim)) for a in range(newdim)))
+    pivots = list(Subspace.span(m.ctx, m.dim, comp).pivots)
+    mats = [
+        bottom.reduce(linalg.matmul_fp(comp, x.T, m.ctx))[:, pivots].T for x in m.mats
+    ]
     return KEModule(m.ctx, m.r, mats), comp
 
 
@@ -1034,7 +694,7 @@ def free_module(ctx: FieldCtx, r: int, g: int = 1) -> KEModule:
                     tgt = eidx[tuple(v + 1 if s == i else v for s, v in enumerate(e))]
                     x[gi * n + tgt, gi * n + src] = 1
         mats.append(x)
-    mod = KEModule(ctx, r, mats) if ctx.k == 1 else KEModule(ctx, r, [x.tolist() for x in mats])
+    mod = KEModule(ctx, r, mats)
     mod._cache["free_exponents"] = (exps, eidx, n)
     return mod
 
@@ -1043,14 +703,10 @@ def element_vector(free: KEModule, terms) -> list:
     """Vector of the free module from (generator index, exponent tuple, coeff) terms."""
     exps, eidx, n = free._cache["free_exponents"]
     ctx = free.ctx
-    if free.fast:
-        v = np.zeros(free.dim, dtype=np.int64)
-        for gi, e, c in terms:
-            v[gi * n + eidx[tuple(e)]] = (v[gi * n + eidx[tuple(e)]] + int(c)) % ctx.p
-        return v
-    v = [ctx.zero] * free.dim
+    v = np.zeros(free.dim, dtype=np.int64)
     for gi, e, c in terms:
-        v[gi * n + eidx[tuple(e)]] = v[gi * n + eidx[tuple(e)]] + ctx.scalar(c)
+        i = gi * n + eidx[tuple(e)]
+        v[i] = ctx.ops.add(int(v[i]), ctx.encode(c))
     return v
 
 
@@ -1082,26 +738,23 @@ def _syzygy_step(ctx: FieldCtx, r: int, m: KEModule) -> KEModule:
     h = len(lifts)
     free = free_module(ctx, r, h)
     exps, eidx, nmono = free._cache["free_exponents"]
-    if not m.fast:
-        raise InputError("syzygy construction is implemented for prime fields")
     # cover map: X^e (x) gen_b -> X^e * lift_b, as a dim(M) x dim(free) matrix
     cover = np.zeros((m.dim, free.dim), dtype=np.int64)
     for b in range(h):
-        vec = np.asarray(lifts[b], dtype=np.int64)
         for e, src in eidx.items():
-            w = vec
+            w = lifts[b][:, None]
             for i in range(r):
                 for _ in range(e[i]):
-                    w = (m.mats[i] @ w) % ctx.p
-            cover[:, b * nmono + src] = w
-    ker_rows = linalg.kernel_fp(cover, ctx.p)
+                    w = linalg.matmul_fp(m.mats[i], w, ctx)
+            cover[:, b * nmono + src] = w[:, 0]
+    ker_rows = linalg.kernel_fp(cover, ctx)
     ksub = Subspace.span(ctx, free.dim, ker_rows)
     return sub_as_module(free, ksub)[0]
 
 
 def random_invertible(ctx: FieldCtx, n: int, rng: random.Random):
-    """Random invertible n x n matrix over the base field (prime fields)."""
+    """Random invertible n x n matrix with entries in the prime field F_p."""
     while True:
         a = np.array([[rng.randrange(ctx.p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
-        if linalg.rank_fp(a, ctx.p) == n:
+        if linalg.rank_fp(a, ctx) == n:
             return a

@@ -1,7 +1,8 @@
-"""Graded linear algebra for univariate polynomial matrices over F_p.
+"""Graded linear algebra for univariate polynomial matrices over F_q.
 
-A polynomial matrix is an int64 ndarray of shape (rows, cols, deg+1);
-slab [:, :, e] is the coefficient of t^e.  The two workhorses are
+A polynomial matrix is an int64 ndarray of element codes of shape
+(rows, cols, deg+1); slab [:, :, e] is the coefficient of t^e.  The field
+F is a ``FieldCtx`` or a prime, as in ``linalg``.  The two workhorses are
 
 * ``graded_kernel_basis`` — a minimal basis of the polynomial kernel,
   found degree by degree, whose shift structure gives the dimension of
@@ -9,9 +10,6 @@ slab [:, :, e] is the coefficient of t^e.  The two workhorses are
 * ``shifted_left_kernel`` — the same construction for row vectors with
   per-row degree shifts, which is exactly the section space of the dual
   of a cokernel bundle on the projective line.
-
-Everything here is prime-field only (the fast lane); extension fields go
-through the generic dense machinery instead.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .linalg import kernel_fp, matmul_fp, reduce_rows_fp, rref_fp
+from .linalg import field, kernel_fp, matmul_fp, reduce_rows_fp, rref_fp, solve_fp
 
 Pm = np.ndarray  # (rows, cols, deg+1)
 
@@ -36,7 +34,8 @@ def pm_trim(a: Pm) -> Pm:
     return a[:, :, :d]
 
 
-def pm_mul(a: Pm, b: Pm, p: int) -> Pm:
+def pm_mul(a: Pm, b: Pm, F) -> Pm:
+    F = field(F)
     ra, ca, da = a.shape
     rb, cb, db = b.shape
     out = np.zeros((ra, cb, da + db - 1), dtype=np.int64)
@@ -44,37 +43,30 @@ def pm_mul(a: Pm, b: Pm, p: int) -> Pm:
         if not a[:, :, i].any():
             continue
         for j in range(db):
-            out[:, :, i + j] = (out[:, :, i + j] + matmul_fp(a[:, :, i], b[:, :, j], p)) % p
+            out[:, :, i + j] = F.add(out[:, :, i + j], matmul_fp(a[:, :, i], b[:, :, j], F))
     return pm_trim(out)
 
 
-def pm_pow(a: Pm, e: int, p: int) -> Pm:
+def pm_pow(a: Pm, e: int, F) -> Pm:
     n = a.shape[0]
     result = np.eye(n, dtype=np.int64)[:, :, None]
     base = a
     while e:
         if e & 1:
-            result = pm_mul(result, base, p)
-        base = pm_mul(base, base, p)
+            result = pm_mul(result, base, F)
+        base = pm_mul(base, base, F)
         e >>= 1
     return result
 
 
-def pm_eval(a: Pm, c: int, p: int) -> np.ndarray:
-    out = a[:, :, -1].copy()
-    for e in range(a.shape[2] - 2, -1, -1):
-        out = (out * c + a[:, :, e]) % p
-    return out
-
-
-def linearize(a: Pm, vdeg: int, p: int) -> np.ndarray:
+def linearize(a: Pm, vdeg: int) -> np.ndarray:
     """Matrix of v(t) -> a(t) v(t) on coefficient vectors of deg <= vdeg."""
     rows, cols, d1 = a.shape
     out = np.zeros(((vdeg + d1) * rows, (vdeg + 1) * cols), dtype=np.int64)
     for e in range(vdeg + 1):
         for i in range(d1):
             out[(e + i) * rows : (e + i + 1) * rows, e * cols : (e + 1) * cols] = a[:, :, i]
-    return out % p
+    return out
 
 
 class GradedGen:
@@ -95,12 +87,12 @@ def _flatten_shift(g: GradedGen, shift: int, vdeg: int, cols: int) -> np.ndarray
     return v
 
 
-def graded_kernel_basis(a: Pm, p: int, kappa: int, degcap: int | None = None) -> list[GradedGen]:
-    """Minimal graded basis of {v in F_p[t]^cols : a(t) v(t) = 0}.
+def graded_kernel_basis(a: Pm, F, kappa: int, degcap: int | None = None) -> list[GradedGen]:
+    """Minimal graded basis of {v in F_q[t]^cols : a(t) v(t) = 0}.
 
     Args:
         a: polynomial matrix.
-        p: prime modulus.
+        F: the field (FieldCtx or prime).
         kappa: the rank of the kernel over F_p(t); exactly this many
             generators are returned.
         degcap: optional hard stop (defaults to deg(a)*rank + 1).
@@ -116,8 +108,7 @@ def graded_kernel_basis(a: Pm, p: int, kappa: int, degcap: int | None = None) ->
         degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
     gens: list[GradedGen] = []
     for delta in range(degcap + 1):
-        L = linearize(a, delta, p)
-        K = kernel_fp(L, p)
+        K = kernel_fp(linearize(a, delta), F)
         if K.shape[0] == 0:
             continue
         old = [
@@ -126,12 +117,12 @@ def graded_kernel_basis(a: Pm, p: int, kappa: int, degcap: int | None = None) ->
             for e in range(delta - g.deg + 1)
         ]
         if old:
-            ech, piv = rref_fp(np.array(old), p)
+            ech, piv = rref_fp(np.array(old), F)
             ech = ech[: len(piv)]
         else:
             ech, piv = np.zeros((0, (delta + 1) * cols), dtype=np.int64), []
         for row in K:
-            res = reduce_rows_fp(row[None, :], ech, list(piv), p)[0] if len(piv) else row % p
+            res = reduce_rows_fp(row[None, :], ech, list(piv), F)[0] if len(piv) else row
             if not res.any():
                 continue
             coeffs = res.reshape(delta + 1, cols).T.copy()
@@ -139,7 +130,7 @@ def graded_kernel_basis(a: Pm, p: int, kappa: int, degcap: int | None = None) ->
                 raise ConsistencyError("minimal kernel generator without top coefficient")
             gens.append(GradedGen(coeffs, delta))
             stacked = np.vstack([ech, res[None, :]]) if ech.size else res[None, :]
-            ech, piv = rref_fp(stacked, p)
+            ech, piv = rref_fp(stacked, F)
             ech = ech[: len(piv)]
             piv = list(piv)
             if len(gens) == kappa:
@@ -164,7 +155,7 @@ def coefficient_rows(gens: list[GradedGen]) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def solve_in_basis(gens: list[GradedGen], target: np.ndarray, tdeg: int, dim: int, p: int):
+def solve_in_basis(gens: list[GradedGen], target: np.ndarray, tdeg: int, dim: int, F):
     """Express target (coefficient array (dim, tdeg+1)) as sum N_m c_m.
 
     Degree bounds deg(c_m) <= tdeg - deg(g_m) per the predictable-degree
@@ -184,7 +175,7 @@ def solve_in_basis(gens: list[GradedGen], target: np.ndarray, tdeg: int, dim: in
     if not cols:
         return [] if not rhs.any() else None
     Amat = np.array(cols, dtype=np.int64).T
-    x = _solve_columns(Amat, rhs, p)
+    x = solve_fp(Amat, rhs, F)
     if x is None:
         return None
     out = [np.zeros(max(0, tdeg - g.deg + 1), dtype=np.int64) for g in gens]
@@ -193,14 +184,8 @@ def solve_in_basis(gens: list[GradedGen], target: np.ndarray, tdeg: int, dim: in
     return out
 
 
-def _solve_columns(a: np.ndarray, b: np.ndarray, p: int):
-    from .linalg import solve_fp
-
-    return solve_fp(a, b, p)
-
-
 def shifted_left_kernel(
-    c: Pm, rowshifts: list[int], p: int, count: int, degcap: int | None = None
+    c: Pm, rowshifts: list[int], F, count: int, degcap: int | None = None
 ) -> list[int]:
     """Minimal indices of {psi row vector : psi * c = 0} with degree shifts.
 
@@ -250,25 +235,25 @@ def shifted_left_kernel(
                         block[e : e + hi, off + e] = entry[:hi]
                 off += ln
             blocks.append(block)
-        return np.vstack(blocks) % p, lens
+        return np.vstack(blocks), lens
 
     n = -smax
     while n <= degcap:
         M, lens = constraint_matrix(n)
         if M is not None:
-            K = kernel_fp(M, p)
+            K = kernel_fp(M, F)
             old = []
             for n0, per_row in gens:
                 for e in range(n - n0 + 1):
                     old.append(psi_flatten(per_row, n0, e, n))
             if old:
-                ech, piv = rref_fp(np.array(old), p)
+                ech, piv = rref_fp(np.array(old), F)
                 ech = ech[: len(piv)]
                 piv = list(piv)
             else:
                 ech, piv = np.zeros((0, M.shape[1]), dtype=np.int64), []
             for row in K:
-                res = reduce_rows_fp(row[None, :], ech, piv, p)[0] if piv else row % p
+                res = reduce_rows_fp(row[None, :], ech, piv, F)[0] if piv else row
                 if not res.any():
                     continue
                 per_row = []
@@ -278,12 +263,12 @@ def shifted_left_kernel(
                     off += lens[m]
                 gens.append((n, per_row))
                 stacked = np.vstack([ech, res[None, :]]) if ech.size else res[None, :]
-                ech, piv = rref_fp(stacked, p)
+                ech, piv = rref_fp(stacked, F)
                 ech = ech[: len(piv)]
                 piv = list(piv)
                 if len(gens) == count:
                     eps = sorted(g[0] for g in gens)
-                    _verify_shifted_dims(c, rowshifts, p, eps, constraint_matrix)
+                    _verify_shifted_dims(F, eps, constraint_matrix)
                     return eps
         n += 1
     raise ConsistencyError(
@@ -291,11 +276,11 @@ def shifted_left_kernel(
     )
 
 
-def _verify_shifted_dims(c, rowshifts, p, eps, constraint_matrix):
+def _verify_shifted_dims(F, eps, constraint_matrix):
     """Insurance: predicted slice dims must match for two degrees past the last index."""
     for n in (max(eps) + 1, max(eps) + 2):
         M, lens = constraint_matrix(n)
-        got = sum(lens) if M is None else kernel_fp(M, p).shape[0]
+        got = sum(lens) if M is None else kernel_fp(M, F).shape[0]
         want = sum(max(0, n - e + 1) for e in eps)
         if got != want:
             raise ConsistencyError(

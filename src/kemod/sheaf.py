@@ -11,9 +11,10 @@ Two independent routes compute splitting types for r = 2:
   kernel bases of (X_1 + t X_2)^l and reads h0 of the dual bundle off a
   shift-graded minimal left kernel, giving the twists in closed form.
 
-The window engine follows the classical saturation recipe and also serves
-extension-field inputs; the pencil engine is the fast default.  They are
-cross-checked against each other in the test suite.
+Both run over every F_q.  The window engine follows the classical
+saturation recipe and stays as an independent cross-check; the pencil
+engine is the default.  They are compared against each other in the test
+suite.
 """
 
 from __future__ import annotations
@@ -62,23 +63,11 @@ def theta_matrix(m: KEModule, n: int):
     tidx = {e: i for i, e in enumerate(tgt)}
     ns, nt = len(src), len(tgt)
     d = m.dim
-    if m.fast:
-        out = np.zeros((d * nt, d * ns), dtype=np.int64)
-        for i in range(m.r):
-            for si, e in enumerate(src):
-                te = tidx[tuple(v + 1 if s == i else v for s, v in enumerate(e))]
-                out[te::nt, si::ns] = (out[te::nt, si::ns] + m.mats[i]) % m.ctx.p
-        return out
-    zero = m.ctx.zero
-    out = [[zero for _ in range(d * ns)] for _ in range(d * nt)]
+    out = np.zeros((d * nt, d * ns), dtype=np.int64)
     for i in range(m.r):
         for si, e in enumerate(src):
             te = tidx[tuple(v + 1 if s == i else v for s, v in enumerate(e))]
-            for a in range(d):
-                for b in range(d):
-                    c = m.mats[i][a][b]
-                    if c:
-                        out[a * nt + te][b * ns + si] = out[a * nt + te][b * ns + si] + c
+            out[te::nt, si::ns] = m.ctx.add(out[te::nt, si::ns], m.mats[i])
     return out
 
 
@@ -105,13 +94,8 @@ class SliceCache:
 
     def kernel(self, n: int) -> Subspace:
         if n not in self._kernel:
-            th = self.theta(n)
-            if self.m.fast:
-                rows = linalg.kernel_fp(th, self.m.ctx.p)
-                self._kernel[n] = Subspace.span(self.m.ctx, self.ambient(n), rows)
-            else:
-                rows = linalg.kernel_gen(th, self.m.ctx.zero, self.m.ctx.one)
-                self._kernel[n] = Subspace.span(self.m.ctx, self.ambient(n), rows)
+            rows = linalg.kernel_fp(self.theta(n), self.m.ctx)
+            self._kernel[n] = Subspace.span(self.m.ctx, self.ambient(n), rows)
         return self._kernel[n]
 
     def image(self, j: int, n: int) -> Subspace:
@@ -130,22 +114,10 @@ class SliceCache:
         return sub
 
     def _apply_theta(self, sub: Subspace, n: int) -> Subspace:
-        th = self.theta(n)
         amb = self.ambient(n + 1)
-        if self.m.fast:
-            if sub.dim == 0:
-                return Subspace.zero(self.m.ctx, amb)
-            rows = linalg.matmul_fp(sub.basis, np.asarray(th).T, self.m.ctx.p)
-            return Subspace.span(self.m.ctx, amb, rows)
-        rows = []
-        for v in sub.rows():
-            w = [self.m.ctx.zero] * amb
-            for b, c in enumerate(v):
-                if c:
-                    for a in range(amb):
-                        if th[a][b]:
-                            w[a] = w[a] + th[a][b] * c
-            rows.append(w)
+        if sub.dim == 0:
+            return Subspace.zero(self.m.ctx, amb)
+        rows = linalg.matmul_fp(sub.basis, self.theta(n).T, self.m.ctx)
         return Subspace.span(self.m.ctx, amb, rows)
 
     def upper(self, n: int) -> Subspace:
@@ -221,9 +193,10 @@ def splitting_type(
     """Grothendieck splitting type of the i-th subquotient bundle (r = 2 only).
 
     Refuses modules without constant Jordan type (the sheaf is not locally
-    free).  engine="auto" uses the closed-form pencil method over prime
-    fields and falls back to the window engine otherwise; engine="window"
-    or an explicit window width forces the windowed saturation algorithm.
+    free).  A bundle of rank a_i = 0 is the zero bundle without further
+    work.  engine="auto" uses the closed-form pencil method over every F_q;
+    engine="window" or an explicit window width forces the windowed
+    saturation algorithm.
     """
     m.require_valid()
     if m.r != 2:
@@ -239,16 +212,18 @@ def splitting_type(
     if window is not None and engine == "auto":
         engine = "window"
     if engine == "auto":
-        engine = "pencil" if m.fast else "window"
+        engine = "pencil"
+    if engine not in ("pencil", "window"):
+        raise InputError(f"unknown engine {engine!r}")
+    if a_i == 0:
+        return SplittingType(())
     key = ("splitting", i, engine, window)
     if key in m._cache:
         return m._cache[key]
     if engine == "pencil":
         st = _pencil_splitting(m, i, a_i)
-    elif engine == "window":
-        st = _window_splitting(m, i, a_i, window)
     else:
-        raise InputError(f"unknown engine {engine!r}")
+        st = _window_splitting(m, i, a_i, window)
     m._cache[key] = st
     return st
 
@@ -257,7 +232,7 @@ def splitting_type(
 
 
 def _kernel_generators(m: KEModule, ell: int) -> list[pencil.GradedGen]:
-    """Minimal graded kernel basis of (X_1 + t X_2)^ell (prime field, r = 2)."""
+    """Minimal graded kernel basis of (X_1 + t X_2)^ell (r = 2)."""
     key = ("graded_kernel", ell)
     if key in m._cache:
         return m._cache[key]
@@ -266,27 +241,25 @@ def _kernel_generators(m: KEModule, ell: int) -> list[pencil.GradedGen]:
         gens: list[pencil.GradedGen] = []
     else:
         rho = 0 if ell >= p else generic_power_ranks(m, ell)[ell - 1]
-        gens = pencil.graded_kernel_basis(m.power_pencil(ell), p, d - rho)
+        gens = pencil.graded_kernel_basis(m.power_pencil(ell), m.ctx, d - rho)
     m._cache[key] = gens
     return gens
 
 
 def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
-    p, d = m.ctx.p, m.dim
-    if a_i == 0:
-        return SplittingType(())
+    F, d = m.ctx, m.dim
     basis = _kernel_generators(m, i)
     shifts = [g.deg for g in basis]
     cols = []
     for w in _kernel_generators(m, i - 1):
-        coords = pencil.solve_in_basis(basis, w.coeffs, w.deg, d, p)
+        coords = pencil.solve_in_basis(basis, w.coeffs, w.deg, d, F)
         if coords is None:
             raise ConsistencyError("lower kernel generator outside the kernel basis")
         cols.append((coords, w.deg))
     A = m.pencil()
     for w in _kernel_generators(m, i + 1):
-        tgt = pencil.pm_mul(A, w.coeffs[:, None, :], p)[:, 0, :]
-        coords = pencil.solve_in_basis(basis, tgt, w.deg + 1, d, p)
+        tgt = pencil.pm_mul(A, w.coeffs[:, None, :], F)[:, 0, :]
+        coords = pencil.solve_in_basis(basis, tgt, w.deg + 1, d, F)
         if coords is None:
             raise ConsistencyError("pencil image outside the kernel basis")
         cols.append((coords, w.deg + 1))
@@ -302,7 +275,7 @@ def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
         for rj, arr in enumerate(coords):
             if arr.size:
                 C[rj, cj, : arr.size] = arr
-    eps = pencil.shifted_left_kernel(C, shifts, p, a_i)
+    eps = pencil.shifted_left_kernel(C, shifts, F, a_i)
     return SplittingType(e - (i - 1) for e in eps)
 
 
@@ -379,26 +352,16 @@ def _window_twists(m: KEModule, i: int, a_i: int, dwidth: int) -> list[int]:
     return sorted(twists, reverse=True)
 
 
-def _embed_rows(rows, src_deg: int, tgt_deg: int, shift: int, d: int, ctx):
+def _embed_rows(rows: np.ndarray, src_deg: int, tgt_deg: int, shift: int, d: int) -> np.ndarray:
     """Y_1- or Y_2-power embedding on module-major slice coordinates (r = 2).
 
     A vector in degree src_deg maps to degree tgt_deg; monomial index e2
     goes to e2 + shift (shift = 0 for Y_1^D, D for Y_2^D).
     """
     ns, nt = src_deg + 1, tgt_deg + 1
-    if ctx.k == 1:
-        arr = np.asarray(rows, dtype=np.int64).reshape(-1, d * ns)
-        out = np.zeros((arr.shape[0], d * nt), dtype=np.int64)
-        for a in range(d):
-            out[:, a * nt + shift : a * nt + shift + ns] = arr[:, a * ns : (a + 1) * ns]
-        return out
-    out = []
-    for v in rows:
-        w = [ctx.zero] * (d * nt)
-        for a in range(d):
-            for e in range(ns):
-                w[a * nt + shift + e] = v[a * ns + e]
-        out.append(w)
+    out = np.zeros((rows.shape[0], d * nt), dtype=np.int64)
+    for a in range(d):
+        out[:, a * nt + shift : a * nt + shift + ns] = rows[:, a * ns : (a + 1) * ns]
     return out
 
 
@@ -417,63 +380,18 @@ def _h0_window(m: KEModule, cache: SliceCache, n: int, dwidth: int) -> int:
     if v1.dim == 0:
         return 0
     u = cache.lower(t)
-    rows1 = v1.rows()
-    y1rows = _embed_rows(rows1, s, t, 0, m.dim, m.ctx)
-    y2rows = _embed_rows(rows1, s, t, dwidth, m.dim, m.ctx)
-    nv = v1.dim
-    if m.fast:
-        p = m.ctx.p
-        amb = m.dim * (t + 1)
-        y1m = np.asarray(y1rows).reshape(nv, amb)
-        y2m = np.asarray(y2rows).reshape(nv, amb)
-        umat = np.asarray(u.basis).reshape(u.dim, amb)
-        # S: c with  c*Y2 = c'*Y1 + d*U   (columns: c | c' | d)
-        sys1 = np.vstack([y2m, (-y1m) % p, (-umat) % p]).T % p
-        kern1 = linalg.kernel_fp(sys1, p)
-        s_coords = Subspace.span(m.ctx, nv, kern1[:, :nv]) if kern1.size else Subspace.zero(m.ctx, nv)
-        if s_coords.dim == 0:
-            return 0
-        # T on S: c*Y1 = d*U
-        srows = np.asarray(s_coords.basis)
-        sy1 = linalg.matmul_fp(srows, y1m, p)
-        sys2 = np.vstack([sy1, (-umat) % p]).T % p
-        kern2 = linalg.kernel_fp(sys2, p)
-        st_dim = (
-            Subspace.span(m.ctx, s_coords.dim, kern2[:, : s_coords.dim]).dim if kern2.size else 0
-        )
-        return s_coords.dim - st_dim
-    # generic lane (extension fields): same computation with scalar rows
-    zero, one = m.ctx.zero, m.ctx.one
-    amb = m.dim * (t + 1)
-    urows = [list(r) for r in u.rows()]
-    sys1 = []
-    for cidx in range(amb):
-        row = [y2rows[j][cidx] for j in range(nv)]
-        row += [-y1rows[j][cidx] for j in range(nv)]
-        row += [-urows[j][cidx] for j in range(len(urows))]
-        sys1.append(row)
-    kern1 = linalg.kernel_gen(sys1, zero, one) if sys1 else []
-    scoords = Subspace.span(m.ctx, nv, [k[:nv] for k in kern1]) if kern1 else Subspace.zero(m.ctx, nv)
-    if scoords.dim == 0:
+    F, nv = m.ctx, v1.dim
+    y1m = _embed_rows(v1.basis, s, t, 0, m.dim)
+    y2m = _embed_rows(v1.basis, s, t, dwidth, m.dim)
+    # S: c with  c*Y2 = c'*Y1 + d*U   (columns: c | c' | d)
+    kern1 = linalg.kernel_fp(np.vstack([y2m, F.neg(y1m), F.neg(u.basis)]).T, F)
+    s_coords = Subspace.span(F, nv, kern1[:, :nv])
+    if s_coords.dim == 0:
         return 0
-    srows = [list(r) for r in scoords.rows()]
-    sy1 = []
-    for c in srows:
-        w = [zero] * amb
-        for j, cj in enumerate(c):
-            if cj:
-                for cidx in range(amb):
-                    if y1rows[j][cidx]:
-                        w[cidx] = w[cidx] + cj * y1rows[j][cidx]
-        sy1.append(w)
-    sys2 = []
-    for cidx in range(amb):
-        row = [sy1[j][cidx] for j in range(len(sy1))]
-        row += [-urows[j][cidx] for j in range(len(urows))]
-        sys2.append(row)
-    kern2 = linalg.kernel_gen(sys2, zero, one) if sys2 else []
-    stdim = Subspace.span(m.ctx, scoords.dim, [k[: scoords.dim] for k in kern2]).dim if kern2 else 0
-    return scoords.dim - stdim
+    # T on S: c*Y1 = d*U
+    sy1 = linalg.matmul_fp(s_coords.basis, y1m, F)
+    kern2 = linalg.kernel_fp(np.vstack([sy1, F.neg(u.basis)]).T, F)
+    return s_coords.dim - Subspace.span(F, s_coords.dim, kern2[:, : s_coords.dim]).dim
 
 
 def line_restriction_splitting(m: KEModule, a_matrix, i: int) -> SplittingType:

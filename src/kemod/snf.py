@@ -4,7 +4,8 @@ Classic pivoting algorithm: bring the minimum-degree entry to the pivot,
 clear its row and column by Euclidean division, restart whenever a
 remainder drops the pivot degree, and enforce the divisibility chain by
 folding offending rows into the pivot row.  Invariant factors come out
-monic; U and V are unimodular and satisfy U * A * V = D exactly.
+monic; U and V are unimodular and satisfy U * A * V = D exactly.  Dense
+polynomials hold element codes (see ``gf.FieldCtx``) for every F_q.
 """
 
 from __future__ import annotations
@@ -12,36 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dpoly
-from .dpoly import IntModOps
 from .errors import InputError
-from .gf import FieldCtx, scalar_ops
+from .gf import FieldCtx
 from .poly import Poly
-
-
-def _ops_for(ctx: FieldCtx):
-    return IntModOps(ctx.p) if ctx.k == 1 else scalar_ops(ctx)
 
 
 def _poly_to_dense(ctx, p: Poly):
     if p.nvars != 1:
         raise InputError("smith normal form needs univariate entries")
-    coeffs = p.univariate_coeffs()
-    if ctx.k == 1:
-        return [c.coeffs[0] for c in coeffs]
-    return coeffs
+    return [ctx.encode(c) for c in p.univariate_coeffs()]
 
 
 def _dense_to_poly(ctx, c) -> Poly:
-    if ctx.k == 1:
-        return Poly(ctx, 1, {(i,): ctx.scalar(v) for i, v in enumerate(c)})
-    return Poly(ctx, 1, {(i,): v for i, v in enumerate(c)})
+    return Poly(ctx, 1, {(i,): ctx.decode(v) for i, v in enumerate(c)})
 
 
 @dataclass
 class SNFResult:
     ctx: FieldCtx
     shape: tuple[int, int]
-    invariant_factors: list          # dense coeff lists, monic, d_i | d_{i+1}
+    invariant_factors: list          # dense code lists, monic, d_i | d_{i+1}
     U: list                          # nrows x nrows dense-poly matrix
     V: list                          # ncols x ncols dense-poly matrix
 
@@ -61,7 +52,7 @@ class SNFResult:
 
     def verify(self, original) -> bool:
         """Check U * original * V == diag exactly."""
-        ops = _ops_for(self.ctx)
+        ops = self.ctx.ops
         nr, nc = self.shape
 
         def matmul(a, b, n, m, k):
@@ -84,13 +75,13 @@ def smith_normal_form(entries, ctx: FieldCtx) -> SNFResult:
 
     Args:
         entries: rectangular list of lists; each entry a univariate Poly or a
-            dense coefficient list in the ctx's native form.
+            dense coefficient list of element codes.
         ctx: base field.
 
     Returns:
         SNFResult with monic invariant factors and transform certificates.
     """
-    ops = _ops_for(ctx)
+    ops = ctx.ops
     nr = len(entries)
     nc = len(entries[0]) if nr else 0
     A = []

@@ -1,10 +1,9 @@
 """Canonical subspaces of F_q^n.
 
 A Subspace is an echelonized (reduced row echelon) basis with strictly
-increasing pivots; two subspaces are equal iff their echelon forms are
-identical, which turns every lattice identity downstream into a plain
-equality test.  Prime fields ride the numpy lane; extension fields use
-the generic lane with FieldScalar rows.
+increasing pivots, stored as an int64 array of element codes; two
+subspaces are equal iff their echelon forms are identical, which turns
+every lattice identity downstream into a plain equality test.
 """
 
 from __future__ import annotations
@@ -19,45 +18,30 @@ from .gf import FieldCtx
 class Subspace:
     __slots__ = ("ctx", "ambient", "basis", "pivots")
 
-    def __init__(self, ctx: FieldCtx, ambient: int, basis, pivots: tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx, ambient: int, basis: np.ndarray, pivots: tuple[int, ...]):
         self.ctx = ctx
         self.ambient = ambient
-        self.basis = basis          # (dim, ambient) int64 array | tuple of scalar tuples
+        self.basis = basis          # (dim, ambient) int64 array of codes
         self.pivots = pivots
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def span(cls, ctx: FieldCtx, ambient: int, rows) -> "Subspace":
-        """Echelonize arbitrary spanning rows."""
-        if ctx.k == 1:
-            arr = np.asarray(rows, dtype=np.int64).reshape(-1, ambient) % ctx.p
-            if arr.shape[0] == 0:
-                return cls.zero(ctx, ambient)
-            ech, piv = linalg.row_space_fp(arr, ctx.p)
-            return cls(ctx, ambient, ech, tuple(piv))
-        rows = [list(r) for r in rows]
-        if not rows:
+        """Echelonize arbitrary spanning rows (any form ``FieldCtx.array`` reads)."""
+        arr = ctx.array(rows).reshape(-1, ambient)
+        if arr.shape[0] == 0:
             return cls.zero(ctx, ambient)
-        R, piv = linalg.rref_gen(rows, ctx.zero)
-        return cls(ctx, ambient, tuple(tuple(r) for r in R[: len(piv)]), tuple(piv))
+        ech, piv = linalg.row_space_fp(arr, ctx)
+        return cls(ctx, ambient, ech, tuple(piv))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient: int) -> "Subspace":
-        if ctx.k == 1:
-            return cls(ctx, ambient, np.zeros((0, ambient), dtype=np.int64), ())
-        return cls(ctx, ambient, (), ())
+        return cls(ctx, ambient, np.zeros((0, ambient), dtype=np.int64), ())
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient: int) -> "Subspace":
-        if ctx.k == 1:
-            return cls(ctx, ambient, np.eye(ambient, dtype=np.int64), tuple(range(ambient)))
-        rows = []
-        for i in range(ambient):
-            r = [ctx.zero] * ambient
-            r[i] = ctx.one
-            rows.append(tuple(r))
-        return cls(ctx, ambient, tuple(rows), tuple(range(ambient)))
+        return cls(ctx, ambient, np.eye(ambient, dtype=np.int64), tuple(range(ambient)))
 
     # -- basic queries --------------------------------------------------------
 
@@ -70,100 +54,64 @@ class Subspace:
             raise InputError("subspace ambient mismatch")
 
     def rows(self):
-        """Basis rows as a list (numpy rows or scalar tuples)."""
-        if self.ctx.k == 1:
-            return [self.basis[i] for i in range(self.dim)]
+        """Basis rows as a list of arrays."""
         return list(self.basis)
 
+    def reduce(self, vecs) -> np.ndarray:
+        """Residuals of row vectors after reduction modulo this subspace."""
+        v = self.ctx.array(vecs).reshape(-1, self.ambient)
+        return linalg.reduce_rows_fp(v, self.basis, list(self.pivots), self.ctx)
+
     def reduce_vec(self, vec):
-        """Residual of a row vector after reduction modulo this subspace."""
-        if self.ctx.k == 1:
-            v = np.asarray(vec, dtype=np.int64).reshape(1, -1) % self.ctx.p
-            if self.dim == 0:
-                return v[0]
-            return linalg.reduce_rows_fp(v, self.basis, list(self.pivots), self.ctx.p)[0]
-        v = list(vec)
-        for r, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            if c:
-                v = [a - c * b for a, b in zip(v, r)]
-        return v
+        """Residual of one row vector after reduction modulo this subspace."""
+        return self.reduce(vec)[0]
 
     def contains_vec(self, vec) -> bool:
-        res = self.reduce_vec(vec)
-        if self.ctx.k == 1:
-            return not res.any()
-        return not any(bool(x) for x in res)
+        return not self.reduce(vec).any()
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains_vec(r) for r in other.rows())
+        return other.dim == 0 or not self.reduce(other.basis).any()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.ambient != other.ambient or self.pivots != other.pivots:
             return False
-        if self.ctx.k == 1:
-            return bool(np.array_equal(self.basis, other.basis))
-        return self.basis == other.basis
+        return bool(np.array_equal(self.basis, other.basis))
 
     def __hash__(self):
-        if self.ctx.k == 1:
-            return hash((self.ambient, self.pivots, self.basis.tobytes()))
-        return hash((self.ambient, self.pivots, self.basis))
+        return hash((self.ambient, self.pivots, self.basis.tobytes()))
 
     # -- lattice operations ----------------------------------------------------
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.span(self.ctx, self.ambient, self.rows() + other.rows())
+        return Subspace.span(self.ctx, self.ambient, np.vstack([self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ctx, self.ambient)
-        if self.ctx.k == 1:
-            stacked = np.vstack([self.basis, other.basis])
-            left = linalg.kernel_fp(stacked.T, self.ctx.p)
-            vecs = linalg.matmul_fp(left[:, : self.dim], self.basis, self.ctx.p)
-            return Subspace.span(self.ctx, self.ambient, vecs)
-        stacked = [list(r) for r in self.rows()] + [list(r) for r in other.rows()]
-        cols = [[stacked[i][j] for i in range(len(stacked))] for j in range(self.ambient)]
-        left = linalg.kernel_gen(cols, self.ctx.zero, self.ctx.one)
-        vecs = []
-        for x in left:
-            v = [self.ctx.zero] * self.ambient
-            for c, row in zip(x[: self.dim], self.rows()):
-                if c:
-                    v = [a + c * b for a, b in zip(v, row)]
-            vecs.append(v)
+        stacked = np.vstack([self.basis, other.basis])
+        left = linalg.kernel_fp(stacked.T, self.ctx)
+        vecs = linalg.matmul_fp(left[:, : self.dim], self.basis, self.ctx)
         return Subspace.span(self.ctx, self.ambient, vecs)
 
     def perp(self) -> "Subspace":
         """Annihilator under the standard dot pairing."""
         if self.dim == 0:
             return Subspace.full(self.ctx, self.ambient)
-        if self.ctx.k == 1:
-            return Subspace.span(self.ctx, self.ambient, linalg.kernel_fp(self.basis, self.ctx.p))
-        rows = [list(r) for r in self.rows()]
-        return Subspace.span(
-            self.ctx, self.ambient, linalg.kernel_gen(rows, self.ctx.zero, self.ctx.one)
-        )
+        return Subspace.span(self.ctx, self.ambient, linalg.kernel_fp(self.basis, self.ctx))
 
-    def complement_in(self, bigger: "Subspace") -> list:
+    def complement_in(self, bigger: "Subspace") -> np.ndarray:
         """Rows of `bigger` reduced mod self: a deterministic complement basis.
 
         Requires self <= bigger; the result's span is a complement of self
         inside bigger, chosen by echelon pivots.
         """
         self._check(bigger)
-        out = []
-        for r in bigger.rows():
-            res = self.reduce_vec(r)
-            out.append(res)
-        comp = Subspace.span(self.ctx, self.ambient, out)
-        return comp.rows()
+        return Subspace.span(self.ctx, self.ambient, self.reduce(bigger.basis)).basis
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -171,26 +119,17 @@ class Subspace:
 
 def row_space(ctx: FieldCtx, mat) -> Subspace:
     """Row space of a matrix as a canonical subspace."""
-    if ctx.k == 1:
-        arr = np.asarray(mat, dtype=np.int64)
-        return Subspace.span(ctx, arr.shape[1], arr)
-    rows = [list(r) for r in mat]
-    return Subspace.span(ctx, len(rows[0]), rows)
+    arr = ctx.array(mat)
+    return Subspace.span(ctx, arr.shape[1], arr)
 
 
 def column_space(ctx: FieldCtx, mat) -> Subspace:
     """Image of a matrix acting on column vectors."""
-    if ctx.k == 1:
-        arr = np.asarray(mat, dtype=np.int64)
-        return Subspace.span(ctx, arr.shape[0], arr.T)
-    cols = [[mat[a][b] for a in range(len(mat))] for b in range(len(mat[0]))]
-    return Subspace.span(ctx, len(mat), cols)
+    arr = ctx.array(mat)
+    return Subspace.span(ctx, arr.shape[0], arr.T)
 
 
 def kernel_space(ctx: FieldCtx, mat) -> Subspace:
     """Right kernel {x : mat x = 0} as a canonical subspace."""
-    if ctx.k == 1:
-        arr = np.asarray(mat, dtype=np.int64)
-        return Subspace.span(ctx, arr.shape[1], linalg.kernel_fp(arr, ctx.p))
-    rows = [list(r) for r in mat]
-    return Subspace.span(ctx, len(rows[0]), linalg.kernel_gen(rows, ctx.zero, ctx.one))
+    arr = ctx.array(mat)
+    return Subspace.span(ctx, arr.shape[1], linalg.kernel_fp(arr, ctx))

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
+from . import linalg
 from .decomp import decompose, iso_probe
 from .errors import KemodError, MathRefusal
 from .generate import mixed_family
+from .gf import FieldCtx
 from .genker import (
     equal_images_decide,
+    equal_n_images_decide,
     generic_image_power,
     generic_kernel_power,
     inclusion_chain_check,
@@ -32,8 +37,10 @@ from .modules import (
     random_invertible,
     restrict,
     sub_as_module,
+    syzygy,
 )
 from .sheaf import (
+    SliceCache,
     SplittingType,
     filtration_chern_check,
     fi_slice_dims,
@@ -116,10 +123,9 @@ def verify_theorems(m: KEModule, seed: int = 0) -> dict:
     record("first Chern identity", chern["ok"], {"total": chern["total"]})
 
     amat = random_invertible(m.ctx, 2, rng)
-    if m.fast:
-        for i in range(1, p + 1):
-            got = splitting_type(restrict(m, amat), i)
-            record(f"coordinate-change invariance at i={i}", got == splittings[i])
+    for i in range(1, p + 1):
+        got = splitting_type(restrict(m, amat), i)
+        record(f"coordinate-change invariance at i={i}", got == splittings[i])
 
     eip = equal_images_decide(m)
     if eip.verdict:
@@ -153,33 +159,20 @@ def _equal_n_images_slice_check(m: KEModule, n: int) -> dict:
     """Slice-level containment Ker theta^n <= ~K^n(M), degreewise; dimensions
     agree at a stable degree iff every Ker(X_alpha^n) equals K^n(M) — the
     equal n-kernels property, i.e. the equal n-images property of the dual."""
-    from . import linalg
-    from .genker import equal_n_images_decide
-    from .sheaf import SliceCache
-
     deg = m.dim + m.ctx.p
     cache = SliceCache(m, 1)
     # kernel of theta^n in degree deg: {v : theta^{n} v = 0} via composed maps
-    th = None
-    for step in range(n):
-        t = cache.theta(deg + step)
-        th = t if th is None else (t @ th if m.fast else None)
-    if m.fast:
-        import numpy as np
-
-        kern = linalg.kernel_fp(np.asarray(th) % m.ctx.p, m.ctx.p)
-        kdim = kern.shape[0]
-        ksub = Subspace.span(m.ctx, cache.ambient(deg), kern)
-    else:
-        return {"consistent": True, "skipped": "generic lane"}
+    th = cache.theta(deg)
+    for step in range(1, n):
+        th = linalg.matmul_fp(cache.theta(deg + step), th, m.ctx)
+    kern = linalg.kernel_fp(th, m.ctx)
+    kdim = kern.shape[0]
+    ksub = Subspace.span(m.ctx, cache.ambient(deg), kern)
     genk = generic_kernel_power(m, n).subspace
     # ~K^n slice in degree deg: K^n (x) S_deg
     nmono = deg + 1
     rows = []
-    base = genk.basis
-    import numpy as np
-
-    for v in np.asarray(base, dtype=np.int64).reshape(genk.dim, m.dim):
+    for v in genk.basis:
         for mono in range(nmono):
             w = np.zeros(m.dim * nmono, dtype=np.int64)
             w[mono :: nmono] = v
@@ -303,20 +296,6 @@ def _scan_family(count: int, seed: int, family: str, primes):
         out.append((mem.name, mem.module))
     if family == "syzygy" and not out:
         # guarantee at least the syzygies themselves
-        from .modules import syzygy as syz
-
         for p in primes:
-            out.append((f"syzygy1(p={p})", syz(FieldCtxCache.get(p), 2, 1)))
+            out.append((f"syzygy1(p={p})", syzygy(FieldCtx(p), 2, 1)))
     return out[:count] if len(out) > count else out
-
-
-class FieldCtxCache:
-    _cache: dict[int, object] = {}
-
-    @classmethod
-    def get(cls, p: int):
-        from .gf import FieldCtx
-
-        if p not in cls._cache:
-            cls._cache[p] = FieldCtx(p)
-        return cls._cache[p]

@@ -6,8 +6,8 @@ from kemod import dpoly
 from kemod.errors import InputError
 from kemod.gf import (
     FieldCtx,
-    QuotExtCtx,
     find_irreducible_fp,
+    irreducible_of_degree,
     is_irreducible_fp,
     some_irreducible_factor,
     splitting_extension,
@@ -112,19 +112,16 @@ def test_splitting_extension_contains_root():
     g = [ctx.one, ctx.zero, ctx.one]
     ext, root = splitting_extension(ctx, g)
     assert ext.q == 9
-    ops = scalar_ops(ext) if not isinstance(ext, QuotExtCtx) else None
     val = root * root + ext.one
     assert not val
 
 
 def test_tower_extension_over_f4():
     base = FieldCtx(2, 2)
-    # an irreducible quadratic over F_4 gives a 16-element quotient field
-    from kemod.modules import _some_irreducible_over
-
-    g = _some_irreducible_over(base, 2)
+    # an irreducible quadratic over F_4 gives F_16, built over F_4
+    g = irreducible_of_degree(base, 2)
     ext, root = splitting_extension(base, g)
-    assert isinstance(ext, QuotExtCtx)
+    assert isinstance(ext, FieldCtx) and ext.base == base
     assert ext.q == 16
     x = root
     inv = x.inverse()

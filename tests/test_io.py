@@ -37,7 +37,7 @@ def test_round_trip_extension_field(tmp_path):
     save_module(m, path)
     back = load_module(path)
     assert back.ctx.k == 2 and back.ctx.modulus == f4.modulus
-    assert back.mats == m.mats
+    assert all(np.array_equal(a, b) for a, b in zip(back.mats, m.mats))
 
 
 def test_invalid_module_rejected():

@@ -413,3 +413,15 @@ def test_extension_field_jump_witness():
     assert dec.kind == "not_constant"
     assert dec.witness["minimal_polynomial"] == [1, 0, 1]  # t^2 + 1
     assert dec.witness["rank_there"] < dec.rank == 2
+
+
+def test_route_disagreement_is_a_consistency_error(monkeypatch):
+    # the Smith form and the rank grid are independent routes to the generic
+    # rank; a disagreement must surface as ConsistencyError (CLI exit 1)
+    from kemod import modules
+    from kemod.errors import ConsistencyError
+
+    real = modules.generic_power_ranks
+    monkeypatch.setattr(modules, "generic_power_ranks", lambda m, j: [r + 1 for r in real(m, j)])
+    with pytest.raises(ConsistencyError):
+        K.constant_jrank_decide(K.w_module(3, 3, 2), 1)

@@ -296,3 +296,17 @@ def test_saturation_h0_shape():
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     assert all(d >= 0 for d in diffs)
     assert diffs == sorted(diffs)
+
+
+def test_zero_bundle_needs_no_engine_work(monkeypatch):
+    # a_3 = 0 for W_{3,2} over F_3 (Jordan type [2]^2[1]): F_3 is the zero
+    # bundle, which neither engine may spend work on
+    from kemod import sheaf
+
+    def boom(*args, **kwargs):
+        raise AssertionError("window engine ran for a rank-0 bundle")
+
+    monkeypatch.setattr(sheaf, "_window_twists", boom)
+    m = K.w_module(3, 3, 2)
+    assert K.loewy_length(m) < 3
+    assert K.splitting_type(m, 3, engine="window") == SplittingType(())
