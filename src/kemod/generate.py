@@ -53,7 +53,7 @@ def _random_w_quotient(ctx: FieldCtx, rng: random.Random, max_dim: int) -> KEMod
     rad = radical(w)
     if rad.dim == 0:
         return w
-    rows = rad.rows()
+    rows = rad.basis
     pick = [rows[rng.randrange(len(rows))]]
     if len(rows) > 1 and rng.random() < 0.5:
         pick.append(rows[rng.randrange(len(rows))])

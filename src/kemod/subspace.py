@@ -53,21 +53,10 @@ class Subspace:
         if self.ambient != other.ambient or not self.ctx.same_field(other.ctx):
             raise InputError("subspace ambient mismatch")
 
-    def rows(self):
-        """Basis rows as a list of arrays."""
-        return list(self.basis)
-
     def reduce(self, vecs) -> np.ndarray:
         """Residuals of row vectors after reduction modulo this subspace."""
         v = self.ctx.array(vecs).reshape(-1, self.ambient)
         return linalg.reduce_rows_fp(v, self.basis, list(self.pivots), self.ctx)
-
-    def reduce_vec(self, vec):
-        """Residual of one row vector after reduction modulo this subspace."""
-        return self.reduce(vec)[0]
-
-    def contains_vec(self, vec) -> bool:
-        return not self.reduce(vec).any()
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
