@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import dpoly, linalg, pencil
 from .errors import ConsistencyError, InputError, MathRefusal
-from .gf import scalar_ops, some_irreducible_factor, splitting_extension
+from .gf import some_irreducible_factor
 from .modules import (
     KEModule,
     PointSpec,
@@ -26,9 +26,9 @@ from .modules import (
     dual,
     generic_power_ranks,
     is_invariant,
-    mats_over,
     preimage_under_all,
     radical,
+    root_operator,
     subquotient,
     x_alpha,
 )
@@ -142,8 +142,8 @@ def generic_image_power(m: KEModule, n: int, cross_check: bool = True) -> Subspa
     """The n-th power generic image: perp of the dual's generic kernel.
 
     In rank two the direct computation (generic intersection cut down at
-    the point at infinity and at every Smith-form jump point over its
-    splitting field) runs as well, and disagreement is an error.
+    the point at infinity and at every root of a Smith-form invariant
+    factor) runs as well, and disagreement is an error.
     """
     m.require_valid()
     if not 1 <= n <= m.ctx.p:
@@ -174,24 +174,23 @@ def _direct_image_r2(m: KEModule, n: int, generic_part: Subspace) -> Subspace:
     nonunits = [f for f in snf.invariant_factors if len(f) > 1]
     if not nonunits:
         return out
-    ops = scalar_ops(ctx)
+    ops = ctx.ops
     seen: set[tuple] = set()
-    ops_ctx = [ctx.decode(c) for c in nonunits[-1]]
-    while len(ops_ctx) > 1:
-        g = some_irreducible_factor(ctx, ops_ctx, seed=23)
+    f = nonunits[-1]
+    while len(f) > 1:
+        g = some_irreducible_factor(ctx, f, seed=23)
         if tuple(g) in seen:
             break
         seen.add(tuple(g))
-        out = _cut_by_ext_image(m, n, out, g)
-        q, rem = dpoly.divmod_(ops, ops_ctx, g)
+        out = _cut_by_root_image(m, n, out, g)
+        f, rem = dpoly.divmod_(ops, f, g)
         if rem:
             raise ConsistencyError("irreducible factor does not divide")
-        ops_ctx = q
-        while len(ops_ctx) > 1:
-            q2, rem2 = dpoly.divmod_(ops, ops_ctx, g)
+        while len(f) > 1:
+            q2, rem2 = dpoly.divmod_(ops, f, g)
             if rem2:
                 break
-            ops_ctx = q2
+            f = q2
     return out
 
 
@@ -200,23 +199,17 @@ def _image_at_infinity(m: KEModule, n: int) -> Subspace:
     return Subspace.span(m.ctx, m.dim, ap.T)
 
 
-def _cut_by_ext_image(m: KEModule, n: int, w: Subspace, g: list) -> Subspace:
+def _cut_by_root_image(m: KEModule, n: int, w: Subspace, g: list) -> Subspace:
     """F_q-rational part of w cut by Im(X_alpha^n) at the point (1, theta),
     theta a root of the irreducible g over F_q."""
     ctx = m.ctx
-    ext, root = splitting_extension(ctx, g)
-    x1, x2 = mats_over(m, ext)
-    ap = linalg.matpow_fp(ext.add(x1, ext.mul(ext.encode(root), x2)), n, ext)
-    if ext is ctx:
-        return w.intersect(Subspace.span(ctx, m.dim, ap.T))
-    # x is in the image iff u . x = 0 for every left kernel row u of ap; for
-    # x = lam . w with lam over F_q these are F_q-linear conditions on lam,
-    # one per coordinate of u . w_i over F_q in the basis 1, theta, ...
-    perp_rows = linalg.kernel_fp(ap.T, ext)
-    if perp_rows.shape[0] == 0 or w.dim == 0:
+    if w.dim == 0:
         return w
-    cond = ext.coordinates(linalg.matmul_fp(perp_rows, ext.embed(w.basis, ctx).T, ext))
-    lam = linalg.kernel_fp(cond.transpose(0, 2, 1).reshape(-1, w.dim), ctx)
+    # x over F_q is in the image iff u . (x, 0, ..., 0) = 0 for every left
+    # kernel row u of the power in the coordinates of ``root_operator``
+    ap = linalg.matpow_fp(root_operator(m, g), n, ctx)
+    perp_rows = linalg.kernel_fp(ap.T, ctx)[:, :: len(g) - 1]
+    lam = linalg.kernel_fp(linalg.matmul_fp(perp_rows, w.basis.T, ctx), ctx)
     if lam.shape[0] == 0:
         return Subspace.zero(ctx, m.dim)
     return Subspace.span(ctx, m.dim, linalg.matmul_fp(lam, w.basis, ctx))

@@ -4,11 +4,13 @@ A ``FieldCtx`` fixes p, the extension degree k and a monic irreducible
 modulus over F_p.  An element is encoded as an integer in [0, q) whose
 base-p digits are its coefficients in the power basis of the modulus, so
 a matrix over any F_q is an int64 array of codes and ``FieldCtx`` alone
-holds the arithmetic on such arrays.  ``FieldScalar`` wraps one code for
-polynomial arithmetic.  The module also provides the univariate
-factor-extraction routines (square-free part, one irreducible factor)
-needed to name jump points of polynomial matrices by their minimal
-polynomials, and the extension fields F_{q^m} that contain those points.
+holds the arithmetic on such arrays; ``FieldCtx.ops`` gives dpoly the same
+arithmetic on single codes, and ``FieldScalar`` wraps one code for the
+multivariate ``Poly``.  The module also provides the univariate
+factor-extraction routines on code lists (square-free part, one
+irreducible factor) needed to name jump points of polynomial matrices by
+their minimal polynomials, and the extension fields F_{q^m} that the
+generic-rank grid and the r >= 3 sampling evaluate in.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from .errors import InputError, MathRefusal
 # sums of a few thousand of them) must stay below 2^53, codes below 2^63.
 MAX_P = 2**20
 MAX_Q = 2**62
-# Fields up to this size multiply through log/antilog tables.
-TABLE_Q = 2**16
+# Fields up to this size multiply through log/antilog tables, which make
+# eliminations over F_{2^5} and F_{2^6} about twice as fast as base-p digits
+# do.  Building them takes under 10 ms and 2.5 MiB up to q = 2187, but 73 ms
+# and 8 MiB at q = 4096 and 0.4 s and 200 MiB at q = 65536 (2-CPU machine).
+TABLE_Q = 2**11
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -134,7 +139,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "base", "ops", "_pw", "_fold_mat",
-                 "_to_base", "_from_base", "_log", "_exp", "_log_l", "_exp_l")
+                 "_from_base", "_log", "_exp", "_log_l", "_exp_l")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -205,8 +210,11 @@ class FieldCtx:
         """The residue of x, a generator of the field over F_p (k > 1)."""
         return FieldScalar(self, self.p if self.k > 1 else 1)
 
+    def random_code(self, rng: random.Random) -> int:
+        return sum(rng.randrange(self.p) * self.p**i for i in range(self.k))
+
     def random_scalar(self, rng: random.Random) -> "FieldScalar":
-        return FieldScalar(self, sum(rng.randrange(self.p) * self.p**i for i in range(self.k)))
+        return FieldScalar(self, self.random_code(rng))
 
     def random_nonzero(self, rng: random.Random) -> "FieldScalar":
         while True:
@@ -350,14 +358,6 @@ class FieldCtx:
         if self.base is None or not self.base.same_field(src):
             raise InputError("cannot embed scalars into an unrelated field")
         return self._undigits((src._digits(a) @ self._from_base) % self.p)
-
-    def coordinates(self, a) -> np.ndarray:
-        """Coordinates over ``base`` of codes of this field, in the basis
-        1, theta, theta^2, ... with theta the root the field was built from:
-        shape (..., k / base.k) of base-field codes."""
-        kb = self.base.k
-        vec = (self._digits(a) @ self._to_base) % self.p
-        return self.base._undigits(vec.reshape(vec.shape[:-1] + (self.k // kb, kb)))
 
     def _digits(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)[..., None]
@@ -553,7 +553,7 @@ class FieldScalar:
 
     def pth_root(self) -> "FieldScalar":
         """Inverse Frobenius: the unique y with y^p = self."""
-        return self ** (self.ctx.p ** (self.ctx.k - 1))
+        return FieldScalar(self.ctx, _pth_root(self.ctx, self.v))
 
     def __bool__(self):
         return self.v != 0
@@ -589,17 +589,27 @@ def scalar_ops(ctx: FieldCtx) -> ScalarOps:
 # ---------------------------------------------------------------------------
 
 
+def _pth_root(ctx: FieldCtx, a: int) -> int:
+    """Inverse Frobenius: the code of the unique y with y^p = a."""
+    ops, r, e = ctx.ops, 1, ctx.p ** (ctx.k - 1)
+    while e:
+        if e & 1:
+            r = ops.mul(r, a)
+        a = ops.mul(a, a)
+        e >>= 1
+    return r
+
+
 def squarefree_part(ctx: FieldCtx, f: list) -> list:
-    """Monic square-free part of f over F_q (coefficients FieldScalar)."""
-    ops = scalar_ops(ctx)
+    """Monic square-free part of f over F_q (a code list, ascending)."""
+    ops = ctx.ops
     f = dpoly.monic(ops, list(f))
     if len(f) <= 1:
         return f
     d = dpoly.deriv(ops, f)
     if not d:
         # f = g(t^p); take p-th roots of the surviving coefficients.
-        g = [f[i].pth_root() for i in range(0, len(f), ctx.p)]
-        return squarefree_part(ctx, g)
+        return squarefree_part(ctx, [_pth_root(ctx, f[i]) for i in range(0, len(f), ctx.p)])
     g = dpoly.gcd(ops, f, d)
     sf = dpoly.divmod_(ops, f, g)[0]
     # Roots hidden in the gcd (repeated across p-th powers) still matter.
@@ -612,19 +622,17 @@ def squarefree_part(ctx: FieldCtx, f: list) -> list:
 
 def _frobenius_power(ctx: FieldCtx, f: list, e: int) -> list:
     """t^(q^e) mod f."""
-    ops = scalar_ops(ctx)
-    r = [ctx.zero, ctx.one]
+    r = [0, 1]
     for _ in range(e):
-        r = dpoly.powmod(ops, r, ctx.q, f)
+        r = dpoly.powmod(ctx.ops, r, ctx.q, f)
     return r
 
 
 def _equal_degree_split(ctx: FieldCtx, f: list, e: int, rng: random.Random) -> list:
     """One irreducible factor of f, given f is a product of degree-e irreducibles."""
-    ops = scalar_ops(ctx)
+    ops = ctx.ops
     while len(f) - 1 > e:
-        a = [ctx.random_scalar(rng) for _ in range(len(f) - 1)]
-        a = dpoly.trim(ops, a)
+        a = dpoly.trim(ops, [ctx.random_code(rng) for _ in range(len(f) - 1)])
         if len(a) < 1:
             continue
         if ctx.p == 2:
@@ -637,7 +645,7 @@ def _equal_degree_split(ctx: FieldCtx, f: list, e: int, rng: random.Random) -> l
             g = dpoly.gcd(ops, tr, f)
         else:
             b = dpoly.powmod(ops, a, (ctx.q**e - 1) // 2, f)
-            g = dpoly.gcd(ops, dpoly.sub(ops, b, [ctx.one]), f)
+            g = dpoly.gcd(ops, dpoly.sub(ops, b, [1]), f)
         dg = len(g) - 1
         if 0 < dg < len(f) - 1:
             f = g if dg <= (len(f) - 1) // 2 else dpoly.divmod_(ops, f, g)[0]
@@ -649,13 +657,13 @@ def some_irreducible_factor(ctx: FieldCtx, f: list, seed: int = 0) -> list:
 
     Args:
         ctx: base field.
-        f: coefficients (FieldScalar), ascending; nonconstant.
+        f: coefficient codes, ascending; nonconstant.
         seed: seed for the equal-degree split.
 
     Returns:
-        Coefficient list of a monic irreducible factor.
+        Code list of a monic irreducible factor.
     """
-    ops = scalar_ops(ctx)
+    ops = ctx.ops
     f = squarefree_part(ctx, f)
     if len(f) - 1 < 1:
         raise MathRefusal("no irreducible factor of a constant polynomial")
@@ -664,7 +672,7 @@ def some_irreducible_factor(ctx: FieldCtx, f: list, seed: int = 0) -> list:
         if len(f) - 1 < e:
             break
         r = _frobenius_power(ctx, f, e)
-        g = dpoly.gcd(ops, dpoly.sub(ops, r, [ctx.zero, ctx.one]), f)
+        g = dpoly.gcd(ops, dpoly.sub(ops, r, [0, 1]), f)
         if len(g) - 1 > 0:
             if len(g) - 1 == e:
                 return g
@@ -675,33 +683,33 @@ def some_irreducible_factor(ctx: FieldCtx, f: list, seed: int = 0) -> list:
 
 
 def splitting_extension(ctx: FieldCtx, g: list, seed: int = 0):
-    """A field containing a root of the monic irreducible g over ctx, and the root.
+    """A field containing a root of the monic irreducible g over ctx (a code
+    list), and the code of that root.
 
     For deg g = m > 1 the field is ctx[t]/(g) = F_{q^m}, written as
     FieldCtx(p, k*m) in the powers of a primitive element (t itself when
     that generates, so over a prime base the modulus is g).  It keeps ctx as
-    its ``base`` with the embedding of ctx and the F_p-basis x^i t^j of the
-    quotient ring, which ``embed`` and ``coordinates`` use.
+    its ``base`` with the embedding of ctx that ``embed`` uses.
     """
+    ops = ctx.ops
     deg = len(g) - 1
     if deg == 1:
-        return ctx, -(g[0] / g[1])
+        return ctx, ops.neg(ops.mul(g[0], ops.inv(g[1])))
     from .linalg import inv_fp, rank_fp
 
     p, k = ctx.p, ctx.k
     n = k * deg
-    ops = scalar_ops(ctx)
     g = dpoly.monic(ops, list(g))
 
     def vec(f):
         """ctx[t]/(g) -> F_p^n, the coefficient of x^i t^j at j*k + i."""
         out = np.zeros(n, dtype=np.int64)
-        for j, c in enumerate(f):
-            out[j * k : (j + 1) * k] = c.coeffs
+        d = ctx._digits(np.array(f, dtype=np.int64)).reshape(-1)
+        out[: d.size] = d
         return out
 
     for z in _primitive_candidates(ctx, deg, seed):
-        powers = [[ctx.one]]
+        powers = [[1]]
         for _ in range(n):
             powers.append(dpoly.rem(ops, dpoly.mul(ops, powers[-1], z), g))
         to_base = np.array([vec(f) for f in powers[:n]])
@@ -710,28 +718,27 @@ def splitting_extension(ctx: FieldCtx, g: list, seed: int = 0):
         from_base = inv_fp(to_base, p)
         top = (vec(powers[n]) @ from_base) % p  # z^n in the basis 1, z, ..., z^(n-1)
         ext = FieldCtx(p, n, tuple(int(c) for c in (-top) % p) + (1,))
-        ext.base, ext._to_base, ext._from_base = ctx, to_base, from_base[:k]
-        return ext, ext.decode(ext._undigits(from_base[k]))
+        ext.base, ext._from_base = ctx, from_base[:k]
+        return ext, int(ext._undigits(from_base[k]))
     raise MathRefusal("no primitive element found")  # unreachable: candidates never end
 
 
 def _primitive_candidates(ctx: FieldCtx, deg: int, seed: int):
     """t, then t + s for s in F_q, then seeded random elements of ctx[t]/(g)."""
-    yield [ctx.zero, ctx.one]
-    for s in ctx.elements():
-        if s:
-            yield [s, ctx.one]
+    yield [0, 1]
+    for s in range(1, ctx.q):
+        yield [s, 1]
     rng = random.Random(seed)
     while True:
-        yield [ctx.random_scalar(rng) for _ in range(deg)]
+        yield [ctx.random_code(rng) for _ in range(deg)]
 
 
 def irreducible_of_degree(ctx: FieldCtx, deg: int) -> list:
-    """A monic irreducible of degree deg over F_q from a seeded search; over
-    F_p it is the polynomial find_irreducible_fp draws."""
+    """A monic irreducible of degree deg over F_q (a code list) from a seeded
+    search; over F_p it is the polynomial find_irreducible_fp draws."""
     rng = random.Random(f"irr:{ctx.p}:{deg}:0")
     while True:
-        f = [ctx.random_scalar(rng) for _ in range(deg)] + [ctx.one]
+        f = [ctx.random_code(rng) for _ in range(deg)] + [1]
         if len(some_irreducible_factor(ctx, f, seed=7)) - 1 == deg:
             return f
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg, pencil
 from .errors import ConsistencyError, InputError, MathRefusal
-from .gf import FieldCtx, extension, some_irreducible_factor, splitting_extension
+from .gf import FieldCtx, extension, some_irreducible_factor
 from .poly import Poly
 from .snf import smith_normal_form
 from .subspace import Subspace
@@ -442,16 +442,32 @@ def _random_projective_point(fld: FieldCtx, r: int, rng: random.Random):
             return coords
 
 
+def root_operator(m: KEModule, g: list) -> np.ndarray:
+    """X_1 + theta X_2 (r = 2) at a root theta of the monic irreducible g over
+    F_q (code list), as an F_q-linear map of F_q(theta)^dim = F_q^(dim * deg g):
+    coordinate a * deg g + i is the theta^i coefficient of entry a.  Its
+    powers have deg g times the ranks over F_q(theta), and no field of size
+    q^(deg g) is ever built."""
+    ctx, deg = m.ctx, len(g) - 1
+    comp = np.zeros((deg, deg), dtype=np.int64)  # multiplication by theta
+    comp[np.arange(1, deg), np.arange(deg - 1)] = 1
+    comp[:, deg - 1] = ctx.neg(np.array(g[:deg], dtype=np.int64))
+
+    def kron(x, c):
+        return ctx.mul(x[:, None, :, None], c[None, :, None, :]).reshape(m.dim * deg, m.dim * deg)
+
+    return ctx.add(kron(m.mats[0], np.eye(deg, dtype=np.int64)), kron(m.mats[1], comp))
+
+
 def _witness_from_factor(m: KEModule, j: int, rho: int, factor) -> JRankDecision:
     """Name a jump point by the minimal polynomial of a root of a non-unit
-    invariant factor, and re-verify the rank drop over the splitting field."""
+    invariant factor, and re-verify the rank drop at that root."""
     ctx = m.ctx
-    g = some_irreducible_factor(ctx, [ctx.decode(c) for c in factor], seed=11)
-    ext, root = splitting_extension(ctx, g)
-    rk = rank_at_point(m, (ext.one, root), j)
+    g = some_irreducible_factor(ctx, list(factor), seed=11)
+    rk = linalg.rank_fp(linalg.matpow_fp(root_operator(m, g), j, ctx), ctx) // (len(g) - 1)
     if rk >= rho:
         raise ConsistencyError("claimed jump point has full rank")
-    minpoly = [c.serialize() for c in g]
+    minpoly = [ctx.serialize(c) for c in g]
     return JRankDecision(
         "not_constant",
         j,

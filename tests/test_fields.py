@@ -8,7 +8,8 @@ import kemod as K
 from kemod import linalg
 from kemod.errors import ConsistencyError, InputError
 from kemod.generate import mixed_family
-from kemod.gf import FieldCtx
+from kemod.gf import FieldCtx, find_irreducible_fp, irreducible_of_degree, splitting_extension
+from kemod.modules import rank_at_point, root_operator
 from kemod.suite import verify_theorems
 
 
@@ -125,3 +126,46 @@ def test_primes_beyond_the_exact_range_are_refused(p):
 def test_field_sizes_beyond_int64_codes_are_refused():
     with pytest.raises(InputError):
         FieldCtx(2, 62)
+
+
+def test_jump_point_field_beyond_int64_codes():
+    # X_1 = [[0, 0], [C, 0]], X_2 = [[0, 0], [I, 0]] over F_101 with C the
+    # companion matrix of an irreducible of degree 10: the rank drops only at
+    # the roots, which lie in F_{101^10} (about 2^66.6)
+    p, deg = 101, 10
+    g = find_irreducible_fp(p, deg)
+    z, c = np.zeros((deg, deg), dtype=np.int64), np.zeros((deg, deg), dtype=np.int64)
+    c[np.arange(1, deg), np.arange(deg - 1)] = 1
+    c[:, deg - 1] = (-np.array(g[:deg])) % p
+    eye = np.eye(deg, dtype=np.int64)
+    m = K.KEModule(FieldCtx(p), 2, [np.block([[z, z], [c, z]]), np.block([[z, z], [eye, z]])])
+    dec = K.constant_jordan_type(m)
+    assert dec.kind == "not_cjt"
+    # X_1 + theta X_2 is singular where g(-theta) = 0 (deg g even)
+    assert dec.witness["minimal_polynomial"] == [(-1) ** i * c % p for i, c in enumerate(g)]
+    assert (dec.witness["rank_there"], dec.witness["generic_rank"]) == (deg - 1, deg)
+    # as for X_2 = c X_1, the duality route and the all-points image disagree
+    with pytest.raises(ConsistencyError):
+        K.generic_image_power(m, 1)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(3), FieldCtx(2, 2)])
+def test_root_operator_ranks_match_the_splitting_field(ctx):
+    mods = [base_change(mem.module, ctx.k) for mem in mixed_family(30, seed=5, max_dim=8)
+            if mem.module.ctx.p == ctx.p]
+    for deg in (1, 2, 3):
+        g = irreducible_of_degree(ctx, deg)
+        ext, root = splitting_extension(ctx, g)
+        for m in mods:
+            for j in range(1, ctx.p + 1):
+                blown = linalg.matpow_fp(root_operator(m, g), j, ctx)
+                assert linalg.rank_fp(blown, ctx) == deg * rank_at_point(m, (ext.one, ext.decode(root)), j)
+
+
+def test_int_arrays_are_codes_and_int_lists_are_prime_field_elements():
+    f9 = FieldCtx(3, 2)
+    entries = [[0, 0], [5, 0]]  # 5 = 2 + 1 * 3 is the code of 2 + x
+    assert K.KEModule(f9, 1, [np.array(entries)]).mats[0][1, 0] == 5
+    assert K.KEModule(f9, 1, [entries]).mats[0][1, 0] == 2  # 5 read in F_3
+    with pytest.raises(InputError):
+        K.KEModule(f9, 1, [np.array([[0, 0], [9, 0]])])

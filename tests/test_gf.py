@@ -12,7 +12,6 @@ from kemod.gf import (
     some_irreducible_factor,
     splitting_extension,
     squarefree_part,
-    scalar_ops,
 )
 
 
@@ -70,8 +69,8 @@ def test_find_irreducible_matches_exhaustive_count():
 
 def test_squarefree_part_strips_multiplicity():
     ctx = FieldCtx(3)
-    ops = scalar_ops(ctx)
-    one, two = ctx.one, ctx.scalar(2)
+    ops = ctx.ops
+    one, two = 1, 2
     # f = (t - 1)^2 (t - 2) = expand over F_3
     f1 = [two, one]          # t + 2 = t - 1
     f2 = [one, one]          # t + 1 = t - 2
@@ -83,8 +82,8 @@ def test_squarefree_part_strips_multiplicity():
 
 def test_squarefree_part_pth_power():
     ctx = FieldCtx(2)
-    ops = scalar_ops(ctx)
-    t = [ctx.zero, ctx.one]
+    ops = ctx.ops
+    t = [0, 1]
     f = dpoly.mul(ops, t, t)  # t^2 = (t)^2, derivative vanishes
     assert squarefree_part(ctx, f) == t
 
@@ -92,26 +91,27 @@ def test_squarefree_part_pth_power():
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2)])
 def test_some_irreducible_factor_divides_and_is_irreducible(p, k):
     ctx = FieldCtx(p, k)
-    ops = scalar_ops(ctx)
+    ops = ctx.ops
     rng = random.Random(p * 100 + k)
     for _ in range(6):
         deg = rng.randint(2, 5)
-        f = [ctx.random_scalar(rng) for _ in range(deg)] + [ctx.one]
+        f = [ctx.random_code(rng) for _ in range(deg)] + [1]
         g = some_irreducible_factor(ctx, f, seed=3)
         # g divides the square-free part of f, hence f has a root wherever g does
         sf = squarefree_part(ctx, f)
         _, rem = dpoly.divmod_(ops, sf, g)
         assert rem == []
         if k == 1:
-            assert is_irreducible_fp(p, [c.coeffs[0] for c in g])
+            assert is_irreducible_fp(p, g)
 
 
 def test_splitting_extension_contains_root():
     ctx = FieldCtx(3)
     # t^2 + 1 is irreducible over F_3
-    g = [ctx.one, ctx.zero, ctx.one]
+    g = [1, 0, 1]
     ext, root = splitting_extension(ctx, g)
     assert ext.q == 9
+    root = ext.decode(root)
     val = root * root + ext.one
     assert not val
 
@@ -123,6 +123,6 @@ def test_tower_extension_over_f4():
     ext, root = splitting_extension(base, g)
     assert isinstance(ext, FieldCtx) and ext.base == base
     assert ext.q == 16
-    x = root
+    x = ext.decode(root)
     inv = x.inverse()
     assert x * inv == ext.one
