@@ -28,9 +28,9 @@ from .errors import InputError, MathRefusal
 # sums of a few thousand of them) must stay below 2^53, codes below 2^63.
 MAX_P = 2**20
 MAX_Q = 2**62
-# Fields up to this size multiply through log/antilog tables, which make
-# eliminations over F_{2^5} and F_{2^6} about twice as fast as base-p digits
-# do.  Building them takes under 10 ms and 2.5 MiB up to q = 2187, but 73 ms
+# Fields up to this size multiply through log/antilog tables, which run the
+# benchmark's cjt and extfield workloads two to three times as fast as
+# base-p digits do.  Building them takes under 10 ms and 2.5 MiB up to q = 2187, but 73 ms
 # and 8 MiB at q = 4096 and 0.4 s and 200 MiB at q = 65536 (2-CPU machine).
 TABLE_Q = 2**11
 
