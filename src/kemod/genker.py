@@ -24,7 +24,6 @@ from .modules import (
     apply_generator,
     constant_jrank_decide,
     dual,
-    generic_power_ranks,
     is_invariant,
     preimage_under_all,
     radical,
@@ -67,9 +66,7 @@ def generic_kernel_power(m: KEModule, n: int) -> GenericKernelReport:
         ker = linalg.kernel_fp(linalg.matpow_fp(m.mats[0], n, m.ctx), m.ctx)
         rep = GenericKernelReport(n, Subspace.span(m.ctx, m.dim, ker), "single-point-kernel", True)
     elif m.r == 2:
-        rho = generic_power_ranks(m, n)[n - 1]
-        gens = pencil.graded_kernel_basis(m.power_pencil(n), m.ctx, m.dim - rho)
-        sub = Subspace.span(m.ctx, m.dim, pencil.coefficient_rows(gens))
+        sub = Subspace.span(m.ctx, m.dim, pencil.coefficient_rows(m.kernel_generators(n)))
         rep = GenericKernelReport(n, sub, "generic-point-coefficients", True)
     else:
         sub = _genker_symbolic(m, n)
@@ -138,7 +135,7 @@ def generic_kernel(m: KEModule) -> GenericKernelReport:
     return generic_kernel_power(m, 1)
 
 
-def generic_image_power(m: KEModule, n: int, cross_check: bool = True) -> Subspace:
+def generic_image_power(m: KEModule, n: int) -> Subspace:
     """The n-th power generic image: perp of the dual's generic kernel.
 
     In rank two the direct computation (generic intersection cut down at
@@ -148,12 +145,12 @@ def generic_image_power(m: KEModule, n: int, cross_check: bool = True) -> Subspa
     m.require_valid()
     if not 1 <= n <= m.ctx.p:
         raise InputError(f"power must be in 1..{m.ctx.p}")
-    key = ("genimg", n, cross_check)
+    key = ("genimg", n)
     if key in m._cache:
         return m._cache[key]
     md = dual(m)
     primary = generic_kernel_power(md, n).subspace.perp()
-    if m.r == 2 and cross_check:
+    if m.r == 2:
         direct = _direct_image_r2(m, n, primary)
         if direct != primary:
             raise ConsistencyError(

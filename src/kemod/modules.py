@@ -7,10 +7,11 @@ row-echelon bases.  Everything downstream (Jordan types, generic kernels,
 sheaf slices) is phrased in terms of this class.
 
 Exact generic ranks — the rank of X_alpha^j at the generic point of the
-projective parameter space — are computed by maximizing numeric ranks over
-a grid larger than the degree of any maximal minor, taken in an extension
-field F_{q^m} when the base field is too small.  That keeps the hot paths
-in numpy while staying exact.
+projective parameter space — come for r = 2 from the Smith form of
+(X_1 + t X_2)^j over F_q[t], the same one that decides constant Jordan
+type.  For r >= 3 they are the maximum of numeric ranks over a grid larger
+than the degree of any maximal minor, taken in an extension field F_{q^m}
+when the base field is too small.
 """
 
 from __future__ import annotations
@@ -197,6 +198,18 @@ class KEModule:
             self._cache[key] = pencil.pm_pow(self.pencil(), j, self.ctx)
         return self._cache[key]
 
+    def kernel_generators(self, ell: int) -> list[pencil.GradedGen]:
+        """Minimal graded kernel basis of (X_1 + t X_2)^ell (r = 2), empty for
+        ell <= 0: the one basis behind splitting types and generic kernels."""
+        key = ("kernel_generators", ell)
+        if key not in self._cache:
+            gens = []
+            if ell > 0:
+                rho = generic_power_ranks(self, ell)[-1]
+                gens = pencil.graded_kernel_basis(self.power_pencil(ell), self.ctx, self.dim - rho)
+            self._cache[key] = gens
+        return self._cache[key]
+
     def __repr__(self):
         return f"KEModule(p={self.ctx.p}, k={self.ctx.k}, r={self.r}, dim={self.dim})"
 
@@ -263,25 +276,38 @@ def rank_at_point(m: KEModule, coords, power: int = 1) -> int:
 
 
 def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
-    """Exact ranks over F_q(t_2..t_r) of X_alpha^j for j = 1..jmax (generic point).
+    """Exact ranks over F_q(t_2..t_r) of X_alpha^j for j = 1..min(jmax, p)
+    (generic point).
 
-    The rank equals the maximum of the numeric ranks over any grid whose
-    side exceeds the total degree of a maximal minor (<= j * dim), taken in
-    an extension field when the base is too small.
+    For r = 2 the rank of (X_1 + t X_2)^j is that of its Smith form over
+    F_q[t] (and 0 from j = p on); for r >= 3 it comes from ``_grid_ranks``.
     """
     m.require_valid()
     key = ("generic_ranks", jmax)
     if key in m._cache:
         return m._cache[key]
     F, d = m.ctx, m.dim
-    jmax = min(jmax, F.p)
+    js = range(1, min(jmax, F.p) + 1)
     if d == 0 or m.r == 1:
-        ranks = [
-            linalg.rank_fp(linalg.matpow_fp(m.mats[0], j, F), F) if d else 0
-            for j in range(1, jmax + 1)
-        ]
-        m._cache[key] = ranks
-        return ranks
+        ranks = [linalg.rank_fp(linalg.matpow_fp(m.mats[0], j, F), F) if d else 0 for j in js]
+    elif m.r == 2:
+        ranks = [_snf_of_power(m, j).rank if j < F.p else 0 for j in js]
+    else:
+        ranks = _grid_ranks(m, jmax)
+    m._cache[key] = ranks
+    return ranks
+
+
+def _grid_ranks(m: KEModule, jmax: int) -> list[int]:
+    """Generic ranks of X_alpha^j, j = 1..min(jmax, p), for any r >= 2.
+
+    The rank equals the maximum of the numeric ranks over any grid whose
+    side exceeds the total degree of a maximal minor (<= j * dim), taken in
+    an extension field when the base is too small.  For r = 2 it is the
+    tests' independent check of the Smith-form ranks.
+    """
+    F, d = m.ctx, m.dim
+    jmax = min(jmax, F.p)
     bound = jmax * d + 1
     nvars = m.r - 1
     if nvars >= 2 and bound**nvars > 300_000:
@@ -300,7 +326,6 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
             if j > 1:
                 pw = linalg.matmul_fp(pw, a, fld)
             ranks[j - 1] = max(ranks[j - 1], linalg.rank_fp(pw, fld))
-    m._cache[key] = ranks
     return ranks
 
 
@@ -366,73 +391,63 @@ def constant_jrank_decide(
 ) -> JRankDecision:
     """Decide whether rank(X_alpha^j) is independent of the point.
 
-    Exact for r <= 2 (Smith form over F_q[t] on the affine chart plus the
-    point at infinity); Monte Carlo with an exact generic rank for r >= 3.
+    Exact for r <= 2: the Smith form over F_q[t] gives the generic rank and
+    the jump points on the affine chart, and the point at infinity is
+    checked apart.  For r >= 3 the generic rank is exact (``_grid_ranks``)
+    and the decision tests every point of P^{r-1}(F_q) when there are at
+    most ``samples`` of them, then ``samples`` random points over a large
+    extension.
     """
     m.require_valid()
     p = m.ctx.p
     if not 1 <= j <= p:
         raise InputError(f"power j must be in 1..{p}")
     key = ("jrank", j)
-    if key in m._cache:
-        return m._cache[key]
-    if j == p:
-        dec = JRankDecision("constant", j, 0)
-        m._cache[key] = dec
-        return dec
+    if key not in m._cache:
+        m._cache[key] = _jrank_decision(m, j, samples, ext_degree, seed)
+    return m._cache[key]
+
+
+def _jrank_decision(m: KEModule, j: int, samples: int, ext_degree: int | None, seed: int) -> JRankDecision:
+    if j == m.ctx.p:
+        return JRankDecision("constant", j, 0)
     rho = generic_power_ranks(m, j)[j - 1]
     if m.r == 1:
-        dec = JRankDecision("constant", j, rho)
-        m._cache[key] = dec
-        return dec
+        return JRankDecision("constant", j, rho)
     if m.r == 2:
-        snf = _snf_of_power(m, j)
-        if snf.rank != rho:
-            raise ConsistencyError("SNF rank disagrees with generic rank")
-        nonunit = next((f for f in snf.invariant_factors if len(f) > 1), None)
+        nonunit = next((f for f in _snf_of_power(m, j).invariant_factors if len(f) > 1), None)
         if nonunit is not None:
-            dec = _witness_from_factor(m, j, rho, nonunit)
-        else:
-            # affine chart constant; check the point at infinity (0, 1)
-            inf_rank = rank_at_point(m, (m.ctx.zero, m.ctx.one), j)
-            if inf_rank != rho:
-                dec = JRankDecision(
-                    "not_constant",
-                    j,
-                    rho,
-                    witness={
-                        "point": "(0, 1)",
-                        "rank_there": inf_rank,
-                        "generic_rank": rho,
-                    },
-                )
-            else:
-                dec = JRankDecision("constant", j, rho)
-        m._cache[key] = dec
-        return dec
-    # r >= 3: Monte Carlo over a large extension
+            return _witness_from_factor(m, j, rho, nonunit)
+        # affine chart constant; check the point at infinity (0, 1)
+        inf_rank = rank_at_point(m, (m.ctx.zero, m.ctx.one), j)
+        if inf_rank != rho:
+            witness = {"point": "(0, 1)", "rank_there": inf_rank, "generic_rank": rho}
+            return JRankDecision("not_constant", j, rho, witness=witness)
+        return JRankDecision("constant", j, rho)
+    # r >= 3: the rational points when there are few, then Monte Carlo over
+    # a large extension
+    F = m.ctx
+    rational = []
+    if (F.q**m.r - 1) // (F.q - 1) <= samples:
+        rational = [
+            (F.zero,) * lead + (F.one,) + tuple(map(F.decode, rest))
+            for lead in range(m.r)
+            for rest in itertools.product(range(F.q), repeat=m.r - 1 - lead)
+        ]
     if ext_degree is None:
         ext_degree = 1
-        while (m.ctx.q**ext_degree) <= 2**20:
+        while (F.q**ext_degree) <= 2**20:
             ext_degree += 1
-    ext = extension(m.ctx, ext_degree)
+    ext = extension(F, ext_degree)
     rng = random.Random(seed)
-    for _ in range(samples):
-        coords = _random_projective_point(ext, m.r, rng)
+    randoms = (_random_projective_point(ext, m.r, rng) for _ in range(samples))
+    for coords in itertools.chain(rational, randoms):
         rk = rank_at_point(m, coords, j)
         if rk != rho:
-            dec = JRankDecision(
-                "not_constant",
-                j,
-                rho,
-                witness={"point": repr(coords), "rank_there": rk, "generic_rank": rho},
-            )
-            m._cache[key] = dec
-            return dec
+            witness = {"point": repr(coords), "rank_there": rk, "generic_rank": rho}
+            return JRankDecision("not_constant", j, rho, witness=witness)
     per = min(1.0, (j * m.dim) / ext.q)
-    dec = JRankDecision("probably_constant", j, rho, confidence=1.0 - per**samples if samples else 0.0)
-    m._cache[key] = dec
-    return dec
+    return JRankDecision("probably_constant", j, rho, confidence=1.0 - per**samples if samples else 0.0)
 
 
 def _random_projective_point(fld: FieldCtx, r: int, rng: random.Random):

@@ -87,7 +87,7 @@ def _flatten_shift(g: GradedGen, shift: int, vdeg: int, cols: int) -> np.ndarray
     return v
 
 
-def graded_kernel_basis(a: Pm, F, kappa: int, degcap: int | None = None) -> list[GradedGen]:
+def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:
     """Minimal graded basis of {v in F_q[t]^cols : a(t) v(t) = 0}.
 
     Args:
@@ -95,7 +95,6 @@ def graded_kernel_basis(a: Pm, F, kappa: int, degcap: int | None = None) -> list
         F: the field (FieldCtx or prime).
         kappa: the rank of the kernel over F_p(t); exactly this many
             generators are returned.
-        degcap: optional hard stop (defaults to deg(a)*rank + 1).
 
     The returned degrees d_1 <= ... <= d_kappa are the minimal indices;
     the kernel slice in degree n has basis {t^e g : e <= n - deg g}, so
@@ -104,8 +103,7 @@ def graded_kernel_basis(a: Pm, F, kappa: int, degcap: int | None = None) -> list
     rows, cols, d1 = a.shape
     if kappa == 0:
         return []
-    if degcap is None:
-        degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
+    degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
     gens: list[GradedGen] = []
     for delta in range(degcap + 1):
         K = kernel_fp(linearize(a, delta), F)
@@ -184,9 +182,7 @@ def solve_in_basis(gens: list[GradedGen], target: np.ndarray, tdeg: int, dim: in
     return out
 
 
-def shifted_left_kernel(
-    c: Pm, rowshifts: list[int], F, count: int, degcap: int | None = None
-) -> list[int]:
+def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]:
     """Minimal indices of {psi row vector : psi * c = 0} with degree shifts.
 
     psi has shifted degree <= n when deg(psi_m) <= n + rowshifts[m]; the
@@ -198,8 +194,7 @@ def shifted_left_kernel(
     if count == 0:
         return []
     smax = max(rowshifts) if rowshifts else 0
-    if degcap is None:
-        degcap = (d1 - 1) * max(1, rows) + smax + cols + 5
+    degcap = (d1 - 1) * max(1, rows) + smax + cols + 5
 
     gens: list[tuple[int, list[np.ndarray]]] = []  # (n0, per-row coeff arrays)
 

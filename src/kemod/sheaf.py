@@ -9,7 +9,9 @@ Two independent routes compute splitting types for r = 2:
   the answer by reconstruction plus stability under doubling D;
 * the pencil engine presents the same graded module by minimal polynomial
   kernel bases of (X_1 + t X_2)^l and reads h0 of the dual bundle off a
-  shift-graded minimal left kernel, giving the twists in closed form.
+  shift-graded minimal left kernel, giving the twists in closed form.  The
+  bases are ``KEModule.kernel_generators``, shared with the generic kernels
+  and sized by Smith-form ranks (the rank grid serves r >= 3 only).
 
 Both run over every F_q.  The window engine follows the classical
 saturation recipe and stays as an independent cross-check; the pencil
@@ -25,12 +27,7 @@ import numpy as np
 
 from . import linalg, pencil
 from .errors import ConsistencyError, InputError, MathRefusal
-from .modules import (
-    KEModule,
-    constant_jordan_type,
-    generic_power_ranks,
-    restrict,
-)
+from .modules import KEModule, constant_jordan_type, restrict
 from .subspace import Subspace
 
 # ---------------------------------------------------------------------------
@@ -231,33 +228,18 @@ def splitting_type(
 # -- pencil engine -----------------------------------------------------------
 
 
-def _kernel_generators(m: KEModule, ell: int) -> list[pencil.GradedGen]:
-    """Minimal graded kernel basis of (X_1 + t X_2)^ell (r = 2)."""
-    key = ("graded_kernel", ell)
-    if key in m._cache:
-        return m._cache[key]
-    p, d = m.ctx.p, m.dim
-    if ell <= 0:
-        gens: list[pencil.GradedGen] = []
-    else:
-        rho = 0 if ell >= p else generic_power_ranks(m, ell)[ell - 1]
-        gens = pencil.graded_kernel_basis(m.power_pencil(ell), m.ctx, d - rho)
-    m._cache[key] = gens
-    return gens
-
-
 def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
     F, d = m.ctx, m.dim
-    basis = _kernel_generators(m, i)
+    basis = m.kernel_generators(i)
     shifts = [g.deg for g in basis]
     cols = []
-    for w in _kernel_generators(m, i - 1):
+    for w in m.kernel_generators(i - 1):
         coords = pencil.solve_in_basis(basis, w.coeffs, w.deg, d, F)
         if coords is None:
             raise ConsistencyError("lower kernel generator outside the kernel basis")
         cols.append((coords, w.deg))
     A = m.pencil()
-    for w in _kernel_generators(m, i + 1):
+    for w in m.kernel_generators(i + 1):
         tgt = pencil.pm_mul(A, w.coeffs[:, None, :], F)[:, 0, :]
         coords = pencil.solve_in_basis(basis, tgt, w.deg + 1, d, F)
         if coords is None:

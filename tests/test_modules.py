@@ -416,12 +416,69 @@ def test_extension_field_jump_witness():
 
 
 def test_route_disagreement_is_a_consistency_error(monkeypatch):
-    # the Smith form and the rank grid are independent routes to the generic
-    # rank; a disagreement must surface as ConsistencyError (CLI exit 1)
-    from kemod import modules
+    # in rank two the generic image comes from duality and, independently,
+    # from the direct intersection; a disagreement must surface as
+    # ConsistencyError (CLI exit 1)
+    from kemod import genker
     from kemod.errors import ConsistencyError
 
-    real = modules.generic_power_ranks
-    monkeypatch.setattr(modules, "generic_power_ranks", lambda m, j: [r + 1 for r in real(m, j)])
+    monkeypatch.setattr(genker, "_direct_image_r2", lambda m, n, part: Subspace.zero(m.ctx, m.dim))
     with pytest.raises(ConsistencyError):
-        K.constant_jrank_decide(K.w_module(3, 3, 2), 1)
+        K.generic_image_power(K.w_module(3, 3, 2), 1)
+
+
+# -- one route per rank-two invariant -------------------------------------------
+
+
+def _disguise(m, rng):
+    """X_i -> P X_i P^-1, then a random invertible change of coordinates."""
+    from kemod import linalg
+
+    P = random_invertible(m.ctx, m.dim, rng)
+    Pinv = linalg.inv_fp(P, m.ctx)
+    mats = [linalg.matmul_fp(linalg.matmul_fp(P, x, m.ctx), Pinv, m.ctx) for x in m.mats]
+    return K.restrict(K.KEModule(m.ctx, 2, mats), random_invertible(m.ctx, 2, rng))
+
+
+def _square_zero_from_companion():
+    # X_1 = [[0,0],[I,0]], X_2 = [[0,0],[C,0]], C the companion of t^2 + 1
+    # over F_3: the rank drops at the roots of t^2 + 1, which lie in F_9
+    x1, x2 = np.zeros((4, 4), dtype=np.int64), np.zeros((4, 4), dtype=np.int64)
+    x1[2, 0] = x1[3, 1] = x2[3, 0] = 1
+    x2[2, 1] = 2
+    return K.KEModule(F3, 2, [x1, x2])
+
+
+def test_smith_form_ranks_match_the_grid():
+    # the rank grid stays as the tests' oracle for the Smith-form ranks
+    from kemod.generate import mixed_family
+    from kemod.modules import _grid_ranks
+
+    rng = random.Random(4)
+    mods = [K.w_module(p, n, d) for p in (2, 3, 5) for n in range(1, 5) for d in range(1, min(n, p) + 1)]
+    mods += [mem.module for mem in mixed_family(12, seed=5, max_dim=12)]
+    for p, parts in [(2, [(4, 2), (3, 2)]), (3, [(3, 3), (3, 2)]), (5, [(3, 3), (2, 2)])]:
+        a, b = (K.w_module(p, n, d) for n, d in parts)
+        mods += [_disguise(K.direct_sum(a, b), rng), _disguise(K.direct_sum(a, K.dual(b)), rng)]
+    mods.append(_square_zero_from_companion())
+    mods += [K.w_module(FieldCtx(p, 2), n, d) for p, n, d in [(2, 3, 2), (3, 3, 2), (3, 4, 3)]]
+    for m in mods:
+        p = m.ctx.p
+        assert generic_power_ranks(m, p) == _grid_ranks(m, p), m
+
+
+def test_rank_two_runs_no_grid(monkeypatch):
+    from kemod import modules
+
+    def boom(*args, **kwargs):
+        raise AssertionError("rank grid ran for r = 2")
+
+    monkeypatch.setattr(modules, "_grid_ranks", boom)
+    disguised = _disguise(K.direct_sum(K.w_module(3, 3, 2), K.w_module(3, 2, 2)), random.Random(1))
+    for m in (K.w_module(3, 4, 3), disguised):
+        assert K.constant_jordan_type(m).is_cjt
+        assert K.jordan_type(m).dim() == m.dim
+        for n in range(1, 4):
+            K.splitting_type(m, n)
+            K.generic_kernel_power(m, n)
+            K.generic_image_power(m, n)

@@ -107,3 +107,16 @@ def test_genimg_r3_duality_only():
     assert img.dim == 1
     assert img == K.socle(m)
     assert img == K.generic_kernel(K.dual(m)).subspace.perp()
+
+
+def test_rational_points_are_searched_before_random_samples():
+    # the rank of X_alpha drops only on the line l_1 = 0; random points of a
+    # large extension miss it, the seven points of P^2(F_2) do not
+    j = np.zeros((2, 2), dtype=np.int64)
+    j[1, 0] = 1
+    z = np.zeros((2, 2), dtype=np.int64)
+    dec = K.constant_jordan_type(K.KEModule(F2, 3, [j, z, z]))
+    assert dec.kind == "not_cjt"
+    assert dec.witness["rank_there"] < dec.witness["generic_rank"]
+    free = K.constant_jordan_type(rank3_free())
+    assert free.kind == "probably_cjt" and repr(free.jordan_type) == "[2]^4"

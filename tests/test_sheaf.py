@@ -310,3 +310,19 @@ def test_zero_bundle_needs_no_engine_work(monkeypatch):
     m = K.w_module(3, 3, 2)
     assert K.loewy_length(m) < 3
     assert K.splitting_type(m, 3, engine="window") == SplittingType(())
+
+
+def test_splittings_and_generic_kernels_share_kernel_bases(monkeypatch):
+    # W_{4,3} over F_3 has Jordan type [3]^2[2][1], so the splittings of
+    # F_1, F_2, F_3 build the kernel bases of every power 1..3
+    from kemod import pencil
+
+    m = K.w_module(3, 4, 3)
+    for i in range(1, 4):
+        K.splitting_type(m, i)
+    calls = []
+    real = pencil.graded_kernel_basis
+    monkeypatch.setattr(pencil, "graded_kernel_basis", lambda *a: calls.append(a) or real(*a))
+    for n in range(1, 4):
+        K.generic_kernel_power(m, n)
+    assert calls == []
