@@ -103,16 +103,21 @@ def kernel_fp(a, F) -> np.ndarray:
 
 
 def solve_fp(a, b, F):
-    """One solution x of a @ x = b (column sense), or None."""
+    """One solution x of a @ x = b (column sense), or None.  For a 2-d b,
+    one such answer per column of b, all from one echelon form of [a | b]:
+    column j is solvable iff it vanishes below the rank of a, whatever the
+    other columns of b are."""
     F = field(F)
-    a = F.canon(a)
+    a, b = F.canon(a), F.canon(b)
     cols = a.shape[1]
-    R, pivots = rref_fp(np.hstack([a, F.canon(b).reshape(-1, 1)]), F)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = R[: len(pivots), cols]
-    return x
+    R, pivots = rref_fp(np.hstack([a, b.reshape(-1, 1) if b.ndim == 1 else b]), F)
+    rank = sum(1 for c in pivots if c < cols)
+    xs = []
+    for col in R[:, cols:].T:
+        x = np.zeros(cols, dtype=np.int64)
+        x[pivots[:rank]] = col[:rank]
+        xs.append(None if col[rank:].any() else x)
+    return xs if b.ndim == 2 else xs[0]
 
 
 def inv_fp(a, F) -> np.ndarray:

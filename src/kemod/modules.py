@@ -280,22 +280,36 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
     (generic point).
 
     For r = 2 the rank of (X_1 + t X_2)^j is that of its Smith form over
-    F_q[t] (and 0 from j = p on); for r >= 3 it comes from ``_grid_ranks``.
+    F_q[t]; for r >= 3 it comes from the widest ``_grid_ranks`` sweep so far
+    (up to j = p - 1).  From j = p on the rank is 0.
     """
     m.require_valid()
     key = ("generic_ranks", jmax)
     if key in m._cache:
         return m._cache[key]
     F, d = m.ctx, m.dim
-    js = range(1, min(jmax, F.p) + 1)
+    top = min(jmax, F.p)
+    js = range(1, top + 1)
     if d == 0 or m.r == 1:
         ranks = [linalg.rank_fp(linalg.matpow_fp(m.mats[0], j, F), F) if d else 0 for j in js]
     elif m.r == 2:
         ranks = [_snf_of_power(m, j).rank if j < F.p else 0 for j in js]
     else:
-        ranks = _grid_ranks(m, jmax)
+        _grid_bound(m, top)
+        swept = m._cache.get("grid_ranks", [])
+        if len(swept) < min(top, F.p - 1):
+            swept = m._cache["grid_ranks"] = _grid_ranks(m, min(top, F.p - 1))
+        ranks = [swept[j - 1] if j < F.p else 0 for j in js]
     m._cache[key] = ranks
     return ranks
+
+
+def _grid_bound(m: KEModule, jmax: int) -> int:
+    """Side of the rank grid for j <= jmax, or InputError when the grid is too large."""
+    bound = jmax * m.dim + 1
+    if m.r >= 3 and bound ** (m.r - 1) > 300_000:
+        raise InputError("generic-rank grid too large for this rank and dimension")
+    return bound
 
 
 def _grid_ranks(m: KEModule, jmax: int) -> list[int]:
@@ -308,10 +322,8 @@ def _grid_ranks(m: KEModule, jmax: int) -> list[int]:
     """
     F, d = m.ctx, m.dim
     jmax = min(jmax, F.p)
-    bound = jmax * d + 1
+    bound = _grid_bound(m, jmax)
     nvars = m.r - 1
-    if nvars >= 2 and bound**nvars > 300_000:
-        raise InputError("generic-rank grid too large for this rank and dimension")
     mdeg = 1
     while F.q**mdeg < bound:
         mdeg += 1
@@ -402,7 +414,8 @@ def constant_jrank_decide(
     p = m.ctx.p
     if not 1 <= j <= p:
         raise InputError(f"power j must be in 1..{p}")
-    key = ("jrank", j)
+    # r <= 2 is exact; for r >= 3 the answer depends on the sampling
+    key = ("jrank", j) + ((samples, ext_degree, seed) if m.r >= 3 else ())
     if key not in m._cache:
         m._cache[key] = _jrank_decision(m, j, samples, ext_degree, seed)
     return m._cache[key]
@@ -499,7 +512,7 @@ def _witness_from_factor(m: KEModule, j: int, rho: int, factor) -> JRankDecision
 def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None = None, seed: int = 0) -> CJTDecision:
     """Decide constant Jordan type (exact for r <= 2)."""
     m.require_valid()
-    key = ("cjt", samples if m.r >= 3 else None)
+    key = ("cjt", (samples, ext_degree, seed) if m.r >= 3 else None)
     if key in m._cache:
         return m._cache[key]
     p = m.ctx.p

@@ -10,6 +10,13 @@ F is a ``FieldCtx`` or a prime, as in ``linalg``.  The two workhorses are
 * ``shifted_left_kernel`` — the same construction for row vectors with
   per-row degree shifts, which is exactly the section space of the dual
   of a cokernel bundle on the projective line.
+
+Both sweep the degree upward with one elimination per degree: the kernel of
+that degree's linearization and, only where it is larger than the span of
+the shifts of the generators found so far, one reduction of all its rows by
+the echelon form of those shifts and one echelon form of the residuals,
+whose nonzero rows are the degree's new generators.  ``solve_in_basis``
+likewise solves every target of one degree with one echelon form.
 """
 
 from __future__ import annotations
@@ -79,12 +86,33 @@ class GradedGen:
         self.deg = deg
 
 
-def _flatten_shift(g: GradedGen, shift: int, vdeg: int, cols: int) -> np.ndarray:
-    """t^shift * g as a flattened coefficient row in the deg-<=vdeg layout."""
-    v = np.zeros((vdeg + 1) * cols, dtype=np.int64)
-    for e in range(g.deg + 1):
-        v[(e + shift) * cols : (e + shift + 1) * cols] = g.coeffs[:, e]
-    return v
+def _shift_rows(gens: list[GradedGen], n: int, cols: int) -> np.ndarray:
+    """Rows t^e g for every generator g and e = 0..n - deg g, flattened in
+    the deg-<=n layout (coefficient of t^e in block e)."""
+    out = np.zeros((kernel_slice_dim(gens, n), (n + 1) * cols), dtype=np.int64)
+    i = 0
+    for g in gens:
+        flat = g.coeffs.T.reshape(-1)
+        for e in range(n - g.deg + 1):
+            out[i, e * cols : e * cols + flat.size] = flat
+            i += 1
+    return out
+
+
+def _complement(K: np.ndarray, old: np.ndarray, F) -> np.ndarray:
+    """Rows spanning a complement of span(old) in span(K), old independent
+    and inside span(K): one reduction of all of K by the echelon form of old,
+    then one echelon form of the residuals.  The residuals vanish on the
+    pivot columns of old, so their span meets span(old) only in 0."""
+    if old.shape[0]:
+        ech, piv = rref_fp(old, F)
+        K = reduce_rows_fp(K, ech[: len(piv)], piv, F)
+    R, piv = rref_fp(K, F)
+    if len(piv) != K.shape[0] - old.shape[0]:
+        raise ConsistencyError(
+            f"kernel slice of dimension {K.shape[0]} with {old.shape[0]} old shifts has {len(piv)} new generators"
+        )
+    return R[: len(piv)]
 
 
 def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:
@@ -98,7 +126,11 @@ def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:
 
     The returned degrees d_1 <= ... <= d_kappa are the minimal indices;
     the kernel slice in degree n has basis {t^e g : e <= n - deg g}, so
-    its dimension is sum(max(0, n - d_j + 1)).
+    its dimension is sum(max(0, n - d_j + 1)).  A degree whose kernel has
+    more elements than the shifts of the earlier generators gets its new
+    generators in one batch (``_complement``); each has a nonzero top
+    coefficient, since otherwise it would lie in the slice one degree lower,
+    which the earlier shifts span.
     """
     rows, cols, d1 = a.shape
     if kappa == 0:
@@ -107,32 +139,17 @@ def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:
     gens: list[GradedGen] = []
     for delta in range(degcap + 1):
         K = kernel_fp(linearize(a, delta), F)
-        if K.shape[0] == 0:
+        if K.shape[0] == kernel_slice_dim(gens, delta):
             continue
-        old = [
-            _flatten_shift(g, e, delta, cols)
-            for g in gens
-            for e in range(delta - g.deg + 1)
-        ]
-        if old:
-            ech, piv = rref_fp(np.array(old), F)
-            ech = ech[: len(piv)]
-        else:
-            ech, piv = np.zeros((0, (delta + 1) * cols), dtype=np.int64), []
-        for row in K:
-            res = reduce_rows_fp(row[None, :], ech, list(piv), F)[0] if len(piv) else row
-            if not res.any():
-                continue
+        for res in _complement(K, _shift_rows(gens, delta, cols), F):
             coeffs = res.reshape(delta + 1, cols).T.copy()
             if not coeffs[:, delta].any():
                 raise ConsistencyError("minimal kernel generator without top coefficient")
             gens.append(GradedGen(coeffs, delta))
-            stacked = np.vstack([ech, res[None, :]]) if ech.size else res[None, :]
-            ech, piv = rref_fp(stacked, F)
-            ech = ech[: len(piv)]
-            piv = list(piv)
-            if len(gens) == kappa:
-                return gens
+        if len(gens) >= kappa:
+            if len(gens) > kappa:
+                raise ConsistencyError(f"{len(gens)} kernel generators for a kernel of rank {kappa}")
+            return gens
     raise ConsistencyError(
         f"kernel basis incomplete: found {len(gens)} of {kappa} generators below degree {degcap}"
     )
@@ -144,42 +161,28 @@ def kernel_slice_dim(gens: list[GradedGen], n: int) -> int:
 
 def coefficient_rows(gens: list[GradedGen]) -> np.ndarray:
     """All monomial-coefficient vectors of the generators, stacked as rows."""
-    rows = []
-    for g in gens:
-        for e in range(g.deg + 1):
-            rows.append(g.coeffs[:, e])
-    if not rows:
+    if not gens:
         return np.zeros((0, 0), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    return np.hstack([g.coeffs for g in gens]).T
 
 
-def solve_in_basis(gens: list[GradedGen], target: np.ndarray, tdeg: int, dim: int, F):
-    """Express target (coefficient array (dim, tdeg+1)) as sum N_m c_m.
+def solve_in_basis(gens: list[GradedGen], targets: list[np.ndarray], tdeg: int, dim: int, F) -> list:
+    """Express each target (coefficient array (dim, <= tdeg+1)) as sum N_m c_m.
 
-    Degree bounds deg(c_m) <= tdeg - deg(g_m) per the predictable-degree
-    property.  Returns a list of coefficient arrays (len tdeg - deg + 1)
-    or None when the target is not in the span.
+    The targets share the degree tdeg, so one ``solve_fp`` solves them all
+    against the shifts t^e N_m with e <= tdeg - deg(N_m) (the
+    predictable-degree bound).  Returns, per target, a list of coefficient
+    arrays (len tdeg - deg(N_m) + 1), or None when the target is not in the
+    span.
     """
-    cols = []
-    layout = []
-    for m, g in enumerate(gens):
-        emax = tdeg - g.deg
-        for e in range(emax + 1):
-            cols.append(_flatten_shift(g, e, tdeg, dim))
-            layout.append((m, e))
-    rhs = np.zeros((tdeg + 1) * dim, dtype=np.int64)
-    for e in range(min(target.shape[1], tdeg + 1)):
-        rhs[e * dim : (e + 1) * dim] = target[:, e]
-    if not cols:
-        return [] if not rhs.any() else None
-    Amat = np.array(cols, dtype=np.int64).T
-    x = solve_fp(Amat, rhs, F)
-    if x is None:
-        return None
-    out = [np.zeros(max(0, tdeg - g.deg + 1), dtype=np.int64) for g in gens]
-    for val, (m, e) in zip(x, layout):
-        out[m][e] = val
-    return out
+    B = np.zeros((len(targets), (tdeg + 1) * dim), dtype=np.int64)
+    for j, t in enumerate(targets):
+        w = min(t.shape[1], tdeg + 1)
+        B[j, : w * dim] = t[:, :w].T.reshape(-1)
+    sizes = [max(0, tdeg - g.deg + 1) for g in gens]
+    starts = np.cumsum([0] + sizes)
+    xs = solve_fp(_shift_rows(gens, tdeg, dim).T, B.T, F)
+    return [None if x is None else [x[s : s + size] for s, size in zip(starts, sizes)] for x in xs]
 
 
 def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]:
@@ -188,84 +191,66 @@ def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]
     psi has shifted degree <= n when deg(psi_m) <= n + rowshifts[m]; the
     returned indices eps (len == count) are the degrees where minimal
     generators appear, so the solution space at shifted degree n has
-    dimension sum(max(0, n - eps_j + 1)).
+    dimension sum(max(0, n - eps_j + 1)).  New generators are chosen per
+    degree in one batch, as in ``graded_kernel_basis``.
     """
     rows, cols, d1 = c.shape
     if count == 0:
         return []
     smax = max(rowshifts) if rowshifts else 0
     degcap = (d1 - 1) * max(1, rows) + smax + cols + 5
+    shifts = np.array(rowshifts, dtype=np.int64)
 
-    gens: list[tuple[int, list[np.ndarray]]] = []  # (n0, per-row coeff arrays)
+    def layout(n: int):
+        """Segment offsets of the shifted-degree-n layout, and the row and
+        the power of t of each of its entries."""
+        lens = np.maximum(0, n + shifts + 1)
+        offs = np.cumsum(lens) - lens
+        row = np.repeat(np.arange(rows), lens)
+        return offs, row, np.arange(row.size) - offs[row]
 
-    def psi_flatten(per_row: list[np.ndarray], n0: int, shift: int, n: int) -> np.ndarray:
-        segs = []
-        for m in range(rows):
-            ln = max(0, n + rowshifts[m] + 1)
-            seg = np.zeros(ln, dtype=np.int64)
-            src = per_row[m]
-            if src.size:
-                seg[shift : shift + src.size] = src
-            segs.append(seg)
-        return np.concatenate(segs) if segs else np.zeros(0, dtype=np.int64)
+    # generators (n0, entries at level n0, their rows, their powers of t)
+    gens: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def shift_rows(n: int, total: int) -> np.ndarray:
+        """Rows t^e psi for every generator psi of level n0 and e <= n - n0."""
+        offs = layout(n)[0]
+        out = np.zeros((sum(n - g[0] + 1 for g in gens), total), dtype=np.int64)
+        i = 0
+        for n0, vec, row, local in gens:
+            base = offs[row] + local
+            for e in range(n - n0 + 1):
+                out[i, base + e] = vec
+                i += 1
+        return out
 
     def constraint_matrix(n: int):
-        lens = [max(0, n + rowshifts[m] + 1) for m in range(rows)]
-        total = sum(lens)
-        if total == 0:
-            return None, lens
-        if cols == 0:
-            return np.zeros((0, total), dtype=np.int64), lens
+        """psi -> psi * c on the shifted-degree-n layout, None when it is empty."""
+        _, row, e = layout(n)
+        if row.size == 0:
+            return None
         outdeg = n + smax + d1  # generous output degree bound
-        blocks = []
-        for j in range(cols):
-            block = np.zeros((outdeg + 1, total), dtype=np.int64)
-            off = 0
-            for m in range(rows):
-                ln = lens[m]
-                if ln:
-                    entry = c[m, j]  # coeff array length d1
-                    for e in range(ln):
-                        hi = min(d1, outdeg + 1 - e)
-                        block[e : e + hi, off + e] = entry[:hi]
-                off += ln
-            blocks.append(block)
-        return np.vstack(blocks), lens
+        M = np.zeros((cols * (outdeg + 1), row.size), dtype=np.int64)
+        top = np.arange(cols)[:, None] * (outdeg + 1)  # first row of each column's block
+        for i in range(d1):
+            M[top + e + i, np.arange(row.size)] = c[row, :, i].T
+        return M
 
-    n = -smax
-    while n <= degcap:
-        M, lens = constraint_matrix(n)
-        if M is not None:
-            K = kernel_fp(M, F)
-            old = []
-            for n0, per_row in gens:
-                for e in range(n - n0 + 1):
-                    old.append(psi_flatten(per_row, n0, e, n))
-            if old:
-                ech, piv = rref_fp(np.array(old), F)
-                ech = ech[: len(piv)]
-                piv = list(piv)
-            else:
-                ech, piv = np.zeros((0, M.shape[1]), dtype=np.int64), []
-            for row in K:
-                res = reduce_rows_fp(row[None, :], ech, piv, F)[0] if piv else row
-                if not res.any():
-                    continue
-                per_row = []
-                off = 0
-                for m in range(rows):
-                    per_row.append(res[off : off + lens[m]].copy())
-                    off += lens[m]
-                gens.append((n, per_row))
-                stacked = np.vstack([ech, res[None, :]]) if ech.size else res[None, :]
-                ech, piv = rref_fp(stacked, F)
-                ech = ech[: len(piv)]
-                piv = list(piv)
-                if len(gens) == count:
-                    eps = sorted(g[0] for g in gens)
-                    _verify_shifted_dims(F, eps, constraint_matrix)
-                    return eps
-        n += 1
+    for n in range(-smax, degcap + 1):
+        M = constraint_matrix(n)
+        if M is None:
+            continue
+        K = kernel_fp(M, F)
+        if K.shape[0] != sum(n - g[0] + 1 for g in gens):
+            _, row, local = layout(n)
+            for res in _complement(K, shift_rows(n, K.shape[1]), F):
+                gens.append((n, res, row, local))
+        if len(gens) >= count:
+            if len(gens) > count:
+                raise ConsistencyError(f"{len(gens)} left kernel generators for {count} expected")
+            eps = [g[0] for g in gens]
+            _verify_shifted_dims(F, eps, constraint_matrix)
+            return eps
     raise ConsistencyError(
         f"left kernel incomplete: found {len(gens)} of {count} generators below degree {degcap}"
     )
@@ -274,8 +259,8 @@ def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]
 def _verify_shifted_dims(F, eps, constraint_matrix):
     """Insurance: predicted slice dims must match for two degrees past the last index."""
     for n in (max(eps) + 1, max(eps) + 2):
-        M, lens = constraint_matrix(n)
-        got = sum(lens) if M is None else kernel_fp(M, F).shape[0]
+        M = constraint_matrix(n)
+        got = 0 if M is None else kernel_fp(M, F).shape[0]
         want = sum(max(0, n - e + 1) for e in eps)
         if got != want:
             raise ConsistencyError(

@@ -231,33 +231,27 @@ def splitting_type(
 def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
     F, d = m.ctx, m.dim
     basis = m.kernel_generators(i)
-    shifts = [g.deg for g in basis]
-    cols = []
-    for w in m.kernel_generators(i - 1):
-        coords = pencil.solve_in_basis(basis, w.coeffs, w.deg, d, F)
-        if coords is None:
-            raise ConsistencyError("lower kernel generator outside the kernel basis")
-        cols.append((coords, w.deg))
     A = m.pencil()
-    for w in m.kernel_generators(i + 1):
-        tgt = pencil.pm_mul(A, w.coeffs[:, None, :], F)[:, 0, :]
-        coords = pencil.solve_in_basis(basis, tgt, w.deg + 1, d, F)
-        if coords is None:
-            raise ConsistencyError("pencil image outside the kernel basis")
-        cols.append((coords, w.deg + 1))
-    nrows = len(basis)
-    ncols = len(cols)
-    maxdeg = 0
-    for coords, cdeg in cols:
-        for arr in coords:
-            if arr.size:
-                maxdeg = max(maxdeg, arr.size - 1)
-    C = np.zeros((nrows, ncols, maxdeg + 1), dtype=np.int64)
-    for cj, (coords, cdeg) in enumerate(cols):
-        for rj, arr in enumerate(coords):
-            if arr.size:
-                C[rj, cj, : arr.size] = arr
-    eps = pencil.shifted_left_kernel(C, shifts, F, a_i)
+    # (coefficients, degree, what) of the lower kernel generators and the pencil images
+    targets = [(w.coeffs, w.deg, "lower kernel generator") for w in m.kernel_generators(i - 1)]
+    targets += [
+        (pencil.pm_mul(A, w.coeffs[:, None, :], F)[:, 0, :], w.deg + 1, "pencil image")
+        for w in m.kernel_generators(i + 1)
+    ]
+    coords: list = [None] * len(targets)
+    for tdeg in sorted({t[1] for t in targets}):
+        idx = [k for k, t in enumerate(targets) if t[1] == tdeg]
+        sols = pencil.solve_in_basis(basis, [targets[k][0] for k in idx], tdeg, d, F)
+        for k, sol in zip(idx, sols):
+            if sol is None:
+                raise ConsistencyError(f"{targets[k][2]} outside the kernel basis")
+            coords[k] = sol
+    maxdeg = max([0] + [arr.size - 1 for col in coords for arr in col])
+    C = np.zeros((len(basis), len(coords), maxdeg + 1), dtype=np.int64)
+    for cj, col in enumerate(coords):
+        for rj, arr in enumerate(col):
+            C[rj, cj, : arr.size] = arr
+    eps = pencil.shifted_left_kernel(C, [g.deg for g in basis], F, a_i)
     return SplittingType(e - (i - 1) for e in eps)
 
 

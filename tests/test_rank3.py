@@ -2,8 +2,10 @@
 generic ranks via grids, slice dimensions, and line restrictions."""
 
 import numpy as np
+import pytest
 
 import kemod as K
+from kemod.errors import InputError
 from kemod.gf import FieldCtx
 from kemod.linalg import rank_gen
 from kemod.poly import RationalFunction
@@ -120,3 +122,41 @@ def test_rational_points_are_searched_before_random_samples():
     assert dec.witness["rank_there"] < dec.witness["generic_rank"]
     free = K.constant_jordan_type(rank3_free())
     assert free.kind == "probably_cjt" and repr(free.jordan_type) == "[2]^4"
+
+
+def test_decision_cache_keys_on_sampling():
+    # with no samples nothing is tested; a later default call must not
+    # reuse that answer
+    j = np.zeros((2, 2), dtype=np.int64)
+    j[1, 0] = 1
+    z = np.zeros((2, 2), dtype=np.int64)
+    m = K.KEModule(F2, 3, [j, z, z])
+    assert K.constant_jordan_type(m, samples=0).kind == "probably_cjt"
+    assert K.constant_jordan_type(m).kind == "not_cjt"
+    assert K.constant_jrank_decide(m, 1, samples=0).kind == "probably_constant"
+
+
+def test_rank_grid_swept_once_per_module(monkeypatch):
+    from kemod import modules
+
+    widths = []
+    real = modules._grid_ranks
+    monkeypatch.setattr(modules, "_grid_ranks", lambda m, jmax: widths.append(jmax) or real(m, jmax))
+    dec = K.constant_jordan_type(K.free_module(F2, 3))
+    assert widths == [1]
+    assert dec.kind == "probably_cjt" and repr(dec.jordan_type) == "[2]^4"
+    jb = np.eye(3, k=-1, dtype=np.int64)  # one Jordan block of size 3
+    m = K.KEModule(F3, 3, [jb, np.zeros_like(jb), np.zeros_like(jb)])
+    assert modules.generic_power_ranks(m, 2) == [2, 1]
+    assert modules.generic_power_ranks(m, 1) == [2] and modules.generic_power_ranks(m, 3) == [2, 1, 0]
+    assert widths == [1, 2]
+
+
+def test_rank_grid_cap_counts_the_power_p():
+    # jmax = p = 2 at dim 274 asks for a 549 x 549 grid, over the cap, even
+    # though the rank of X_alpha^2 is 0 without any grid
+    from kemod import modules
+
+    m = K.trivial_module(F2, 3, 274)
+    with pytest.raises(InputError):
+        modules.generic_power_ranks(m, 2)
