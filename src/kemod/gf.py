@@ -11,6 +11,10 @@ factor-extraction routines on code lists (square-free part, one
 irreducible factor) needed to name jump points of polynomial matrices by
 their minimal polynomials, and the extension fields F_{q^m} that the
 generic-rank grid and the r >= 3 sampling evaluate in.
+
+Thread policy: float64 products (``_matmul_mod``) are made in pieces below
+OpenBLAS's single-thread cutoff, so no thread setting is needed; only one
+too wide for two of its rows to fit under the cutoff gets BLAS's threads.
 """
 
 from __future__ import annotations
@@ -111,16 +115,33 @@ def find_irreducible_fp(p: int, k: int, seed: int = 0) -> list[int]:
             return f
 
 
+# OpenBLAS makes a dgemm on the calling thread when M * N * K <= 65536 *
+# GEMM_MULTITHREAD_THRESHOLD (4 by default); past that it wakes worker
+# threads, which made an exact 160^3 product take 14 ms against 1.1 ms in
+# pieces (2-CPU machine).
+ONE_THREAD_MNK = 65536 * 4
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p for residue arrays, via float64 BLAS when safe."""
-    inner = a.shape[-1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if (p - 1) * (p - 1) * inner < 2**53:
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        np.remainder(c, p, out=c)
-        return c.astype(np.int64)
-    return (a @ b) % p
+    """Exact a @ b mod p for residue arrays, via float64 BLAS when safe, in
+    pieces of whole rows with at most ONE_THREAD_MNK multiply-adds each.  A
+    product of which two rows already pass that is made in one call: pieces
+    of it would be slivers that BLAS makes many times slower, and its worker
+    threads pay for themselves there."""
+    n, inner = a.shape
+    m = b.shape[1]
+    if (p - 1) * (p - 1) * inner >= 2**53:
+        return (a @ b) % p
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    step = ONE_THREAD_MNK // max(1, inner * m)
+    if step >= n or step < 2:
+        c = a @ b
+        return np.remainder(c, p, out=c).astype(np.int64)
+    out = np.empty((n, m), dtype=np.int64)
+    for i in range(0, n, step):
+        c = a[i : i + step] @ b
+        out[i : i + step] = np.remainder(c, p, out=c)
+    return out
 
 
 class FieldCtx:
@@ -169,9 +190,7 @@ class FieldCtx:
         for e in range(2 * k - 1):
             r = dpoly.rem(ops, [0] * e + [1], list(modulus))
             red.append(r + [0] * (k - len(r)))
-        self._fold_mat = np.array(
-            [red[i + j] for i in range(k) for j in range(k)], dtype=np.float64
-        )
+        self._fold_mat = np.array([red[i + j] for i in range(k) for j in range(k)], dtype=np.int64)
         self._log = None
         self.ops = IntModOps(p) if k == 1 else _ExtOps(self)
 
@@ -370,8 +389,8 @@ class FieldCtx:
 
     def _fold(self, outer: np.ndarray):
         """Codes of sum_ij outer[..., i, j] x^(i+j), outer holding residues."""
-        flat = outer.reshape(outer.shape[:-2] + (self.k * self.k,)).astype(np.float64)
-        return self._undigits((flat @ self._fold_mat).astype(np.int64) % self.p)
+        flat = _matmul_mod(outer.reshape(-1, self.k * self.k), self._fold_mat, self.p)
+        return self._undigits(flat.reshape(outer.shape[:-2] + (self.k,)))
 
     def _mul_digits(self, a, b):
         da, db = self._digits(a), self._digits(b)

@@ -4,9 +4,10 @@ rational-function scalars of the symbolic generic-point computations.
 Matrices over F_q are int64 arrays of element codes (see ``gf.FieldCtx``);
 every routine takes the field as a ``FieldCtx`` or, for a prime field, as
 the plain prime p, and does its arithmetic through the field's array
-methods.  Row reduction is vectorized per pivot; matrix products go
+methods.  Row reduction is vectorized per pivot.  Matrix products go
 through float64 BLAS when the intermediate values provably fit in the
-53-bit mantissa.
+53-bit mantissa, in pieces that BLAS makes on the calling thread unless a
+product is very wide (``gf._matmul_mod``), so no thread setting is needed.
 """
 
 from __future__ import annotations
@@ -39,15 +40,17 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, F) -> np.ndarray:
 
 
 def matpow_fp(a: np.ndarray, e: int, F) -> np.ndarray:
+    """a^e over F_q by binary powering from the lowest set bit of e; no
+    product by the identity and no squaring past the highest bit."""
     F = field(F)
-    result = np.eye(a.shape[0], dtype=np.int64)
-    base = F.canon(a)
-    while e:
+    base, result = F.canon(a), None
+    while True:
         if e & 1:
-            result = F.matmul(result, base)
-        base = F.matmul(base, base)
+            result = base.copy() if result is None else F.matmul(result, base)
         e >>= 1
-    return result
+        if not e:
+            return np.eye(a.shape[0], dtype=np.int64) if result is None else result
+        base = F.matmul(base, base)
 
 
 def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
@@ -92,6 +95,11 @@ def kernel_fp(a, F) -> np.ndarray:
     """Row basis of the right kernel {x : a @ x = 0} over F_q."""
     F = field(F)
     R, pivots = rref_fp(a, F)
+    return kernel_of_rref(R, pivots, F)
+
+
+def kernel_of_rref(R: np.ndarray, pivots: list[int], F: FieldCtx) -> np.ndarray:
+    """The kernel basis of an RREF: one row per free column."""
     cols = R.shape[1]
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False

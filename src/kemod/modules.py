@@ -304,12 +304,16 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
     return ranks
 
 
+def _grid_fits(m: KEModule, jmax: int) -> bool:
+    """Whether the rank grid for j <= jmax is within the cap."""
+    return m.r < 3 or (jmax * m.dim + 1) ** (m.r - 1) <= 300_000
+
+
 def _grid_bound(m: KEModule, jmax: int) -> int:
     """Side of the rank grid for j <= jmax, or InputError when the grid is too large."""
-    bound = jmax * m.dim + 1
-    if m.r >= 3 and bound ** (m.r - 1) > 300_000:
+    if not _grid_fits(m, jmax):
         raise InputError("generic-rank grid too large for this rank and dimension")
-    return bound
+    return jmax * m.dim + 1
 
 
 def _grid_ranks(m: KEModule, jmax: int) -> list[int]:
@@ -516,6 +520,8 @@ def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None 
     if key in m._cache:
         return m._cache[key]
     p = m.ctx.p
+    if m.r >= 3 and _grid_fits(m, p - 1):
+        generic_power_ranks(m, p - 1)  # one grid sweep for every j below
     probable = False
     for j in range(1, p):
         dec = constant_jrank_decide(m, j, samples=samples, ext_degree=ext_degree, seed=seed + j)

@@ -11,12 +11,14 @@ F is a ``FieldCtx`` or a prime, as in ``linalg``.  The two workhorses are
   per-row degree shifts, which is exactly the section space of the dual
   of a cokernel bundle on the projective line.
 
-Both sweep the degree upward with one elimination per degree: the kernel of
-that degree's linearization and, only where it is larger than the span of
-the shifts of the generators found so far, one reduction of all its rows by
-the echelon form of those shifts and one echelon form of the residuals,
-whose nonzero rows are the degree's new generators.  ``solve_in_basis``
-likewise solves every target of one degree with one echelon form.
+Both sweep the degree upward.  Where a degree's kernel is larger than the
+span of the shifts of the earlier generators, one reduction of all its rows
+by the echelon form of those shifts and one echelon form of the residuals
+give the degree's new generators.  Neither eliminates each degree anew: the
+unknowns of degree <= n come first, so one echelon form up to a top degree
+holds that of every lower degree as a column prefix (``_PrefixEchelon``),
+and the top grows when the sweep passes it.  ``solve_in_basis`` solves
+every target of one degree with one echelon form.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .linalg import field, kernel_fp, matmul_fp, reduce_rows_fp, rref_fp, solve_fp
+from .linalg import field, kernel_of_rref, matmul_fp, reduce_rows_fp, rref_fp, solve_fp
 
 Pm = np.ndarray  # (rows, cols, deg+1)
 
@@ -74,6 +76,25 @@ def linearize(a: Pm, vdeg: int) -> np.ndarray:
         for i in range(d1):
             out[(e + i) * rows : (e + i + 1) * rows, e * cols : (e + 1) * cols] = a[:, :, i]
     return out
+
+
+class _PrefixEchelon:
+    """One echelon form of M read at the column prefixes M[:, :ends[k]]: the
+    RREF of a column prefix is the prefix of the RREF, so each prefix's
+    nullity and kernel (as ``kernel_fp`` gives it) come without a new
+    elimination."""
+
+    def __init__(self, M: np.ndarray, ends: np.ndarray, F):
+        self.F, self.ends = field(F), ends
+        self.R, self.piv = rref_fp(M, self.F)
+        self.ranks = np.searchsorted(self.piv, ends)
+
+    def nullity(self, k: int) -> int:
+        return int(self.ends[k] - self.ranks[k])
+
+    def kernel(self, k: int) -> np.ndarray:
+        r = self.ranks[k]
+        return kernel_of_rref(self.R[:r, : self.ends[k]], self.piv[:r], self.F)
 
 
 class GradedGen:
@@ -126,22 +147,28 @@ def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:
 
     The returned degrees d_1 <= ... <= d_kappa are the minimal indices;
     the kernel slice in degree n has basis {t^e g : e <= n - deg g}, so
-    its dimension is sum(max(0, n - d_j + 1)).  A degree whose kernel has
-    more elements than the shifts of the earlier generators gets its new
-    generators in one batch (``_complement``); each has a nonzero top
-    coefficient, since otherwise it would lie in the slice one degree lower,
-    which the earlier shifts span.
+    its dimension is sum(max(0, n - d_j + 1)).  The unknowns of degree
+    <= n are a column prefix of ``linearize(a, top)`` for n <= top, so one
+    echelon form up to a top degree gives every lower degree's nullity and
+    kernel (``_PrefixEchelon``); the top grows by half when the sweep
+    passes it.  Where the nullity exceeds the span of the shifts of the
+    earlier generators, the kernel gives the new ones in one batch
+    (``_complement``); each has a nonzero top coefficient, since otherwise
+    it would lie in the slice one degree lower, which the earlier shifts span.
     """
     rows, cols, d1 = a.shape
     if kappa == 0:
         return []
     degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
     gens: list[GradedGen] = []
+    top = -1
     for delta in range(degcap + 1):
-        K = kernel_fp(linearize(a, delta), F)
-        if K.shape[0] == kernel_slice_dim(gens, delta):
+        if delta > top:  # degree 0 alone first, then the top grows by half
+            top = min(max(3, top * 3 // 2) if delta else 0, degcap)
+            ech = _PrefixEchelon(linearize(a, top), cols * np.arange(1, top + 2), F)
+        if ech.nullity(delta) == kernel_slice_dim(gens, delta):
             continue
-        for res in _complement(K, _shift_rows(gens, delta, cols), F):
+        for res in _complement(ech.kernel(delta), _shift_rows(gens, delta, cols), F):
             coeffs = res.reshape(delta + 1, cols).T.copy()
             if not coeffs[:, delta].any():
                 raise ConsistencyError("minimal kernel generator without top coefficient")
@@ -191,8 +218,13 @@ def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]
     psi has shifted degree <= n when deg(psi_m) <= n + rowshifts[m]; the
     returned indices eps (len == count) are the degrees where minimal
     generators appear, so the solution space at shifted degree n has
-    dimension sum(max(0, n - eps_j + 1)).  New generators are chosen per
-    degree in one batch, as in ``graded_kernel_basis``.
+    dimension sum(max(0, n - eps_j + 1)).  The unknowns are ordered by level
+    (the coefficient of t^e in psi_m has level e - rowshifts[m]), so those of
+    shifted degree <= n are a prefix of the columns and one echelon form of
+    the constraint matrix up to a top degree gives the kernel of every lower
+    degree; the top grows until the generators and the dimensions of two
+    more degrees are in.  New generators are chosen per degree in one batch,
+    as in ``graded_kernel_basis``.
     """
     rows, cols, d1 = c.shape
     if count == 0:
@@ -201,68 +233,56 @@ def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]
     degcap = (d1 - 1) * max(1, rows) + smax + cols + 5
     shifts = np.array(rowshifts, dtype=np.int64)
 
-    def layout(n: int):
-        """Segment offsets of the shifted-degree-n layout, and the row and
-        the power of t of each of its entries."""
-        lens = np.maximum(0, n + shifts + 1)
-        offs = np.cumsum(lens) - lens
-        row = np.repeat(np.arange(rows), lens)
-        return offs, row, np.arange(row.size) - offs[row]
-
-    # generators (n0, entries at level n0, their rows, their powers of t)
-    gens: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def shift_rows(n: int, total: int) -> np.ndarray:
-        """Rows t^e psi for every generator psi of level n0 and e <= n - n0."""
-        offs = layout(n)[0]
-        out = np.zeros((sum(n - g[0] + 1 for g in gens), total), dtype=np.int64)
-        i = 0
-        for n0, vec, row, local in gens:
-            base = offs[row] + local
-            for e in range(n - n0 + 1):
-                out[i, base + e] = vec
-                i += 1
-        return out
-
-    def constraint_matrix(n: int):
-        """psi -> psi * c on the shifted-degree-n layout, None when it is empty."""
-        _, row, e = layout(n)
-        if row.size == 0:
-            return None
-        outdeg = n + smax + d1  # generous output degree bound
+    def sweep(top: int):
+        """The indices from one echelon form up to shifted degree top, or
+        None when that is too low to find and check them."""
+        levels = np.arange(-smax, top + 1)
+        active = shifts[None, :] + levels[:, None] >= 0
+        lev, row = np.nonzero(active)  # level index and row of each unknown, level-major
+        power = levels[lev] + shifts[row]
+        ends = np.cumsum(active.sum(axis=1))  # columns of the levels up to each one
+        column = np.full((levels.size, rows), -1)
+        column[lev, row] = np.arange(row.size)
+        outdeg = top + smax + d1
         M = np.zeros((cols * (outdeg + 1), row.size), dtype=np.int64)
-        top = np.arange(cols)[:, None] * (outdeg + 1)  # first row of each column's block
         for i in range(d1):
-            M[top + e + i, np.arange(row.size)] = c[row, :, i].T
-        return M
+            M[np.arange(cols)[:, None] * (outdeg + 1) + power + i, np.arange(row.size)] = c[row, :, i].T
+        ech = _PrefixEchelon(M, ends, F)
+        gens: list[tuple[int, np.ndarray, int]] = []  # (level index, entries, their count)
+        done = None
+        for k, n in enumerate(levels):
+            want = sum(k - g[0] + 1 for g in gens)
+            got = ech.nullity(k)
+            if done is not None:
+                # insurance: the predicted dimensions for two degrees past the last index
+                if got != want:
+                    raise ConsistencyError(f"shifted kernel dimension {got} != predicted {want} at degree {n}")
+                if k == done + 2:
+                    return [int(levels[g[0]]) for g in gens]
+                continue
+            if got != want:
+                old = np.zeros((want, ends[k]), dtype=np.int64)
+                i = 0
+                for k0, vec, size in gens:
+                    for e in range(k - k0 + 1):
+                        old[i, column[lev[:size] + e, row[:size]]] = vec
+                        i += 1
+                for res in _complement(ech.kernel(k), old, F):
+                    gens.append((k, res, ends[k]))
+            if len(gens) >= count:
+                if len(gens) > count:
+                    raise ConsistencyError(f"{len(gens)} left kernel generators for {count} expected")
+                if n > degcap:
+                    return None
+                done = k
+        return None
 
-    for n in range(-smax, degcap + 1):
-        M = constraint_matrix(n)
-        if M is None:
-            continue
-        K = kernel_fp(M, F)
-        if K.shape[0] != sum(n - g[0] + 1 for g in gens):
-            _, row, local = layout(n)
-            for res in _complement(K, shift_rows(n, K.shape[1]), F):
-                gens.append((n, res, row, local))
-        if len(gens) >= count:
-            if len(gens) > count:
-                raise ConsistencyError(f"{len(gens)} left kernel generators for {count} expected")
-            eps = [g[0] for g in gens]
-            _verify_shifted_dims(F, eps, constraint_matrix)
+    span = 4
+    while True:
+        top = min(span - smax, degcap + 2)
+        eps = sweep(top)
+        if eps is not None:
             return eps
-    raise ConsistencyError(
-        f"left kernel incomplete: found {len(gens)} of {count} generators below degree {degcap}"
-    )
-
-
-def _verify_shifted_dims(F, eps, constraint_matrix):
-    """Insurance: predicted slice dims must match for two degrees past the last index."""
-    for n in (max(eps) + 1, max(eps) + 2):
-        M = constraint_matrix(n)
-        got = 0 if M is None else kernel_fp(M, F).shape[0]
-        want = sum(max(0, n - e + 1) for e in eps)
-        if got != want:
-            raise ConsistencyError(
-                f"shifted kernel dimension {got} != predicted {want} at degree {n}"
-            )
+        if top == degcap + 2:
+            raise ConsistencyError(f"left kernel incomplete: fewer than {count} generators below degree {degcap}")
+        span = span * 3 // 2

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from kemod import dpoly
+from kemod import dpoly, gf
 from kemod.errors import InputError
 from kemod.gf import (
     FieldCtx,
@@ -126,3 +127,52 @@ def test_tower_extension_over_f4():
     x = ext.decode(root)
     inv = x.inverse()
     assert x * inv == ext.one
+
+
+def _exact_product(a, b, p):
+    return (a @ b) % p
+
+
+@pytest.mark.parametrize(
+    "n,inner,m",
+    [
+        (63, 64, 64), (64, 64, 64), (65, 64, 64), (129, 64, 64),  # whole-row pieces of 64 rows
+        (3, 300, 400),  # pieces of two rows
+        (30, 300, 900), (1, 300, 900),  # two rows past the cutoff: one call
+        (5, 0, 7), (1, 6, 4), (0, 5, 3), (4, 5, 0),
+    ],
+)
+def test_chunked_product_is_exact(n, inner, m):
+    rng = np.random.default_rng(n * 1000 + inner + m)
+    for p in (2, 5, 1048573):
+        a, b = rng.integers(0, p, (n, inner)), rng.integers(0, p, (inner, m))
+        got = gf._matmul_mod(a, b, p)
+        assert got.dtype == np.int64 and got.shape == (n, m)
+        assert np.array_equal(got, _exact_product(a, b, p)), p
+
+
+def test_chunked_product_with_tiny_pieces(monkeypatch):
+    monkeypatch.setattr(gf, "ONE_THREAD_MNK", 50)
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        n, inner, m = (int(x) for x in rng.integers(0, 13, 3))
+        a, b = rng.integers(0, 7, (n, inner)), rng.integers(0, 7, (inner, m))
+        assert np.array_equal(gf._matmul_mod(a, b, 7), _exact_product(a, b, 7))
+    # the digit planes of F_{3^4} folded in pieces as well
+    F = FieldCtx(3, 4)
+    x, y = rng.integers(0, F.q, (9, 11)), rng.integers(0, F.q, (11, 6))
+    monkeypatch.setattr(gf, "ONE_THREAD_MNK", 2**40)
+    whole = F.matmul(x, y), F._mul_digits(x[:, :6], y[:9])
+    monkeypatch.setattr(gf, "ONE_THREAD_MNK", 50)
+    assert np.array_equal(F.matmul(x, y), whole[0])
+    assert np.array_equal(F._mul_digits(x[:, :6], y[:9]), whole[1])
+
+
+def test_product_past_the_float64_bound_is_exact():
+    # (p - 1)^2 * inner >= 2^53: the int64 fallback
+    p, inner = 1048573, 9000
+    assert (p - 1) ** 2 * inner >= 2**53
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, p, (2, inner)), rng.integers(0, p, (inner, 3))
+    want = np.array([[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a])
+    assert np.array_equal(gf._matmul_mod(a, b, p), want)

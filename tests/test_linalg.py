@@ -107,3 +107,15 @@ def test_matmul_fp_large_values_exact():
     a = np.full((40, 40), p - 1, dtype=np.int64)
     c = linalg.matmul_fp(a, a, p)
     assert (c == (40 * 16) % p).all()
+
+
+def test_matpow_matches_repeated_products():
+    rng = random.Random(4)
+    for F in (FieldCtx(5), FieldCtx(3, 2)):
+        a = np.array([[F.random_code(rng) for _ in range(6)] for _ in range(6)], dtype=np.int64)
+        want = np.eye(6, dtype=np.int64)
+        for e in range(10):
+            got = linalg.matpow_fp(a, e, F)
+            assert np.array_equal(got, want), (F, e)
+            assert got is not a
+            want = linalg.matmul_fp(want, a, F)

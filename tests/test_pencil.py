@@ -1,14 +1,19 @@
-"""The batched pencil engine against the one-row-at-a-time engine it replaced.
+"""The pencil engine against the engines it replaced.
 
-The oracles below select kernel generators one candidate row at a time,
-re-echelonizing after each one; the library selects each degree's new
-generators in one batch.  Both must find the same minimal indices, and
-their generators must span the same module.
+The row-at-a-time oracles select kernel generators one candidate row at a
+time, re-echelonizing after each one; the library selects each degree's new
+generators in one batch.  Both must find the same minimal indices, and their
+generators must span the same module.  The from-scratch oracle is the batched
+engine with each degree's kernel computed from its whole linearization; the
+library reads every degree's kernel off one echelon form up to a top degree,
+and its generators must be the same arrays.
 """
 
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import kemod as K
 from kemod import linalg, pencil
@@ -122,6 +127,23 @@ def oracle_shifted_left_kernel(c, rowshifts, F, count):
     raise ConsistencyError("oracle left kernel incomplete")
 
 
+def oracle_scratch_graded_kernel_basis(a, F, kappa):
+    rows, cols, d1 = a.shape
+    if kappa == 0:
+        return []
+    degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
+    gens = []
+    for delta in range(degcap + 1):
+        K_ = linalg.kernel_fp(pencil.linearize(a, delta), F)
+        if K_.shape[0] == pencil.kernel_slice_dim(gens, delta):
+            continue
+        for res in pencil._complement(K_, pencil._shift_rows(gens, delta, cols), F):
+            gens.append(GradedGen(res.reshape(delta + 1, cols).T.copy(), delta))
+        if len(gens) >= kappa:
+            return gens
+    raise ConsistencyError("oracle kernel basis incomplete")
+
+
 # -- inputs --------------------------------------------------------------------------
 
 
@@ -143,6 +165,12 @@ def _family():
     mods += [K.w_module(FieldCtx(2, 2), n, d) for n, d in [(2, 2), (3, 2), (4, 2)]]
     mods += [K.w_module(FieldCtx(3, 2), n, d) for n, d in [(2, 2), (3, 3), (4, 2)]]
     return mods
+
+
+def _w_grid_and_mixed():
+    rng = random.Random(11)
+    grid = [K.w_module(p, n, d) for p in (2, 3, 5) for n in range(1, 6) for d in range(1, min(n, p) + 1)]
+    return grid + [_disguise(m, rng) for m in grid] + [mem.module for mem in mixed_family(12, seed=5, max_dim=12)]
 
 
 def _solvable(gens, targets, F, dim):
@@ -222,3 +250,49 @@ def test_solve_in_basis_without_generators():
     zero = np.zeros((2, 1), dtype=np.int64)
     one = np.ones((2, 1), dtype=np.int64)
     assert pencil.solve_in_basis([], [zero, one], 0, 2, 3) == [[], None]
+
+
+def test_prefix_echelon_generators_equal_the_from_scratch_engine():
+    for m in _w_grid_and_mixed():
+        F = m.ctx
+        for ell in range(1, F.p + 1):
+            a = m.power_pencil(ell)
+            kappa = m.dim - generic_power_ranks(m, ell)[-1]
+            new = pencil.graded_kernel_basis(a, F, kappa)
+            old = oracle_scratch_graded_kernel_basis(a, F, kappa)
+            assert [(g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in new] == [
+                (g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in old
+            ], (m, ell)
+
+
+@pytest.mark.parametrize(
+    "F", [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}"
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prefix_echelon_matches_kernel_fp_of_each_prefix(F, data):
+    """Every column prefix's nullity and kernel equal those of kernel_fp of
+    the prefix itself: random block-Toeplitz sweeps (blocks of random
+    sizes, empty ones too, rows below each prefix) and random dense matrices."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    density = data.draw(st.sampled_from([0.15, 0.5, 1.0]))
+    rows, cols, d1 = (data.draw(st.integers(0, 5)) for _ in range(3))
+    if data.draw(st.booleans()):
+        a = np.array(
+            [F.random_code(rng) if rng.random() < density else 0 for _ in range(rows * cols * (d1 + 1))],
+            dtype=np.int64,
+        ).reshape(rows, cols, d1 + 1)
+        top = data.draw(st.integers(0, 5))
+        M, ends = pencil.linearize(a, top), cols * np.arange(1, top + 2)
+    else:
+        M = np.array(
+            [F.random_code(rng) if rng.random() < density else 0 for _ in range(rows * cols * 4)],
+            dtype=np.int64,
+        ).reshape(rows * 2, cols * 2)
+        ends = np.array(sorted(data.draw(st.lists(st.integers(0, cols * 2), min_size=1, max_size=5))))
+    ech = pencil._PrefixEchelon(M, ends, F)
+    for k, end in enumerate(ends):
+        want = linalg.kernel_fp(M[:, :end], F)
+        assert ech.nullity(k) == want.shape[0]
+        got = ech.kernel(k)
+        assert got.dtype == np.int64 and np.array_equal(got, want), (k, end)

@@ -160,3 +160,27 @@ def test_rank_grid_cap_counts_the_power_p():
     m = K.trivial_module(F2, 3, 274)
     with pytest.raises(InputError):
         modules.generic_power_ranks(m, 2)
+
+
+@pytest.mark.parametrize("ctx", [F3, FieldCtx(5)], ids=["F3", "F5"])
+def test_decision_sweeps_the_grid_once_at_p_minus_one(monkeypatch, ctx):
+    # kE / rad^2 E (dim 4): X_alpha has rank 1 at every point and squares to 0
+    from kemod import modules
+
+    mats = []
+    for i in range(3):
+        x = np.zeros((4, 4), dtype=np.int64)
+        x[1 + i, 0] = 1
+        mats.append(x)
+    widths = []
+    real = modules._grid_ranks
+    monkeypatch.setattr(modules, "_grid_ranks", lambda m, jmax: widths.append(jmax) or real(m, jmax))
+    dec = K.constant_jordan_type(K.KEModule(ctx, 3, mats))
+    assert widths == [ctx.p - 1]
+    assert dec.kind == "probably_cjt" and repr(dec.jordan_type) == "[2][1]^2"
+    # a caller that needs j = 1 only gets the narrowest grid
+    widths.clear()
+    m = K.KEModule(ctx, 3, mats)
+    assert modules.generic_power_ranks(m, 1) == [1]
+    assert K.constant_jrank_decide(m, 1).kind == "probably_constant"
+    assert widths == [1]
