@@ -21,11 +21,10 @@ w52 = K.w_module(3, 5, 2)
 print("\nF_1(W_{5,2})        =", K.splitting_type(w52, 1).human())
 print("F_1(dual W_{5,2})   =", K.splitting_type(K.dual(w52), 1).human())
 
-# The two engines: a closed-form minimal-basis computation (default) and a
-# windowed saturation computation; they must agree.
-st_fast = K.splitting_type(w52, 1, engine="pencil")
-st_slow = K.splitting_type(w52, 1, engine="window")
-print("\nengines agree:", st_fast == st_slow)
+# The rank of F_i is the number a_i of length-i blocks in the Jordan type.
+jt = K.constant_jordan_type(w52).jordan_type
+print("\nranks equal block counts:",
+      all(K.splitting_type(w52, i).rank == jt.mult(i) for i in range(1, p + 1)))
 
 # The slice filtration of the trivial bundle forces an exact integer
 # identity among degrees and ranks of the F_i.

@@ -110,18 +110,9 @@ def cmd_cjt(args):
 
 def cmd_bundle(args):
     m = load_module(args.file)
-    window = None
-    engine = "auto"
-    if args.window and args.window != "auto":
-        try:
-            window = int(args.window)
-        except ValueError as e:
-            raise InputError(f"bad window {args.window!r}") from e
-        engine = "window"
-    st = splitting_type(m, args.i, engine=engine, window=window)
+    st = splitting_type(m, args.i)
     _emit({"command": "bundle", "input": digest(module_to_dict(m)), "i": args.i,
-           "splitting": st.human(), "twists": list(st.twists),
-           "engine": engine, "window": args.window or "auto"}, args)
+           "splitting": st.human(), "twists": list(st.twists), "engine": "pencil"}, args)
     return 0
 
 
@@ -298,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bundle", cmd_bundle, help="splitting type of the i-th bundle (r = 2)")
     sp.add_argument("file")
     sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--window", default="auto", help="saturation window width or 'auto'")
 
     sp = add("restrict", cmd_restrict, help="restrict along a shifted subgroup")
     sp.add_argument("file")

@@ -1,22 +1,14 @@
 """Degreewise sheaf computations: theta matrices, kernel/image slices, the
 Grothendieck splitting type on the projective line, and Chow-ring utilities.
 
-Two independent routes compute splitting types for r = 2:
-
-* the window engine materializes graded slices (Ker theta cap Im theta^j in
-  each degree), computes twisted global sections h0 through a divisibility
-  window of width D, reads the twists off first differences, and certifies
-  the answer by reconstruction plus stability under doubling D;
-* the pencil engine presents the same graded module by minimal polynomial
-  kernel bases of (X_1 + t X_2)^l and reads h0 of the dual bundle off a
-  shift-graded minimal left kernel, giving the twists in closed form.  The
-  bases are ``KEModule.kernel_generators``, shared with the generic kernels
-  and sized by Smith-form ranks (the rank grid serves r >= 3 only).
-
-Both run over every F_q.  The window engine follows the classical
-saturation recipe and stays as an independent cross-check; the pencil
-engine is the default.  They are compared against each other in the test
-suite.
+Splitting types (r = 2, every F_q) come from one engine: it presents the
+graded module by minimal polynomial kernel bases of (X_1 + t X_2)^l and reads
+h0 of the dual bundle off a shift-graded minimal left kernel, giving the
+twists in closed form.  The bases are ``KEModule.kernel_generators``, shared
+with the generic kernels and sized by Smith-form ranks (the rank grid serves
+r >= 3 only).  The classical saturation recipe on the graded slices of
+``SliceCache`` (h0 through a divisibility window) is kept in the test suite
+as the independent oracle this engine is checked against.
 """
 
 from __future__ import annotations
@@ -184,16 +176,12 @@ class SplittingType:
         return f"SplittingType({list(self.twists)})"
 
 
-def splitting_type(
-    m: KEModule, i: int, engine: str = "auto", window: int | None = None
-) -> SplittingType:
+def splitting_type(m: KEModule, i: int) -> SplittingType:
     """Grothendieck splitting type of the i-th subquotient bundle (r = 2 only).
 
     Refuses modules without constant Jordan type (the sheaf is not locally
     free).  A bundle of rank a_i = 0 is the zero bundle without further
-    work.  engine="auto" uses the closed-form pencil method over every F_q;
-    engine="window" or an explicit window width forces the windowed
-    saturation algorithm.
+    work.
     """
     m.require_valid()
     if m.r != 2:
@@ -206,26 +194,12 @@ def splitting_type(
             f"module does not have constant Jordan type; witness: {dec.witness}"
         )
     a_i = dec.jordan_type.mult(i)
-    if window is not None and engine == "auto":
-        engine = "window"
-    if engine == "auto":
-        engine = "pencil"
-    if engine not in ("pencil", "window"):
-        raise InputError(f"unknown engine {engine!r}")
     if a_i == 0:
         return SplittingType(())
-    key = ("splitting", i, engine, window)
-    if key in m._cache:
-        return m._cache[key]
-    if engine == "pencil":
-        st = _pencil_splitting(m, i, a_i)
-    else:
-        st = _window_splitting(m, i, a_i, window)
-    m._cache[key] = st
-    return st
-
-
-# -- pencil engine -----------------------------------------------------------
+    key = ("splitting", i)
+    if key not in m._cache:
+        m._cache[key] = _pencil_splitting(m, i, a_i)
+    return m._cache[key]
 
 
 def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
@@ -253,121 +227,6 @@ def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
             C[rj, cj, : arr.size] = arr
     eps = pencil.shifted_left_kernel(C, [g.deg for g in basis], F, a_i)
     return SplittingType(e - (i - 1) for e in eps)
-
-
-# -- window engine -----------------------------------------------------------
-
-
-def _window_splitting(m: KEModule, i: int, a_i: int, window: int | None) -> SplittingType:
-    d0 = window if window is not None else m.dim + m.ctx.p
-    if d0 < 1:
-        raise InputError("window must be positive")
-    cap = 8 * d0
-    dwidth = d0
-    last_err = None
-    while dwidth <= cap:
-        try:
-            t1 = _window_twists(m, i, a_i, dwidth)
-            t2 = _window_twists(m, i, a_i, 2 * dwidth)
-            if t1 == t2:
-                return SplittingType(t1)
-            last_err = f"window {dwidth} and {2*dwidth} disagree: {t1} vs {t2}"
-        except ConsistencyError as e:
-            last_err = str(e)
-        dwidth *= 2
-    raise ConsistencyError(f"window engine failed to stabilize: {last_err}")
-
-
-def _window_twists(m: KEModule, i: int, a_i: int, dwidth: int) -> list[int]:
-    cache = SliceCache(m, i)
-    h0: dict[int, int] = {}
-    n = -dwidth
-    stable_run = 0
-    last = None
-    n_cap = dwidth + m.dim + 1
-    while n <= n_cap:
-        h0[n] = _h0_window(m, cache, n, dwidth)
-        if last is not None:
-            diff = h0[n] - h0[last]
-            if diff == a_i:
-                stable_run += 1
-                if stable_run >= 2 and h0[n] > 0:
-                    break
-            else:
-                stable_run = 0
-        last = n
-        n += 1
-    else:
-        if a_i > 0:
-            raise ConsistencyError("h0 differences never stabilized at the bundle rank")
-    ns = sorted(h0)
-    twists: list[int] = []
-    prev_count = 0
-    for idx in range(1, len(ns)):
-        nn = ns[idx]
-        count = h0[nn] - h0[ns[idx - 1]]
-        if count < prev_count:
-            raise ConsistencyError("h0 differences decreased; saturation window too small")
-        twists.extend([-nn] * (count - prev_count))
-        prev_count = count
-    if len(twists) != a_i:
-        raise ConsistencyError(
-            f"recovered {len(twists)} twists for a rank-{a_i} bundle"
-        )
-    for nn in ns[1:]:
-        predicted = sum(max(0, a + nn + 1) for a in twists)
-        if h0[nn] != predicted:
-            raise ConsistencyError(f"h0({nn}) = {h0[nn]} differs from reconstruction {predicted}")
-    # slice dims must grow exactly linearly over the top of the window
-    top = ns[-1] + 2 * dwidth
-    probe = range(max(0, top - max(3, min(m.dim, 6))), top + 1)
-    dims = [cache.slice_dim(x) for x in probe]
-    second = [dims[k + 2] - 2 * dims[k + 1] + dims[k] for k in range(len(dims) - 2)]
-    if any(second):
-        raise ConsistencyError("slice dimensions are not yet linear at the top of the window")
-    return sorted(twists, reverse=True)
-
-
-def _embed_rows(rows: np.ndarray, src_deg: int, tgt_deg: int, shift: int, d: int) -> np.ndarray:
-    """Y_1- or Y_2-power embedding on module-major slice coordinates (r = 2).
-
-    A vector in degree src_deg maps to degree tgt_deg; monomial index e2
-    goes to e2 + shift (shift = 0 for Y_1^D, D for Y_2^D).
-    """
-    ns, nt = src_deg + 1, tgt_deg + 1
-    out = np.zeros((rows.shape[0], d * nt), dtype=np.int64)
-    for a in range(d):
-        out[:, a * nt + shift : a * nt + shift + ns] = rows[:, a * ns : (a + 1) * ns]
-    return out
-
-
-def _h0_window(m: KEModule, cache: SliceCache, n: int, dwidth: int) -> int:
-    """dim { s in G_{n+D} : Y_2^D s in Y_1^D G_{n+D} inside G_{n+2D} },
-    taken modulo the classes whose chart-1 localization vanishes.
-
-    The raw divisibility count includes low-degree torsion classes (their
-    image under Y_1^D already dies in G_{n+2D}); those represent the zero
-    section, so they are quotiented out: h0 = dim S - dim(S cap T) with
-    T = {s : Y_1^D s = 0 in G_{n+2D}}.
-    """
-    s = n + dwidth
-    t = n + 2 * dwidth
-    v1 = cache.upper(s)
-    if v1.dim == 0:
-        return 0
-    u = cache.lower(t)
-    F, nv = m.ctx, v1.dim
-    y1m = _embed_rows(v1.basis, s, t, 0, m.dim)
-    y2m = _embed_rows(v1.basis, s, t, dwidth, m.dim)
-    # S: c with  c*Y2 = c'*Y1 + d*U   (columns: c | c' | d)
-    kern1 = linalg.kernel_fp(np.vstack([y2m, F.neg(y1m), F.neg(u.basis)]).T, F)
-    s_coords = Subspace.span(F, nv, kern1[:, :nv])
-    if s_coords.dim == 0:
-        return 0
-    # T on S: c*Y1 = d*U
-    sy1 = linalg.matmul_fp(s_coords.basis, y1m, F)
-    kern2 = linalg.kernel_fp(np.vstack([sy1, F.neg(u.basis)]).T, F)
-    return s_coords.dim - Subspace.span(F, s_coords.dim, kern2[:, : s_coords.dim]).dim
 
 
 def line_restriction_splitting(m: KEModule, a_matrix, i: int) -> SplittingType:

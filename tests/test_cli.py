@@ -63,11 +63,11 @@ def test_bundle_mainexample(capsys):
 
 
 def test_bundle_window_flag(capsys):
-    code, out, _ = run_cli(
-        ["bundle", str(fixture_path("mainexample")), "--i", "1", "--window", "12"], capsys
-    )
-    assert code == 0
-    assert json.loads(out)["twists"] == [-1, -1]
+    # bundle takes no window width: splitting types have one engine
+    with pytest.raises(SystemExit) as exc:
+        main(["bundle", str(fixture_path("mainexample")), "--i", "1", "--window", "12"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
 
 
 def test_bundle_refusal_exit_code(tmp_path, capsys):

@@ -207,7 +207,7 @@ def test_batched_left_kernel_matches_oracle(monkeypatch):
     monkeypatch.setattr(pencil, "shifted_left_kernel", record)
     for m in _family():
         for i in range(1, m.ctx.p + 1):
-            K.splitting_type(m, i, engine="pencil")
+            K.splitting_type(m, i)
     assert len(calls) > 40
     for c, rowshifts, F, count in calls:
         assert real(c, rowshifts, F, count) == oracle_shifted_left_kernel(c, rowshifts, F, count)
