@@ -12,13 +12,15 @@ F is a ``FieldCtx`` or a prime, as in ``linalg``.  The two workhorses are
   of a cokernel bundle on the projective line.
 
 Both sweep the degree upward.  Where a degree's kernel is larger than the
-span of the shifts of the earlier generators, one reduction of all its rows
-by the echelon form of those shifts and one echelon form of the residuals
-give the degree's new generators.  Neither eliminates each degree anew: the
+span of the shifts of the earlier generators, one echelon form of its rows,
+with the pivot columns of those shifts moved first, gives the degree's new
+generators (``_complement``).  Neither eliminates each degree anew: the
 unknowns of degree <= n come first, so one echelon form up to a top degree
 holds that of every lower degree as a column prefix (``_PrefixEchelon``),
 and the top grows when the sweep passes it.  ``solve_in_basis`` solves
-every target of one degree with one echelon form.
+every target of one degree with one echelon form.  The matrices of a
+basis-aligned module have about one nonzero per row, so their eliminations
+take the sparse route of ``linalg.rref_fp``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .linalg import field, kernel_of_rref, matmul_fp, reduce_rows_fp, rref_fp, solve_fp
+from .linalg import field, kernel_of_rref, matmul_fp, rref_fp, solve_fp
 
 Pm = np.ndarray  # (rows, cols, deg+1)
 
@@ -121,19 +123,24 @@ def _shift_rows(gens: list[GradedGen], n: int, cols: int) -> np.ndarray:
 
 
 def _complement(K: np.ndarray, old: np.ndarray, F) -> np.ndarray:
-    """Rows spanning a complement of span(old) in span(K), old independent
-    and inside span(K): one reduction of all of K by the echelon form of old,
-    then one echelon form of the residuals.  The residuals vanish on the
-    pivot columns of old, so their span meets span(old) only in 0."""
-    if old.shape[0]:
-        ech, piv = rref_fp(old, F)
-        K = reduce_rows_fp(K, ech[: len(piv)], piv, F)
-    R, piv = rref_fp(K, F)
-    if len(piv) != K.shape[0] - old.shape[0]:
+    """The RREF of the rows of span(K) that vanish on the pivot columns of
+    old, a complement of span(old) in span(K) (old independent and inside
+    span(K)).  With those columns moved first, the echelon form of K has one
+    row pivoted on each of them and the rest vanish there: the rest, with
+    the columns moved back, is that RREF."""
+    lead = rref_fp(old, F)[1] if old.shape[0] else []
+    rest = np.ones(K.shape[1], dtype=bool)
+    rest[lead] = False
+    order = np.concatenate([np.array(lead, dtype=np.int64), np.flatnonzero(rest)])
+    R, piv = rref_fp(K[:, order], F)
+    n = len(lead)
+    if piv[:n] != list(range(n)) or len(piv) - n != K.shape[0] - old.shape[0]:
         raise ConsistencyError(
-            f"kernel slice of dimension {K.shape[0]} with {old.shape[0]} old shifts has {len(piv)} new generators"
+            f"kernel slice of dimension {K.shape[0]} with {old.shape[0]} old shifts has {len(piv) - n} new generators"
         )
-    return R[: len(piv)]
+    out = np.empty((len(piv) - n, K.shape[1]), dtype=np.int64)
+    out[:, order] = R[n : len(piv)]
+    return out
 
 
 def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:

@@ -50,9 +50,15 @@ from .subspace import Subspace
 
 
 def verify_theorems(m: KEModule, seed: int = 0) -> dict:
-    """Run the full invariant suite on one module; returns a structured report."""
+    """Run the full invariant suite on one module; returns a structured report.
+
+    ``checks`` holds the checks that ran, ``skipped`` those that could not
+    run, each with its reason; ``ok`` is true when every check that ran
+    passed.
+    """
     m.require_valid()
     checks: list[dict] = []
+    skipped: list[dict] = []
 
     def record(name, ok, detail=None):
         entry = {"check": name, "ok": bool(ok)}
@@ -60,19 +66,27 @@ def verify_theorems(m: KEModule, seed: int = 0) -> dict:
             entry["detail"] = detail
         checks.append(entry)
 
+    def record_chains():
+        chains = inclusion_chain_check(m)
+        if chains["skipped"]:
+            skipped.append({"check": "inclusion chains", "reason": chains["reason"]})
+        else:
+            record("inclusion chains", chains["ok"], chains)
+
     p = m.ctx.p
     dec = constant_jordan_type(m)
-    report = {"dim": m.dim, "p": p, "r": m.r, "cjt": dec.kind, "checks": checks}
+    report = {"dim": m.dim, "p": p, "r": m.r, "cjt": dec.kind, "checks": checks, "skipped": skipped}
     if dec.jordan_type is not None:
         report["jordan_type"] = repr(dec.jordan_type)
     if m.r != 2:
         report["note"] = "theorem suite materialized for r = 2; nothing to verify"
+        skipped.append({"check": "theorem suite", "reason": "materialized for r = 2 only"})
         report["ok"] = True
         return report
     if not dec.is_cjt:
         report["note"] = "module is not of constant Jordan type; bundle checks skipped"
-        chains = inclusion_chain_check(m)
-        record("inclusion chains", chains.get("ok", True) or chains.get("skipped", False), chains)
+        skipped.append({"check": "bundle checks", "reason": "module is not of constant Jordan type"})
+        record_chains()
         report["ok"] = all(c["ok"] for c in checks)
         return report
 
@@ -144,8 +158,7 @@ def verify_theorems(m: KEModule, seed: int = 0) -> dict:
         viaperp = generic_kernel_power(dual(m), n).subspace.perp()
         record(f"kernel/image duality at n={n}", primary == viaperp)
 
-    chains = inclusion_chain_check(m)
-    record("inclusion chains", chains["ok"] if not chains.get("skipped") else True, chains)
+    record_chains()
 
     for n in range(1, p):
         eq = _equal_n_images_slice_check(m, n)

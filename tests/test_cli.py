@@ -243,3 +243,25 @@ def test_verify_theorems_non_cjt_reports(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["cjt"] == "not_cjt"
     assert "skipped" in doc["note"]
+
+
+def test_verify_theorems_lists_skipped_checks_apart(tmp_path, capsys):
+    # a check that did not run is listed with its reason, never as passed
+    import numpy as np
+
+    x1 = np.zeros((2, 2), dtype=np.int64)
+    x1[1, 0] = 1
+    path = tmp_path / "noncjt.json"
+    save_module(K.KEModule(K.FieldCtx(2), 2, [x1, np.zeros((2, 2), dtype=np.int64)]), path)
+    code, out, _ = run_cli(["verify-theorems", str(path)], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"]
+    assert doc["checks"] == []
+    assert {s["check"]: s["reason"] for s in doc["skipped"]} == {
+        "bundle checks": "module is not of constant Jordan type",
+        "inclusion chains": "module does not have constant rank",
+    }
+    code, out, _ = run_cli(["verify-theorems", str(fixture_path("mainexample"))], capsys)
+    doc = json.loads(out)
+    assert doc["skipped"] == []
+    assert "inclusion chains" in {c["check"] for c in doc["checks"]}

@@ -1,9 +1,15 @@
 import random
+import sys
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from kemod import linalg
+import kemod as K
+from kemod import linalg, pencil
 from kemod.gf import FieldCtx
+from kemod.modules import random_invertible
 
 
 def brute_rank_f2(mat):
@@ -119,3 +125,146 @@ def test_matpow_matches_repeated_products():
             assert np.array_equal(got, want), (F, e)
             assert got is not a
             want = linalg.matmul_fp(want, a, F)
+
+
+# -- the sparse route against the per-pivot routine --------------------------------
+
+
+def oracle_rref(a, F):
+    """The dense per-pivot elimination that every input took before the
+    sparse route: one vectorized pass per pivot column."""
+    F = linalg.field(F)
+    R = F.canon(a).copy()
+    rows, cols = R.shape
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        if pr >= rows:
+            break
+        nz = np.nonzero(R[pr:, c])[0]
+        if nz.size == 0:
+            continue
+        r0 = pr + nz[0]
+        if r0 != pr:
+            R[[pr, r0]] = R[[r0, pr]]
+        lead = int(R[pr, c])
+        if lead != 1:
+            R[pr] = F.mul(R[pr], F.inv(lead))
+        coef = R[:, c].copy()
+        coef[pr] = 0
+        mask = coef != 0
+        if mask.any():
+            R[mask] = F.sub_mul(R[mask], coef[mask][:, None], R[pr])
+        pivots.append(c)
+        pr += 1
+    return R, pivots
+
+
+def _random_matrix(rng, F, rows, cols, density):
+    return np.array(
+        [F.random_code(rng) if rng.random() < density else 0 for _ in range(rows * cols)], dtype=np.int64
+    ).reshape(rows, cols)
+
+
+@st.composite
+def rref_inputs(draw):
+    """(F, matrix): sparse and dense matrices of every shape (empty, zero,
+    wide, tall, full rank), and linearizations of random pencil powers."""
+    F = draw(st.sampled_from([FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "zero", "full rank", "linearized"]))
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    if kind == "zero":
+        return F, np.zeros((rows, cols), dtype=np.int64)
+    if kind == "full rank":
+        n = draw(st.integers(1, 30))
+        a = random_invertible(F, n, rng)
+        return F, a[: draw(st.integers(1, n))] if draw(st.booleans()) else a[:, : draw(st.integers(1, n))]
+    if kind == "linearized":
+        n, ell = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+        density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+        pencil_ = np.stack([_random_matrix(rng, F, n, n, density) for _ in range(2)], axis=2)
+        return F, pencil.linearize(pencil.pm_pow(pencil_, ell, F), draw(st.integers(0, 5)))
+    density = draw(st.sampled_from([0.02, 0.08, 0.3, 1.0]))
+    return F, _random_matrix(rng, F, rows, cols, density)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rref_inputs())
+def test_rref_matches_per_pivot_oracle(case):
+    F, a = case
+    want = oracle_rref(a, F)
+    got = linalg.rref_fp(a, F)
+    assert got[1] == want[1]
+    assert got[0].dtype == np.int64 and np.array_equal(got[0], want[0])
+    # kernel_fp and solve_fp read the same echelon form on both routes
+    rng = random.Random(a.size)
+    b = _random_matrix(rng, F, a.shape[0], 2, 0.5)
+    if a.shape[1]:
+        b[:, 0] = linalg.matmul_fp(a, _random_matrix(rng, F, a.shape[1], 1, 0.5), F)[:, 0]
+    kernel, solved = linalg.kernel_fp(a, F), linalg.solve_fp(a, b, F)
+    with mock.patch.object(linalg, "rref_fp", oracle_rref):
+        assert np.array_equal(kernel, linalg.kernel_fp(a, F))
+        for x, y in zip(solved, linalg.solve_fp(a, b, F)):
+            assert (x is None and y is None) or np.array_equal(x, y)
+    assert a.shape[1] == 0 or solved[0] is not None
+
+
+def test_rref_leaves_its_input_alone():
+    # both routes return a fresh array and never write to the input
+    for a in (np.eye(5, dtype=np.int64), np.ones((5, 5), dtype=np.int64) * 7):
+        before = a.copy()
+        R, _ = linalg.rref_fp(a, 5)
+        assert R is not a and np.array_equal(a, before)
+    F4 = FieldCtx(2, 2)
+    a = np.array([[2, 3], [3, 1]], dtype=np.int64)
+    R, _ = linalg.rref_fp(a, F4)
+    assert not np.shares_memory(R, a) and np.array_equal(a, [[2, 3], [3, 1]])
+
+
+# -- which inputs take the sparse route ------------------------------------------
+
+
+@pytest.fixture
+def sparse_calls(monkeypatch):
+    """The callers of linalg._rref_sparse, recorded as it runs."""
+    calls = []
+    real = linalg._rref_sparse
+
+    def spy(*args):
+        calls.append(sys._getframe(1).f_code)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_rref_sparse", spy)
+    return calls
+
+
+def _disguise(m, rng):
+    """X_i -> P X_i P^-1, then a random invertible change of coordinates."""
+    P = random_invertible(m.ctx, m.dim, rng)
+    Pinv = linalg.inv_fp(P, m.ctx)
+    mats = [linalg.matmul_fp(linalg.matmul_fp(P, x, m.ctx), Pinv, m.ctx) for x in m.mats]
+    return K.restrict(K.KEModule(m.ctx, 2, mats), random_invertible(m.ctx, 2, rng))
+
+
+def test_aligned_linearization_is_sparse_disguised_is_dense(sparse_calls):
+    # the pencil power of a basis-aligned W-module has about one nonzero per
+    # row; after a change of basis and coordinates it is dense
+    m = K.w_module(3, 6, 3)
+    disguised = _disguise(m, random.Random(2))
+    for mod, sparse in ((m, True), (disguised, False)):
+        sparse_calls.clear()
+        a = pencil.pm_pow(mod.pencil(), 2, mod.ctx)
+        linalg.rref_fp(pencil.linearize(a, 4), mod.ctx)
+        assert bool(sparse_calls) == sparse
+
+
+def test_sparse_route_is_reached_only_through_rref_fp(sparse_calls):
+    # every elimination enters through linalg.rref_fp, where the benchmark's
+    # tracer counts it
+    m = K.w_module(3, 6, 3)
+    for i in range(1, 4):
+        K.splitting_type(m, i)
+    assert sparse_calls
+    assert {code.co_name for code in sparse_calls} == {"rref_fp"}
+    assert all(code is linalg.rref_fp.__code__ for code in sparse_calls)

@@ -296,3 +296,35 @@ def test_prefix_echelon_matches_kernel_fp_of_each_prefix(F, data):
         assert ech.nullity(k) == want.shape[0]
         got = ech.kernel(k)
         assert got.dtype == np.int64 and np.array_equal(got, want), (k, end)
+
+
+def oracle_complement(K, old, F):
+    """The complement as the engine chose it before: all of K reduced by the
+    echelon form of old, then one echelon form of the residuals."""
+    if old.shape[0]:
+        ech, piv = linalg.rref_fp(old, F)
+        K = linalg.reduce_rows_fp(K, ech[: len(piv)], piv, F)
+    R, piv = linalg.rref_fp(K, F)
+    return R[: len(piv)]
+
+
+@pytest.mark.parametrize("F", [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_complement_matches_reduce_then_eliminate(F, data):
+    """The permuted elimination gives the oracle's rows byte for byte: K a
+    kernel basis of a random sparse or dense matrix, old independent
+    combinations of its rows."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    density = data.draw(st.sampled_from([0.05, 0.2, 1.0]))
+    rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 40))
+    rand = lambda r, c: np.array(
+        [F.random_code(rng) if rng.random() < density else 0 for _ in range(r * c)], dtype=np.int64
+    ).reshape(r, c)
+    K = linalg.kernel_fp(rand(rows, cols), F)
+    C = linalg.row_space_fp(rand(data.draw(st.integers(0, K.shape[0])), K.shape[0]), F)[0]
+    old = linalg.matmul_fp(C, K, F) if C.size else np.zeros((0, cols), dtype=np.int64)
+    got = pencil._complement(K, old, F)
+    want = oracle_complement(K, old, F)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got.shape[0] == K.shape[0] - old.shape[0]
