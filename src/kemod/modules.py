@@ -11,7 +11,9 @@ projective parameter space — come for r = 2 from the Smith form of
 (X_1 + t X_2)^j over F_q[t], the same one that decides constant Jordan
 type.  For r >= 3 they are the maximum of numeric ranks over a grid larger
 than the degree of any maximal minor, taken in an extension field F_{q^m}
-when the base field is too small.
+when the base field is too small.  The grid's points, and those the r >= 3
+decision tests, are ranked as stacks of matrices by one fraction-free
+elimination of all of them (``_point_ranks``).
 """
 
 from __future__ import annotations
@@ -193,9 +195,15 @@ class KEModule:
         return self._cache[key]
 
     def power_pencil(self, j: int) -> pencil.Pm:
+        """(X_1 + t X_2)^j (r = 2); zero from j = p on, since the X_i commute
+        and X_i^p = 0."""
         key = ("power_pencil", j)
         if key not in self._cache:
-            self._cache[key] = pencil.pm_pow(self.pencil(), j, self.ctx)
+            a = self.pencil()  # refuses r != 2, for the vanishing powers too
+            if j >= self.ctx.p:
+                self._cache[key] = np.zeros((self.dim, self.dim, 1), dtype=np.int64)
+            else:
+                self._cache[key] = pencil.pm_pow(a, j, self.ctx)
         return self._cache[key]
 
     def kernel_generators(self, ell: int) -> list[pencil.GradedGen]:
@@ -321,8 +329,10 @@ def _grid_ranks(m: KEModule, jmax: int) -> list[int]:
 
     The rank equals the maximum of the numeric ranks over any grid whose
     side exceeds the total degree of a maximal minor (<= j * dim), taken in
-    an extension field when the base is too small.  For r = 2 it is the
-    tests' independent check of the Smith-form ranks.
+    an extension field when the base is too small.  The grid points are
+    evaluated in chunks of stacked matrices (``_point_ranks``), every power
+    of a chunk from one stack.  For r = 2 it is the tests' independent
+    check of the Smith-form ranks.
     """
     F, d = m.ctx, m.dim
     jmax = min(jmax, F.p)
@@ -333,16 +343,77 @@ def _grid_ranks(m: KEModule, jmax: int) -> list[int]:
         mdeg += 1
     fld = extension(F, mdeg)
     mats = mats_over(m, fld)
-    ranks = [0] * jmax
+    ranks = np.zeros(jmax, dtype=np.int64)
     # the codes 0..bound-1 are distinct elements of fld
-    for tup in itertools.product(range(bound), repeat=nvars):
-        a = _combine(fld, mats, (1,) + tup)
-        pw = a
-        for j in range(1, jmax + 1):
-            if j > 1:
-                pw = linalg.matmul_fp(pw, a, fld)
-            ranks[j - 1] = max(ranks[j - 1], linalg.rank_fp(pw, fld))
-    return ranks
+    grid = ((1,) + tup for tup in itertools.product(range(bound), repeat=nvars))
+    for chunk in _chunks(grid, d):
+        ranks = np.maximum(ranks, _point_ranks(fld, mats, chunk, range(1, jmax + 1)).max(axis=0))
+    return ranks.tolist()
+
+
+# Cells of one stack of point matrices: a sweep over many points evaluates
+# them in chunks of at most this many matrix entries.
+STACK_CELLS = 1 << 14
+
+
+def _chunks(points, d: int):
+    """The points in lists of at most max(1, STACK_CELLS // d^2)."""
+    it, size = iter(points), max(1, STACK_CELLS // max(1, d * d))
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk
+
+
+def _point_ranks(fld: FieldCtx, mats, points, powers) -> np.ndarray:
+    """Ranks of X_alpha^j at every point, for each j of the ascending powers:
+    an array (len(points), len(powers)).
+
+    ``points`` are coordinate tuples of codes over fld, ``mats`` the
+    generators over fld.  X_alpha of all points is one stack (B, d, d),
+    built with one broadcast product per generator; its powers are stacked
+    products, and ``_stack_ranks`` reduces each of them in one pass.
+    """
+    pts = np.array(points, dtype=np.int64).reshape(-1, len(mats))
+    a = np.zeros((len(pts),) + mats[0].shape, dtype=np.int64)
+    for i, x in enumerate(mats):
+        a = fld.add(a, fld.mul(pts[:, i, None, None], x))
+    out = np.zeros((len(pts), len(powers)), dtype=np.int64)
+    pw, e = a, 1
+    for col, j in enumerate(powers):
+        while e < j:
+            pw, e = fld.matmul(pw, a), e + 1
+        out[:, col] = _stack_ranks(fld, pw)
+    return out
+
+
+def _stack_ranks(fld: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """Rank of every slice of a stack (B, n, c) of matrices over fld.
+
+    One fraction-free elimination runs over all slices at once, a column at
+    a time: each slice whose column has a nonzero entry in a row not yet used
+    picks the first such row as its pivot, and every row becomes
+    lead * row - coef * pivot_row on the columns to the right.  No inverse
+    is taken.  Rows already used are rewritten too, which is harmless: they
+    are never read again.
+    """
+    S = np.array(stack, dtype=np.int64)
+    B, n, c = S.shape
+    rank = np.zeros(B, dtype=np.int64)
+    free = np.ones((B, n), dtype=bool)
+    for col in range(c):
+        cand = (S[:, :, col] != 0) & free
+        hit = np.flatnonzero(cand.any(axis=1))
+        if not hit.size:
+            continue
+        piv = cand[hit].argmax(axis=1)
+        free[hit, piv] = False
+        rank[hit] += 1
+        if col + 1 < c:
+            rest = S[hit, :, col + 1 :]
+            lead = S[hit, piv, col][:, None, None]
+            coef = S[hit, :, col][:, :, None]
+            prow = S[hit, piv, col + 1 :][:, None, :]
+            S[hit, :, col + 1 :] = fld.sub(fld.mul(lead, rest), fld.mul(coef, prow))
+    return rank
 
 
 def jordan_type(m: KEModule, pt: PointSpec | None = None) -> JordanType:
@@ -412,7 +483,10 @@ def constant_jrank_decide(
     checked apart.  For r >= 3 the generic rank is exact (``_grid_ranks``)
     and the decision tests every point of P^{r-1}(F_q) when there are at
     most ``samples`` of them, then ``samples`` random points over a large
-    extension.
+    extension.  The points are ranked as stacks, a chunk of at most
+    ``STACK_CELLS`` matrix entries at a time (``_point_ranks``); the first
+    point in draw order whose rank differs from the generic one is the
+    witness, and the sweep ends with its chunk.
     """
     m.require_valid()
     p = m.ctx.p
@@ -458,11 +532,16 @@ def _jrank_decision(m: KEModule, j: int, samples: int, ext_degree: int | None, s
     ext = extension(F, ext_degree)
     rng = random.Random(seed)
     randoms = (_random_projective_point(ext, m.r, rng) for _ in range(samples))
-    for coords in itertools.chain(rational, randoms):
-        rk = rank_at_point(m, coords, j)
-        if rk != rho:
-            witness = {"point": repr(coords), "rank_there": rk, "generic_rank": rho}
-            return JRankDecision("not_constant", j, rho, witness=witness)
+    # in draw order, a chunk at a time: the first point off rank rho is the witness
+    for fld, points in ((F, rational), (ext, randoms)):
+        mats = mats_over(m, fld)
+        for chunk in _chunks(points, m.dim):
+            ranks = _point_ranks(fld, mats, [[c.v for c in pt] for pt in chunk], [j])[:, 0]
+            off = np.flatnonzero(ranks != rho)
+            if off.size:
+                i = off[0]
+                witness = {"point": repr(chunk[i]), "rank_there": int(ranks[i]), "generic_rank": rho}
+                return JRankDecision("not_constant", j, rho, witness=witness)
     per = min(1.0, (j * m.dim) / ext.q)
     return JRankDecision("probably_constant", j, rho, confidence=1.0 - per**samples if samples else 0.0)
 

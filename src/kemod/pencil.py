@@ -59,15 +59,18 @@ def pm_mul(a: Pm, b: Pm, F) -> Pm:
 
 
 def pm_pow(a: Pm, e: int, F) -> Pm:
-    n = a.shape[0]
-    result = np.eye(n, dtype=np.int64)[:, :, None]
-    base = a
-    while e:
+    """a^e by binary powering from the lowest set bit of e, as
+    ``linalg.matpow_fp``: no product by the identity and no squaring past
+    the highest bit."""
+    F = field(F)
+    base, result = F.canon(a), None
+    while True:
         if e & 1:
-            result = pm_mul(result, base, F)
-        base = pm_mul(base, base, F)
+            result = pm_trim(base).copy() if result is None else pm_mul(result, base, F)
         e >>= 1
-    return result
+        if not e:
+            return np.eye(a.shape[0], dtype=np.int64)[:, :, None] if result is None else result
+        base = pm_mul(base, base, F)
 
 
 def linearize(a: Pm, vdeg: int) -> np.ndarray:

@@ -208,10 +208,17 @@ def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
     A = m.pencil()
     # (coefficients, degree, what) of the lower kernel generators and the pencil images
     targets = [(w.coeffs, w.deg, "lower kernel generator") for w in m.kernel_generators(i - 1)]
-    targets += [
-        (pencil.pm_mul(A, w.coeffs[:, None, :], F)[:, 0, :], w.deg + 1, "pencil image")
-        for w in m.kernel_generators(i + 1)
-    ]
+    upper = m.kernel_generators(i + 1)
+    if upper:
+        # one product of the pencil with every generator of power i + 1 as a column
+        W = np.zeros((d, len(upper), max(w.coeffs.shape[1] for w in upper)), dtype=np.int64)
+        for k, w in enumerate(upper):
+            W[:, k, : w.coeffs.shape[1]] = w.coeffs
+        AW = pencil.pm_mul(A, W, F)
+        targets += [
+            (pencil.pm_trim(AW[:, k : k + 1, :])[:, 0, :], w.deg + 1, "pencil image")
+            for k, w in enumerate(upper)
+        ]
     coords: list = [None] * len(targets)
     for tdeg in sorted({t[1] for t in targets}):
         idx = [k for k, t in enumerate(targets) if t[1] == tdeg]

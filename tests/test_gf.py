@@ -176,3 +176,41 @@ def test_product_past_the_float64_bound_is_exact():
     a, b = rng.integers(0, p, (2, inner)), rng.integers(0, p, (inner, 3))
     want = np.array([[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a])
     assert np.array_equal(gf._matmul_mod(a, b, p), want)
+
+
+@pytest.mark.parametrize("k", [12, 13, 21, 31, 32, 47, 61])
+def test_xor_product_equals_digit_planes(k):
+    # past the tables, p = 2 multiplies the codes themselves by shift-and-XOR;
+    # the seeded search for a modulus takes seconds at k = 47 and 61, so those
+    # get x^47 + x^5 + 1 and x^61 + x^5 + x^2 + x + 1
+    sparse = {47: (0, 5), 61: (0, 1, 2, 5)}
+    modulus = tuple(int(i in sparse[k]) for i in range(k)) + (1,) if k in sparse else None
+    F = FieldCtx(2, k, modulus)
+    assert F.q > gf.TABLE_Q and not F._tables()
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, F.q, (6, 1, 1), dtype=np.int64)
+    b = rng.integers(0, F.q, (1, 4, 4), dtype=np.int64)
+    a[0], a[1] = 0, 1
+    b[0, 0] = [0, 1, F.q - 1, F.q - 2]
+    for x, y in ((a, b), (b, a), (a, a[0]), (np.int64(F.q - 1), b), (a[:0], b)):
+        got = F.mul(x, y)
+        want = F._mul_digits(x, y)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.dtype == np.int64 and (got.size == 0 or 0 <= got.min() <= got.max() < F.q)
+    prod = F.mul(a, b)
+    assert not prod[0].any() and np.array_equal(prod[1], b[0])
+    # each nonzero code times its inverse is one
+    x = [int(v) for v in b.reshape(-1) if v]
+    assert F.mul(np.array(x), np.array([F.inv(v) for v in x])).tolist() == [1] * len(x)
+
+
+@pytest.mark.parametrize("F", [FieldCtx(5), FieldCtx(2, 3), FieldCtx(3, 4), FieldCtx(2, 13)], ids=repr)
+def test_stacked_matmul_is_the_product_of_each_slice(F):
+    rng = np.random.default_rng(F.q)
+    a = rng.integers(0, F.q, (4, 3, 5), dtype=np.int64)
+    b = rng.integers(0, F.q, (4, 5, 2), dtype=np.int64)
+    got = F.matmul(a, b)
+    assert got.shape == (4, 3, 2)
+    for s in range(4):
+        assert np.array_equal(got[s], F.matmul(a[s], b[s]))
+    assert F.matmul(a[:0], b[:0]).shape == (0, 3, 2)

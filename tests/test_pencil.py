@@ -328,3 +328,32 @@ def test_complement_matches_reduce_then_eliminate(F, data):
     want = oracle_complement(K, old, F)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert got.shape[0] == K.shape[0] - old.shape[0]
+
+
+def test_pm_pow_from_the_lowest_set_bit(monkeypatch):
+    F = FieldCtx(5)
+    a = K.w_module(F, 5, 4).pencil()
+    naive = np.eye(a.shape[0], dtype=np.int64)[:, :, None]
+    real = pencil.pm_mul
+    for e in range(7):
+        calls = []
+        monkeypatch.setattr(pencil, "pm_mul", lambda *x: calls.append(1) or real(*x))
+        got = pencil.pm_pow(a, e, F)
+        monkeypatch.undo()
+        assert np.array_equal(got, naive), e
+        # squarings up to the top bit, then one product per further set bit
+        assert len(calls) == max(0, e.bit_length() - 1) + max(0, bin(e).count("1") - 1), e
+        naive = real(naive, a, F)
+
+
+def test_power_pencil_from_p_on_is_zero_without_a_product(monkeypatch):
+    def boom(*args):
+        raise AssertionError("product made for a vanishing power")
+
+    for m in (K.w_module(3, 4, 3), K.w_module(FieldCtx(2, 2), 3, 2)):
+        monkeypatch.setattr(pencil, "pm_mul", boom)
+        for j in (m.ctx.p, m.ctx.p + 1, 2 * m.ctx.p + 3):
+            z = m.power_pencil(j)
+            assert z.shape == (m.dim, m.dim, 1) and not z.any()
+        monkeypatch.undo()
+        assert not pencil.pm_pow(m.pencil(), m.ctx.p, m.ctx).any()

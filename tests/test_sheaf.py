@@ -443,3 +443,24 @@ def test_splittings_and_generic_kernels_share_kernel_bases(monkeypatch):
     for n in range(1, 4):
         K.generic_kernel_power(m, n)
     assert calls == []
+
+
+def test_pencil_images_come_from_one_product(monkeypatch):
+    # with the kernel bases built, the splitting of F_i multiplies the pencil
+    # once, by all generators of power i + 1 side by side
+    from kemod import pencil, sheaf
+
+    for m in (K.w_module(3, 4, 3), K.direct_sum(K.w_module(5, 4, 3), K.dual(K.w_module(5, 3, 2)))):
+        dec = K.constant_jordan_type(m)
+        for i in range(1, m.ctx.p + 1):
+            if not dec.jordan_type.mult(i):
+                continue
+            for ell in (i - 1, i, i + 1):
+                m.kernel_generators(ell)
+            calls = []
+            real = pencil.pm_mul
+            monkeypatch.setattr(pencil, "pm_mul", lambda *a: calls.append(a[1].shape) or real(*a))
+            sheaf._pencil_splitting(m, i, dec.jordan_type.mult(i))
+            monkeypatch.undo()
+            upper = m.kernel_generators(i + 1)
+            assert calls == ([(m.dim, len(upper), max(w.deg for w in upper) + 1)] if upper else [])
