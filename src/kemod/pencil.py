@@ -2,28 +2,33 @@
 
 A polynomial matrix is an int64 ndarray of element codes of shape
 (rows, cols, deg+1); slab [:, :, e] is the coefficient of t^e.  The field
-F is a ``FieldCtx`` or a prime, as in ``linalg``.  The two workhorses are
+F is a ``FieldCtx`` or a prime, as in ``linalg``.  Every minimal basis
+comes from one degree sweep, ``_minimal_basis``: the left kernel
+{psi : psi * c = 0} with per-row degree shifts, generator by generator in
+ascending shifted degree.  It has two entry points:
 
-* ``graded_kernel_basis`` — a minimal basis of the polynomial kernel,
-  found degree by degree, whose shift structure gives the dimension of
-  every homogeneous kernel slice in closed form; and
-* ``shifted_left_kernel`` — the same construction for row vectors with
-  per-row degree shifts, which is exactly the section space of the dual
-  of a cokernel bundle on the projective line.
+* ``graded_kernel_basis`` — a minimal basis of the right kernel of a, the
+  sweep on a^T with zero shifts, whose shift structure gives the dimension
+  of every homogeneous kernel slice in closed form; and
+* ``shifted_left_kernel`` — the minimal indices with the shifts, which
+  give the section space of the dual of a cokernel bundle on the
+  projective line.
 
-Both sweep the degree upward.  Where a degree's kernel is larger than the
-span of the shifts of the earlier generators, one echelon form of its rows,
-with the pivot columns of those shifts moved first, gives the degree's new
-generators (``_complement``).  Neither eliminates each degree anew: the
-unknowns of degree <= n come first, so one echelon form up to a top degree
-holds that of every lower degree as a column prefix (``_PrefixEchelon``),
-and the top grows when the sweep passes it.  ``solve_in_basis`` solves
-every target of one degree with one echelon form.  The matrices of a
-basis-aligned module have about one nonzero per row, so their eliminations
-take the sparse route of ``linalg.rref_fp``.
+Where a degree's kernel is larger than the span of the shifts of the
+earlier generators, one echelon form of its rows, with the pivot columns of
+those shifts moved first, gives the degree's new generators
+(``_complement``).  No degree is eliminated anew: the unknowns of degree
+<= n come first, so one echelon form up to a top degree holds that of
+every lower degree as a column prefix (``_PrefixEchelon``), and the top
+grows when the sweep passes it.  ``solve_in_basis`` solves every target of
+one degree with one echelon form.  The matrices of a basis-aligned module
+have about one nonzero per row, so their eliminations take the sparse
+route of ``linalg.rref_fp``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -71,16 +76,6 @@ def pm_pow(a: Pm, e: int, F) -> Pm:
         if not e:
             return np.eye(a.shape[0], dtype=np.int64)[:, :, None] if result is None else result
         base = pm_mul(base, base, F)
-
-
-def linearize(a: Pm, vdeg: int) -> np.ndarray:
-    """Matrix of v(t) -> a(t) v(t) on coefficient vectors of deg <= vdeg."""
-    rows, cols, d1 = a.shape
-    out = np.zeros(((vdeg + d1) * rows, (vdeg + 1) * cols), dtype=np.int64)
-    for e in range(vdeg + 1):
-        for i in range(d1):
-            out[(e + i) * rows : (e + i + 1) * rows, e * cols : (e + 1) * cols] = a[:, :, i]
-    return out
 
 
 class _PrefixEchelon:
@@ -146,50 +141,104 @@ def _complement(K: np.ndarray, old: np.ndarray, F) -> np.ndarray:
     return out
 
 
+def _constraints(c: Pm, power: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Matrix of psi -> psi * c on the unknowns u (the coefficient of
+    t^power[u] in psi_row[u]), its rows ordered by power of t, then column
+    of c: one slab copy per run of unknowns with one power and consecutive
+    rows.  With zero shifts this is the linearization of v -> c^T v."""
+    _, cols, d1 = c.shape
+    size = row.size
+    M = np.zeros((int(power.max(initial=0)) + d1, cols, size), dtype=np.int64)
+    cut = np.ones(size + 1, dtype=bool)
+    cut[1:-1] = (power[1:] != power[:-1]) | (row[1:] != row[:-1] + 1)
+    cut, power, row = np.flatnonzero(cut).tolist(), power.tolist(), row.tolist()
+    ct = c.transpose(2, 1, 0)
+    for u0, u1 in zip(cut, cut[1:]):
+        M[power[u0] : power[u0] + d1, :, u0:u1] = ct[:, :, row[u0] : row[u0] + u1 - u0]
+    return M.reshape(-1, size)
+
+
+def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list[tuple[int, np.ndarray]]:
+    """The degree sweep: a minimal basis of {psi row vector : psi * c = 0}
+    with row degree shifts, as (shifted degree, coefficients over the
+    unknowns of shifted degree <= it) per generator, degrees ascending.
+
+    The coefficient of t^e in psi_m has level e - shifts[m], and the
+    unknowns are ordered by level.  The first echelon form reaches four
+    levels past the lowest; the top grows by half when the sweep passes it,
+    and the generators found so far are kept.  Each new generator has a
+    coefficient at its own level, since otherwise it would lie in the slice
+    one level lower, which the earlier shifts span.  Once there are count
+    generators, the predicted nullity is checked at check more levels.
+    """
+    rows, cols, d1 = c.shape
+    if count == 0:
+        return []
+    lo = -int(shifts.max(initial=0))
+    # Each minimal index is at most (d1 - 1) * rank(c) <= (d1 - 1) * rows: by the
+    # index sum theorem the unshifted ones add up to at most that, and shifts
+    # >= 0 only lower them.  The cap keeps a margin of rows + cols + 5 + max(shifts).
+    cap = (d1 - 1) * max(1, rows) + rows + cols + 5 - lo
+    gens: list[tuple[int, np.ndarray]] = []  # (level index, coefficients)
+    top, done = lo - 1, None
+    for k in itertools.count():
+        n = lo + k
+        if done is None and n > cap:
+            raise ConsistencyError(
+                f"kernel basis incomplete: found {len(gens)} of {count} generators below degree {cap}"
+            )
+        if n > top:
+            top = min(lo + max(4, (top - lo) * 3 // 2), cap + check if done is None else lo + done + check)
+            active = shifts[None, :] + np.arange(lo, top + 1)[:, None] >= 0
+            lev, row = np.nonzero(active)  # level index and row of each unknown, level-major
+            column = np.full(active.shape, -1)
+            column[lev, row] = np.arange(row.size)
+            ends = np.cumsum(active.sum(axis=1))
+            ech = _PrefixEchelon(_constraints(c, lo + lev + shifts[row], row), ends, F)
+        want = sum(k - k0 + 1 for k0, _ in gens)
+        got = ech.nullity(k)
+        if done is not None:
+            if got != want:
+                raise ConsistencyError(f"kernel slice of dimension {got} at degree {n}, {want} predicted")
+        elif got != want:
+            old = np.zeros((want, ends[k]), dtype=np.int64)
+            i = 0
+            for k0, vec in gens:
+                e = np.arange(k - k0 + 1)[:, None]
+                old[i + e, column[lev[: vec.size] + e, row[: vec.size]]] = vec
+                i += e.size
+            for vec in _complement(ech.kernel(k), old, F):
+                if not vec[ends[k] - active[k].sum() :].any():
+                    raise ConsistencyError("minimal kernel generator without a coefficient at its degree")
+                gens.append((k, vec))
+            if len(gens) >= count:
+                if len(gens) > count:
+                    raise ConsistencyError(f"{len(gens)} kernel generators for {count} expected")
+                done = k
+        if done is not None and k == done + check:
+            return [(lo + k0, vec) for k0, vec in gens]
+
+
 def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:
     """Minimal graded basis of {v in F_q[t]^cols : a(t) v(t) = 0}.
 
     Args:
         a: polynomial matrix.
         F: the field (FieldCtx or prime).
-        kappa: the rank of the kernel over F_p(t); exactly this many
-            generators are returned.
+        kappa: the rank of the kernel over F_q(t), exactly; the sweep stops
+            at the kappa-th generator, so a smaller kappa gives the first
+            kappa generators (or raises when several share a degree) and a
+            larger one raises.
 
     The returned degrees d_1 <= ... <= d_kappa are the minimal indices;
     the kernel slice in degree n has basis {t^e g : e <= n - deg g}, so
-    its dimension is sum(max(0, n - d_j + 1)).  The unknowns of degree
-    <= n are a column prefix of ``linearize(a, top)`` for n <= top, so one
-    echelon form up to a top degree gives every lower degree's nullity and
-    kernel (``_PrefixEchelon``); the top grows by half when the sweep
-    passes it.  Where the nullity exceeds the span of the shifts of the
-    earlier generators, the kernel gives the new ones in one batch
-    (``_complement``); each has a nonzero top coefficient, since otherwise
-    it would lie in the slice one degree lower, which the earlier shifts span.
+    its dimension is sum(max(0, n - d_j + 1)).  This is the sweep of
+    ``_minimal_basis`` on a^T with zero shifts; kappa is exact, so no
+    degree past the last generator is checked.
     """
-    rows, cols, d1 = a.shape
-    if kappa == 0:
-        return []
-    degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
-    gens: list[GradedGen] = []
-    top = -1
-    for delta in range(degcap + 1):
-        if delta > top:  # degree 0 alone first, then the top grows by half
-            top = min(max(3, top * 3 // 2) if delta else 0, degcap)
-            ech = _PrefixEchelon(linearize(a, top), cols * np.arange(1, top + 2), F)
-        if ech.nullity(delta) == kernel_slice_dim(gens, delta):
-            continue
-        for res in _complement(ech.kernel(delta), _shift_rows(gens, delta, cols), F):
-            coeffs = res.reshape(delta + 1, cols).T.copy()
-            if not coeffs[:, delta].any():
-                raise ConsistencyError("minimal kernel generator without top coefficient")
-            gens.append(GradedGen(coeffs, delta))
-        if len(gens) >= kappa:
-            if len(gens) > kappa:
-                raise ConsistencyError(f"{len(gens)} kernel generators for a kernel of rank {kappa}")
-            return gens
-    raise ConsistencyError(
-        f"kernel basis incomplete: found {len(gens)} of {kappa} generators below degree {degcap}"
-    )
+    cols = a.shape[1]
+    sweep = _minimal_basis(a.transpose(1, 0, 2), np.zeros(cols, dtype=np.int64), F, kappa, 0)
+    return [GradedGen(vec.reshape(n + 1, cols).T.copy(), n) for n, vec in sweep]
 
 
 def kernel_slice_dim(gens: list[GradedGen], n: int) -> int:
@@ -228,71 +277,8 @@ def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]
     psi has shifted degree <= n when deg(psi_m) <= n + rowshifts[m]; the
     returned indices eps (len == count) are the degrees where minimal
     generators appear, so the solution space at shifted degree n has
-    dimension sum(max(0, n - eps_j + 1)).  The unknowns are ordered by level
-    (the coefficient of t^e in psi_m has level e - rowshifts[m]), so those of
-    shifted degree <= n are a prefix of the columns and one echelon form of
-    the constraint matrix up to a top degree gives the kernel of every lower
-    degree; the top grows until the generators and the dimensions of two
-    more degrees are in.  New generators are chosen per degree in one batch,
-    as in ``graded_kernel_basis``.
+    dimension sum(max(0, n - eps_j + 1)).  This is the sweep of
+    ``_minimal_basis``; count comes from a Jordan type, so the predicted
+    dimensions of two more degrees are checked.
     """
-    rows, cols, d1 = c.shape
-    if count == 0:
-        return []
-    smax = max(rowshifts) if rowshifts else 0
-    degcap = (d1 - 1) * max(1, rows) + smax + cols + 5
-    shifts = np.array(rowshifts, dtype=np.int64)
-
-    def sweep(top: int):
-        """The indices from one echelon form up to shifted degree top, or
-        None when that is too low to find and check them."""
-        levels = np.arange(-smax, top + 1)
-        active = shifts[None, :] + levels[:, None] >= 0
-        lev, row = np.nonzero(active)  # level index and row of each unknown, level-major
-        power = levels[lev] + shifts[row]
-        ends = np.cumsum(active.sum(axis=1))  # columns of the levels up to each one
-        column = np.full((levels.size, rows), -1)
-        column[lev, row] = np.arange(row.size)
-        outdeg = top + smax + d1
-        M = np.zeros((cols * (outdeg + 1), row.size), dtype=np.int64)
-        for i in range(d1):
-            M[np.arange(cols)[:, None] * (outdeg + 1) + power + i, np.arange(row.size)] = c[row, :, i].T
-        ech = _PrefixEchelon(M, ends, F)
-        gens: list[tuple[int, np.ndarray, int]] = []  # (level index, entries, their count)
-        done = None
-        for k, n in enumerate(levels):
-            want = sum(k - g[0] + 1 for g in gens)
-            got = ech.nullity(k)
-            if done is not None:
-                # insurance: the predicted dimensions for two degrees past the last index
-                if got != want:
-                    raise ConsistencyError(f"shifted kernel dimension {got} != predicted {want} at degree {n}")
-                if k == done + 2:
-                    return [int(levels[g[0]]) for g in gens]
-                continue
-            if got != want:
-                old = np.zeros((want, ends[k]), dtype=np.int64)
-                i = 0
-                for k0, vec, size in gens:
-                    for e in range(k - k0 + 1):
-                        old[i, column[lev[:size] + e, row[:size]]] = vec
-                        i += 1
-                for res in _complement(ech.kernel(k), old, F):
-                    gens.append((k, res, ends[k]))
-            if len(gens) >= count:
-                if len(gens) > count:
-                    raise ConsistencyError(f"{len(gens)} left kernel generators for {count} expected")
-                if n > degcap:
-                    return None
-                done = k
-        return None
-
-    span = 4
-    while True:
-        top = min(span - smax, degcap + 2)
-        eps = sweep(top)
-        if eps is not None:
-            return eps
-        if top == degcap + 2:
-            raise ConsistencyError(f"left kernel incomplete: fewer than {count} generators below degree {degcap}")
-        span = span * 3 // 2
+    return [n for n, _ in _minimal_basis(c, np.array(rowshifts, dtype=np.int64), F, count, 2)]

@@ -10,6 +10,7 @@ import kemod as K
 from kemod import linalg, pencil
 from kemod.gf import FieldCtx
 from kemod.modules import random_invertible
+from test_pencil import linearize
 
 
 def brute_rank_f2(mat):
@@ -184,7 +185,7 @@ def rref_inputs(draw):
         n, ell = draw(st.integers(1, 8)), draw(st.integers(1, 3))
         density = draw(st.sampled_from([0.1, 0.3, 1.0]))
         pencil_ = np.stack([_random_matrix(rng, F, n, n, density) for _ in range(2)], axis=2)
-        return F, pencil.linearize(pencil.pm_pow(pencil_, ell, F), draw(st.integers(0, 5)))
+        return F, linearize(pencil.pm_pow(pencil_, ell, F), draw(st.integers(0, 5)))
     density = draw(st.sampled_from([0.02, 0.08, 0.3, 1.0]))
     return F, _random_matrix(rng, F, rows, cols, density)
 
@@ -255,7 +256,7 @@ def test_aligned_linearization_is_sparse_disguised_is_dense(sparse_calls):
     for mod, sparse in ((m, True), (disguised, False)):
         sparse_calls.clear()
         a = pencil.pm_pow(mod.pencil(), 2, mod.ctx)
-        linalg.rref_fp(pencil.linearize(a, 4), mod.ctx)
+        linalg.rref_fp(linearize(a, 4), mod.ctx)
         assert bool(sparse_calls) == sparse
 
 

@@ -22,8 +22,19 @@ from kemod.generate import mixed_family
 from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, random_invertible
 from kemod.pencil import GradedGen
+from kemod.poly import Poly, RationalFunction
 
 # -- oracles: one generator at a time ----------------------------------------------
+
+
+def linearize(a, vdeg):
+    """Matrix of v(t) -> a(t) v(t) on coefficient vectors of deg <= vdeg."""
+    rows, cols, d1 = a.shape
+    out = np.zeros(((vdeg + d1) * rows, (vdeg + 1) * cols), dtype=np.int64)
+    for e in range(vdeg + 1):
+        for i in range(d1):
+            out[(e + i) * rows : (e + i + 1) * rows, e * cols : (e + 1) * cols] = a[:, :, i]
+    return out
 
 
 def _flatten_shift(g, shift, vdeg, cols):
@@ -40,7 +51,7 @@ def oracle_graded_kernel_basis(a, F, kappa):
     degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
     gens = []
     for delta in range(degcap + 1):
-        K_ = linalg.kernel_fp(pencil.linearize(a, delta), F)
+        K_ = linalg.kernel_fp(linearize(a, delta), F)
         if K_.shape[0] == 0:
             continue
         old = [_flatten_shift(g, e, delta, cols) for g in gens for e in range(delta - g.deg + 1)]
@@ -134,7 +145,7 @@ def oracle_scratch_graded_kernel_basis(a, F, kappa):
     degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
     gens = []
     for delta in range(degcap + 1):
-        K_ = linalg.kernel_fp(pencil.linearize(a, delta), F)
+        K_ = linalg.kernel_fp(linearize(a, delta), F)
         if K_.shape[0] == pencil.kernel_slice_dim(gens, delta):
             continue
         for res in pencil._complement(K_, pencil._shift_rows(gens, delta, cols), F):
@@ -213,6 +224,76 @@ def test_batched_left_kernel_matches_oracle(monkeypatch):
         assert real(c, rowshifts, F, count) == oracle_shifted_left_kernel(c, rowshifts, F, count)
 
 
+def _rank_over_rational_functions(F, c):
+    """The rank of c over F_q(t), by symbolic elimination."""
+    rows, cols, _ = c.shape
+    if not rows or not cols:
+        return 0
+    entry = lambda codes: RationalFunction.from_poly(Poly.from_univariate(F, [F.decode(e) for e in codes]))
+    entries = [[entry(c[m, j]) for j in range(cols)] for m in range(rows)]
+    return linalg.rank_gen(entries, RationalFunction.const(F, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "F", [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}"
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_oracles_on_random_pencils(F, data):
+    """Random polynomial matrices of degree <= 3, some rows and columns zero,
+    random row shifts: the left-kernel indices equal the row-at-a-time
+    oracle's, and with zero shifts the right kernel of the transpose is the
+    from-scratch oracle's, byte for byte; the count is the corank over F_q(t)."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows, cols, deg = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+    density = data.draw(st.sampled_from([0.2, 0.5, 1.0]))
+    c = np.array(
+        [F.random_code(rng) if rng.random() < density else 0 for _ in range(rows * cols * (deg + 1))],
+        dtype=np.int64,
+    ).reshape(rows, cols, deg + 1)
+    c[data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0
+    c[:, data.draw(st.lists(st.booleans(), min_size=cols, max_size=cols))] = 0
+    shifts = data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    count = rows - _rank_over_rational_functions(F, c)
+    assert pencil.shifted_left_kernel(c, shifts, F, count) == oracle_shifted_left_kernel(c, shifts, F, count)
+    a = c.transpose(1, 0, 2)
+    new = pencil.graded_kernel_basis(a, F, count)
+    old = oracle_scratch_graded_kernel_basis(a, F, count)
+    assert [(g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in new] == [
+        (g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in old
+    ]
+
+
+def test_zero_shift_constraints_are_the_linearization():
+    a = K.direct_sum(K.w_module(3, 4, 2), K.dual(K.w_module(3, 3, 3))).power_pencil(2)
+    cols = a.shape[1]
+    for top in range(4):
+        level, row = np.divmod(np.arange((top + 1) * cols), cols)
+        assert np.array_equal(pencil._constraints(a.transpose(1, 0, 2), level, row), linearize(a, top))
+
+
+def test_sweeps_refuse_a_wrong_count(monkeypatch):
+    # the pencil of W_{4,2} + W_{2,2} over F_3 has a kernel of rank 6 with
+    # minimal indices 0, 0, 0, 0, 1, 3; a count one too high finds no last
+    # generator, one too low finds one too many or a slice larger than predicted
+    m = K.direct_sum(K.w_module(3, 4, 2), K.w_module(3, 2, 2))
+    F, a = m.ctx, m.power_pencil(1)
+    assert [g.deg for g in pencil.graded_kernel_basis(a, F, 6)] == [0, 0, 0, 0, 1, 3]
+    with pytest.raises(ConsistencyError, match="incomplete"):
+        pencil.graded_kernel_basis(a, F, 7)
+    calls = []
+    real = pencil.shifted_left_kernel
+    monkeypatch.setattr(pencil, "shifted_left_kernel", lambda *x: calls.append(x) or real(*x))
+    for i in range(1, 4):
+        K.splitting_type(m, i)
+    assert len(calls) == 2
+    for c, rowshifts, F, count in calls:
+        with pytest.raises(ConsistencyError, match="generators for|predicted"):
+            real(c, rowshifts, F, count - 1)
+        with pytest.raises(ConsistencyError, match="incomplete"):
+            real(c, rowshifts, F, count + 1)
+
+
 def _combine(F, basis, coeffs, d, tdeg):
     """sum c_m(t) N_m(t) as a (d, tdeg + 1) coefficient array."""
     out = np.zeros((d, tdeg + 1), dtype=np.int64)
@@ -283,7 +364,7 @@ def test_prefix_echelon_matches_kernel_fp_of_each_prefix(F, data):
             dtype=np.int64,
         ).reshape(rows, cols, d1 + 1)
         top = data.draw(st.integers(0, 5))
-        M, ends = pencil.linearize(a, top), cols * np.arange(1, top + 2)
+        M, ends = linearize(a, top), cols * np.arange(1, top + 2)
     else:
         M = np.array(
             [F.random_code(rng) if rng.random() < density else 0 for _ in range(rows * cols * 4)],
