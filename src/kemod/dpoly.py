@@ -4,8 +4,8 @@ Polynomials are plain lists of coefficients, ascending degree, with no
 trailing zeros (the zero polynomial is the empty list).  Coefficients are
 whatever the supplied ``ops`` adapter manipulates: element codes of any F_q
 (``FieldCtx.ops``), or ``FieldScalar`` values.  Keeping the representation
-this primitive makes the Smith-normal-form and factor-extraction code the
-same for every base field.
+this primitive makes the factor-extraction code the same for every base
+field.
 """
 
 from __future__ import annotations

@@ -466,9 +466,7 @@ def _snf_of_power(m: KEModule, j: int):
     key = ("snf", j)
     if key in m._cache:
         return m._cache[key]
-    pj = m.power_pencil(j)
-    entries = [[list(map(int, pj[a, b, :])) for b in range(m.dim)] for a in range(m.dim)]
-    res = smith_normal_form(entries, m.ctx)
+    res = smith_normal_form(list(m.power_pencil(j)), m.ctx)
     m._cache[key] = res
     return res
 

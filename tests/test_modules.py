@@ -430,14 +430,19 @@ def test_route_disagreement_is_a_consistency_error(monkeypatch):
 # -- one route per rank-two invariant -------------------------------------------
 
 
-def _disguise(m, rng):
-    """X_i -> P X_i P^-1, then a random invertible change of coordinates."""
+def _disguise_with_basis(m, rng):
+    """X_i -> P X_i P^-1, then a random invertible change of coordinates;
+    returns the module and P."""
     from kemod import linalg
 
     P = random_invertible(m.ctx, m.dim, rng)
     Pinv = linalg.inv_fp(P, m.ctx)
     mats = [linalg.matmul_fp(linalg.matmul_fp(P, x, m.ctx), Pinv, m.ctx) for x in m.mats]
-    return K.restrict(K.KEModule(m.ctx, 2, mats), random_invertible(m.ctx, 2, rng))
+    return K.restrict(K.KEModule(m.ctx, 2, mats), random_invertible(m.ctx, 2, rng)), P
+
+
+def _disguise(m, rng):
+    return _disguise_with_basis(m, rng)[0]
 
 
 def _square_zero_from_companion():
@@ -482,3 +487,53 @@ def test_rank_two_runs_no_grid(monkeypatch):
             K.splitting_type(m, n)
             K.generic_kernel_power(m, n)
             K.generic_image_power(m, n)
+
+
+# -- dense pencils: Smith forms after a change of basis ----------------------------
+
+
+@pytest.mark.parametrize("p, n, d, jt", [(3, 12, 3, "[3]^10[2][1]"), (5, 10, 5, "[5]^6[4][3][2][1]")])
+def test_dense_w_module_jordan_type_and_image(p, n, d, jt):
+    # dim 33 over F_3 and dim 40 over F_5 with every pencil power dense: the
+    # Smith forms behind the generic ranks, the CJT decision and the generic
+    # image must keep their entries of low degree to finish at all
+    from kemod import linalg
+
+    base = K.w_module(p, n, d)
+    m, P = _disguise_with_basis(base, random.Random(1))
+    assert repr(K.jordan_type(m)) == jt
+    dec = K.constant_jordan_type(m)
+    assert dec.is_cjt and repr(dec.jordan_type) == jt
+    # the r = 2 image runs the direct route through the Smith form as well
+    for j in (1, 2):
+        want = K.generic_image_power(base, j)
+        moved = Subspace.span(m.ctx, m.dim, linalg.matmul_fp(P, want.basis.T, m.ctx).T)
+        assert K.generic_image_power(m, j) == moved
+
+
+def test_dense_jump_module_witness_and_image_cut(monkeypatch):
+    # the square-zero module whose rank drops at the roots of t^2 + 1, plus
+    # W_{12,3}, disguised (dim 37, F_3): the jump stays irrational, so the
+    # witness comes from a non-unit invariant factor of a dense Smith form
+    from kemod import genker
+    from kemod.errors import ConsistencyError
+    from kemod.gf import splitting_extension
+    from kemod.modules import rank_at_point
+
+    m = _disguise(K.direct_sum(_square_zero_from_companion(), K.w_module(3, 12, 3)), random.Random(3))
+    assert m.dim == 37
+    dec = K.constant_jordan_type(m)
+    assert dec.kind == "not_cjt"
+    w = dec.witness
+    assert w["j"] == 1 and len(w["minimal_polynomial"]) == 3
+    # re-verify at a root in F_9, through the point's own matrix
+    ext, root = splitting_extension(F3, [F3.encode(c) for c in w["minimal_polynomial"]])
+    assert rank_at_point(m, (ext.one, ext.decode(root)), 1) == w["rank_there"] < w["generic_rank"]
+    # the direct image is cut at that root and disagrees with duality, as on
+    # every module whose rank jumps
+    cuts = []
+    real_cut = genker._cut_by_root_image
+    monkeypatch.setattr(genker, "_cut_by_root_image", lambda *a: cuts.append(a[3]) or real_cut(*a))
+    with pytest.raises(ConsistencyError):
+        K.generic_image_power(m, 1)
+    assert [F3.encode(c) for c in w["minimal_polynomial"]] in [list(g) for g in cuts]
