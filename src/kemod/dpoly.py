@@ -100,10 +100,6 @@ def sub(ops, f, g):
     return trim(ops, out)
 
 
-def neg(ops, f):
-    return [ops.neg(a) for a in f]
-
-
 def scale(ops, f, c):
     if ops.is_zero(c):
         return []
@@ -171,13 +167,6 @@ def deriv(ops, f):
     return trim(ops, out)
 
 
-def eval_at(ops, f, x):
-    acc = ops.zero
-    for c in reversed(f):
-        acc = ops.add(ops.mul(acc, x), c)
-    return acc
-
-
 def powmod(ops, f, e, m):
     """f**e mod m by square-and-multiply."""
     result = [ops.one]
@@ -188,10 +177,3 @@ def powmod(ops, f, e, m):
         base = rem(ops, mul(ops, base, base), m)
         e >>= 1
     return result
-
-
-def shift(ops, f, e):
-    """Multiply by t**e."""
-    if not f:
-        return []
-    return [ops.zero] * e + list(f)

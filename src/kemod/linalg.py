@@ -6,13 +6,14 @@ every routine takes the field as a ``FieldCtx`` or, for a prime field, as
 the plain prime p, and does its arithmetic through the field's array
 methods.  Every elimination goes through ``rref_fp``, which picks its route
 from the input's nonzero count: over a prime field a matrix with a few
-nonzeros per row and column is reduced row by row as {column: residue}
-maps, touching only the nonzeros; any other matrix is reduced by dense row
-operations, vectorized per pivot.  Both routes give the same canonical
-echelon form.  Matrix products go through float64 BLAS when the
-intermediate values provably fit in the 53-bit mantissa, in pieces that
-BLAS makes on the calling thread unless a product is very wide
-(``gf._matmul_mod``), so no thread setting is needed.
+nonzeros per row and column first loses its single-entry rows, which are
+pivots of their own, in vectorized passes, and the rest is reduced row by
+row as {column: residue} maps, touching only the nonzeros; any other
+matrix is reduced by dense row operations, vectorized per pivot.  Both
+routes give the same canonical echelon form.  Matrix products go through
+float64 BLAS when the intermediate values provably fit in the 53-bit
+mantissa, in pieces that BLAS makes on the calling thread unless a product
+is very wide (``gf._matmul_mod``), so no thread setting is needed.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ def matpow_fp(a: np.ndarray, e: int, F) -> np.ndarray:
 
 SPARSE_MIN_CELLS = 16
 SPARSE_MAX_NNZ_PER_LINE = 2
+SPARSE_PEEL_RATIO = 8
 
 
 def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
@@ -71,15 +73,19 @@ def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
 
     Over a prime field, a matrix of at least ``SPARSE_MIN_CELLS`` cells with
     at most ``SPARSE_MAX_NNZ_PER_LINE`` * (rows + cols) nonzeros takes the
-    sparse route, which touches only the nonzeros; every other matrix is
-    reduced by dense row operations, one vectorized pass per pivot.  Both
-    give the same canonical (R, pivots).  The crossover, measured per call
-    on the 5561 eliminations of one ``bundle`` and one ``suite`` benchmark
-    round (seed 3) and on random n x n matrices over F_2 and F_5 with
-    n = 8..700: with at most 2 (rows + cols) nonzeros the sparse route takes
-    0.1-0.85 of the dense route's time from 16 cells on; below 16 cells the
-    dense route wins; on random matrices with 4 (rows + cols) nonzeros the
-    sparse route takes 1.3-2.6 times as long, because their rows fill in.
+    sparse route (``_rref_sparse``): it peels the rows with a single entry
+    in vectorized passes and reduces the rest as row maps, touching only
+    the nonzeros.  Every other matrix is reduced by dense row operations,
+    one vectorized pass per pivot.  Both give the same canonical
+    (R, pivots).  The crossover, measured per call (best of 5, 2-CPU
+    machine, one BLAS thread) on the 3291 sparse-route eliminations of one
+    seed-1 ``bundle`` and one ``suite`` benchmark round, as the sparse
+    route's time over the dense route's (median, 5-95 %): 1.05 (0.65-2.9)
+    at 16-31 cells, 0.87 (0.50-2.3) at 32-63, 0.59 (0.37-1.5) at 64-255,
+    0.34 (0.11-0.84) at 256-4095 and 0.10 (0.05-0.23) from 4096 on; below
+    16 cells 2.2 on random matrices.  On random n x n matrices over F_2 and
+    F_5 with n = 8..700 it is 0.27-0.92 with 2 (rows + cols) nonzeros and
+    mostly 1.4-2.7 with 4 (rows + cols), whose rows fill in.
     """
     F = field(F)
     a = np.asarray(a, dtype=np.int64)
@@ -118,19 +124,55 @@ def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
 def _rref_sparse(a: np.ndarray, nz: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """``rref_fp`` over F_p of a matrix given with its flat nonzero indices.
 
-    Rows become {column: residue} maps.  Each row is reduced at its leading
-    column by the echelon row with that pivot until its leading column is
-    new, and joins the echelon rows there with a unit lead.  Back
-    substitution, from the last pivot up, then clears the pivot columns of
-    every row."""
+    The nonzeros become (row, column, residue) triplets in row order.  First
+    the rows with a single entry are peeled, in vectorized passes over the
+    triplets (the singleton pass of structured Gaussian elimination; see
+    LaMacchia and Odlyzko, CRYPTO '90).  This is exact: a row whose only
+    entry is at column c puts e_c in the row space, so c is a pivot, e_c is
+    its row of the RREF (1 at c, 0 at every other pivot), and striking c
+    from every other row leaves the row space as it was.  Striking can
+    leave other rows with a single entry, so the passes repeat.  But a
+    chain peels one column per pass, and so the peel stops after a pass
+    that struck fewer than one in ``SPARSE_PEEL_RATIO`` of the entries it
+    left: with the ratio 8, every pass that goes on shrinks the entries to
+    at most 8/9 of them, so all passes together touch at most 9 times the
+    nonzeros.  On the 163 sparse-route calls of a seed-1 ``bundle`` round,
+    the first pass peels 6992 columns, passes bounded so peel 8696 in at
+    most 14 passes, and unbounded passes would peel 9092 in up to 17;
+    eye(n) + 2 eye(n, 1) over F_3 stops after one pass.
+
+    The rows left, the core, become {column: residue} maps.  Each is reduced
+    at its leading column by the echelon row with that pivot until its
+    leading column is new, and joins the echelon rows there with a unit
+    lead.  Back substitution, from the last pivot up, then clears the pivot
+    columns of every core row.  The core holds no peeled column, so its
+    rows and the e_c, in pivot order, are the RREF."""
     rows, cols = a.shape
     vals = a.reshape(-1)[nz] % p
     live = vals != 0
-    nz, vals = nz[live], vals[live]
-    bounds = np.searchsorted(nz, cols * np.arange(rows + 1)).tolist()
-    cl, vl = (nz % cols).tolist(), vals.tolist()
+    r, c = np.divmod(nz[live], cols)
+    vals = vals[live]
+    peeled = np.zeros(cols, dtype=bool)
+    peel = True
+    while True:
+        # edge[i]: entry i starts a row; edge[i + 1]: entry i ends one
+        edge = np.empty(r.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(r[1:], r[:-1], out=edge[1:-1])
+        if not peel:
+            break
+        alone = c[edge[:-1] & edge[1:]]
+        if not alone.size:
+            break
+        peeled[alone] = True  # the columns of earlier passes are gone from c
+        keep = ~peeled[c]
+        before = r.size
+        r, c, vals = r[keep], c[keep], vals[keep]
+        peel = (before - r.size) * SPARSE_PEEL_RATIO >= r.size > 0
+    starts = edge.nonzero()[0].tolist()
+    cl, vl = c.tolist(), vals.tolist()
     basis: dict[int, dict[int, int]] = {}
-    for s, e in zip(bounds, bounds[1:]):
+    for s, e in zip(starts, starts[1:]):
         row = dict(zip(cl[s:e], vl[s:e]))
         while row:
             lead = min(row)
@@ -142,16 +184,22 @@ def _rref_sparse(a: np.ndarray, nz: np.ndarray, p: int) -> tuple[np.ndarray, lis
                 basis[lead] = row
                 break
             _eliminate(row, row[lead], basis[lead], p)
-    pivots = sorted(basis)
-    for lead in reversed(pivots):
+    for lead in sorted(basis, reverse=True):
         row = basis[lead]
         for j in [j for j in row if j > lead and j in basis]:
             _eliminate(row, row[j], basis[j], p)
+    units = peeled.nonzero()[0]
+    leads = np.fromiter(basis, dtype=np.int64, count=len(basis))
+    peeled[leads] = True  # from here on it marks every pivot column
+    pivots = peeled.nonzero()[0]
     R = np.zeros((rows, cols), dtype=np.int64)
-    R.reshape(-1)[[i * cols + j for i, lead in enumerate(pivots) for j in basis[lead]]] = [
-        x for lead in pivots for x in basis[lead].values()
+    flat = R.reshape(-1)
+    flat[pivots.searchsorted(units) * cols + units] = 1
+    at = pivots.searchsorted(leads).tolist()  # the row of R that holds each lead
+    flat[[i * cols + j for i, row in zip(at, basis.values()) for j in row]] = [
+        x for row in basis.values() for x in row.values()
     ]
-    return R, pivots
+    return R, pivots.tolist()
 
 
 def _eliminate(row: dict, f: int, b: dict, p: int) -> None:

