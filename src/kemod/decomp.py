@@ -51,14 +51,14 @@ def hom_space(a: KEModule, b: KEModule) -> HomSpace:
         # a Kronecker factor of 0s and 1s multiplies codes exactly
         blocks.append(F.sub(np.kron(idb, a.mats[i].T), np.kron(b.mats[i], ida)))
     kern = linalg.kernel_fp(np.vstack(blocks), F)
-    basis = [row.reshape(db, da) for row in kern]
-    for f in basis:
-        for i in range(a.r):
-            lhs = linalg.matmul_fp(f, a.mats[i], F)
-            rhs = linalg.matmul_fp(b.mats[i], f, F)
-            if not np.array_equal(lhs, rhs):
-                raise ConsistencyError("hom basis element fails to intertwine")
-    return HomSpace(a, b, basis)
+    stack = kern.reshape(len(kern), db, da)
+    for xa, xb in zip(a.mats, b.mats):
+        # the whole basis at once; FieldCtx.matmul needs stacks of one leading shape
+        lhs = linalg.matmul_fp(stack, np.broadcast_to(xa, (len(stack), da, da)), F)
+        rhs = linalg.matmul_fp(np.broadcast_to(xb, (len(stack), db, db)), stack, F)
+        if not np.array_equal(lhs, rhs):
+            raise ConsistencyError("hom basis element fails to intertwine")
+    return HomSpace(a, b, list(stack))
 
 
 @dataclass

@@ -237,20 +237,20 @@ def kernel_of_rref(R: np.ndarray, pivots: list[int], F: FieldCtx) -> np.ndarray:
 
 def solve_fp(a, b, F):
     """One solution x of a @ x = b (column sense), or None.  For a 2-d b,
-    one such answer per column of b, all from one echelon form of [a | b]:
-    column j is solvable iff it vanishes below the rank of a, whatever the
-    other columns of b are."""
+    (X, solvable): column j of X solves a @ x = b[:, j] where solvable[j],
+    all from one echelon form of [a | b]; column j is solvable iff it
+    vanishes below the rank of a, whatever the other columns of b are."""
     F = field(F)
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)  # rref_fp reduces them
     cols = a.shape[1]
     R, pivots = rref_fp(np.hstack([a, b.reshape(-1, 1) if b.ndim == 1 else b]), F)
-    rank = sum(1 for c in pivots if c < cols)
-    xs = []
-    for col in R[:, cols:].T:
-        x = np.zeros(cols, dtype=np.int64)
-        x[pivots[:rank]] = col[:rank]
-        xs.append(None if col[rank:].any() else x)
-    return xs if b.ndim == 2 else xs[0]
+    rank = int(np.searchsorted(pivots, cols))
+    X = np.zeros((cols, R.shape[1] - cols), dtype=np.int64)
+    X[pivots[:rank]] = R[:rank, cols:]
+    solvable = ~R[rank:, cols:].any(axis=0)
+    if b.ndim == 2:
+        return X, solvable
+    return X[:, 0] if solvable[0] else None
 
 
 def inv_fp(a, F) -> np.ndarray:

@@ -749,7 +749,7 @@ def loewy_length(m: KEModule) -> int:
 
 
 def is_invariant(m: KEModule, sub: Subspace) -> bool:
-    return all(sub.contains(apply_generator(m, i, sub)) for i in range(m.r))
+    return not any(sub.reduce(linalg.matmul_fp(sub.basis, x.T, m.ctx)).any() for x in m.mats)
 
 
 def submodule_spin(m: KEModule, rows) -> Subspace:

@@ -20,13 +20,14 @@ those shifts moved first, gives the degree's new generators
 (``_complement``).  No degree is eliminated anew: the unknowns of degree
 <= n come first, so one echelon form up to a top degree holds that of
 every lower degree as a column prefix (``_PrefixEchelon``), and the top
-grows when the sweep passes it.  ``solve_in_basis`` solves every target of
-one degree with one echelon form.  The matrices of a basis-aligned module
-are almost monomial: in a seed-1 ``bundle`` benchmark round half of their
-rows are empty, and 9 in 10 pivots come from rows that hold a single
-entry, directly or once other such rows are gone.  So their eliminations
-take the sparse route of ``linalg.rref_fp``, which peels those rows
-before it eliminates.
+grows when the sweep passes it.  ``solve_in_basis`` solves all targets of
+a splitting type with one echelon form, at their top degree, and writes
+the coordinates straight into the coefficient array.  The matrices of a
+basis-aligned module are almost monomial: in a seed-1 ``bundle`` benchmark
+round half of their rows are empty, and 9 in 10 pivots come from rows that
+hold a single entry, directly or once other such rows are gone.  So their
+eliminations take the sparse route of ``linalg.rref_fp``, which peels
+those rows before it eliminates.
 """
 
 from __future__ import annotations
@@ -255,23 +256,36 @@ def coefficient_rows(gens: list[GradedGen]) -> np.ndarray:
     return np.hstack([g.coeffs for g in gens]).T
 
 
-def solve_in_basis(gens: list[GradedGen], targets: list[np.ndarray], tdeg: int, dim: int, F) -> list:
-    """Express each target (coefficient array (dim, <= tdeg+1)) as sum N_m c_m.
+def pm_columns(gens: list[GradedGen], rows: int) -> Pm:
+    """The generators as the columns of one polynomial matrix."""
+    out = np.zeros((rows, len(gens), max((g.deg for g in gens), default=0) + 1), dtype=np.int64)
+    for k, g in enumerate(gens):
+        out[:, k, : g.deg + 1] = g.coeffs
+    return out
 
-    The targets share the degree tdeg, so one ``solve_fp`` solves them all
-    against the shifts t^e N_m with e <= tdeg - deg(N_m) (the
-    predictable-degree bound).  Returns, per target, a list of coefficient
-    arrays (len tdeg - deg(N_m) + 1), or None when the target is not in the
-    span.
+
+def solve_in_basis(gens: list[GradedGen], targets: Pm, tdeg: int, F) -> tuple[np.ndarray, np.ndarray]:
+    """Express each column of targets, of degree <= tdeg, as sum N_m c_m.
+
+    One ``solve_fp`` solves every target against the shifts t^e N_m with
+    e <= tdeg - deg(N_m).  The shifts are independent, so a target has at
+    most one set of coordinates; as the basis is minimal, one of degree
+    <= n has them in the shifts of degree <= n alone (the predictable-degree
+    property; Forney, SIAM J. Control 13, 1975), so the coordinates do not
+    depend on the top degree.  Returns (C, solvable): C[m, j, e] is the
+    coefficient of t^e in c_m for target j, shape (len(gens), #targets,
+    max(1, tdeg - min deg + 1)); C[:, j] means nothing unless solvable[j].
     """
-    B = np.zeros((len(targets), (tdeg + 1) * dim), dtype=np.int64)
-    for j, t in enumerate(targets):
-        w = min(t.shape[1], tdeg + 1)
-        B[j, : w * dim] = t[:, :w].T.reshape(-1)
-    sizes = [max(0, tdeg - g.deg + 1) for g in gens]
-    starts = np.cumsum([0] + sizes)
-    xs = solve_fp(_shift_rows(gens, tdeg, dim).T, B.T, F)
-    return [None if x is None else [x[s : s + size] for s, size in zip(starts, sizes)] for x in xs]
+    rows, count, width = targets.shape
+    B = np.zeros((tdeg + 1, rows, count), dtype=np.int64)
+    B[:width] = targets.transpose(2, 0, 1)
+    X, solvable = solve_fp(_shift_rows(gens, tdeg, rows).T, B.reshape(-1, count), F)
+    sizes = np.array([max(0, tdeg - g.deg + 1) for g in gens], dtype=np.int64)
+    owner = np.repeat(np.arange(len(gens)), sizes)
+    shift = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    C = np.zeros((len(gens), count, max(1, int(sizes.max(initial=0)))), dtype=np.int64)
+    C[owner, :, shift] = X
+    return C, solvable
 
 
 def shifted_left_kernel(c: Pm, rowshifts: list[int], F, count: int) -> list[int]:

@@ -203,36 +203,21 @@ def splitting_type(m: KEModule, i: int) -> SplittingType:
 
 
 def _pencil_splitting(m: KEModule, i: int, a_i: int) -> SplittingType:
-    F, d = m.ctx, m.dim
     basis = m.kernel_generators(i)
-    A = m.pencil()
-    # (coefficients, degree, what) of the lower kernel generators and the pencil images
-    targets = [(w.coeffs, w.deg, "lower kernel generator") for w in m.kernel_generators(i - 1)]
-    upper = m.kernel_generators(i + 1)
-    if upper:
-        # one product of the pencil with every generator of power i + 1 as a column
-        W = np.zeros((d, len(upper), max(w.coeffs.shape[1] for w in upper)), dtype=np.int64)
-        for k, w in enumerate(upper):
-            W[:, k, : w.coeffs.shape[1]] = w.coeffs
-        AW = pencil.pm_mul(A, W, F)
-        targets += [
-            (pencil.pm_trim(AW[:, k : k + 1, :])[:, 0, :], w.deg + 1, "pencil image")
-            for k, w in enumerate(upper)
-        ]
-    coords: list = [None] * len(targets)
-    for tdeg in sorted({t[1] for t in targets}):
-        idx = [k for k, t in enumerate(targets) if t[1] == tdeg]
-        sols = pencil.solve_in_basis(basis, [targets[k][0] for k in idx], tdeg, d, F)
-        for k, sol in zip(idx, sols):
-            if sol is None:
-                raise ConsistencyError(f"{targets[k][2]} outside the kernel basis")
-            coords[k] = sol
-    maxdeg = max([0] + [arr.size - 1 for col in coords for arr in col])
-    C = np.zeros((len(basis), len(coords), maxdeg + 1), dtype=np.int64)
-    for cj, col in enumerate(coords):
-        for rj, arr in enumerate(col):
-            C[rj, cj, : arr.size] = arr
-    eps = pencil.shifted_left_kernel(C, [g.deg for g in basis], F, a_i)
+    lower, upper = m.kernel_generators(i - 1), m.kernel_generators(i + 1)
+    # the targets as the columns of one polynomial matrix: the lower kernel
+    # generators, then the images under the pencil of those of power i + 1
+    tdeg = max([w.deg for w in lower] + [w.deg + 1 for w in upper], default=0)
+    low = pencil.pm_columns(lower, m.dim)
+    AW = pencil.pm_mul(m.pencil(), pencil.pm_columns(upper, m.dim), m.ctx)
+    targets = np.zeros((m.dim, len(lower) + len(upper), tdeg + 1), dtype=np.int64)
+    targets[:, : len(lower), : low.shape[2]] = low
+    targets[:, len(lower) :, : AW.shape[2]] = AW
+    C, solvable = pencil.solve_in_basis(basis, targets, tdeg, m.ctx)
+    if not solvable.all():
+        what = "lower kernel generator" if np.argmin(solvable) < len(lower) else "pencil image"
+        raise ConsistencyError(f"{what} outside the kernel basis")
+    eps = pencil.shifted_left_kernel(C, [g.deg for g in basis], m.ctx, a_i)
     return SplittingType(e - (i - 1) for e in eps)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import kemod as K
-from kemod.errors import InputError
+from kemod import linalg
+from kemod.errors import ConsistencyError, InputError
 from kemod.fixdata import mainexample_module
 from kemod.gf import FieldCtx
 
@@ -59,6 +60,19 @@ def test_hom_space_contains_identity():
 
     cols = np.array([f.reshape(-1) for f in hom.basis]).T
     assert solve_fp(cols, eye.reshape(-1), 3) is not None
+
+
+@pytest.mark.parametrize("F", [FieldCtx(5), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}")
+def test_hom_space_refuses_a_basis_element_that_does_not_intertwine(monkeypatch, F):
+    # the matrix unit E_00 does not commute with the generators of W_{3,2}
+    w = K.w_module(F, 3, 2)
+    assert K.hom_space(w, w).dim > 0
+    unit = np.zeros(w.dim * w.dim, dtype=np.int64)
+    unit[0] = 1
+    real = linalg.kernel_fp
+    monkeypatch.setattr(linalg, "kernel_fp", lambda a, F: np.vstack([real(a, F), unit]))
+    with pytest.raises(ConsistencyError, match="fails to intertwine"):
+        K.hom_space(w, w)
 
 
 def test_hom_space_parameter_mismatch():

@@ -68,6 +68,18 @@ def test_solve_detects_inconsistency():
     assert linalg.solve_fp(a, b, 2) is None
 
 
+def test_solve_many_columns_in_one_echelon_form():
+    # columns 0 and 2 lie in the column space of a, column 1 does not
+    a = np.array([[1, 2], [2, 4], [0, 1]])
+    b = np.array([[1, 1, 0], [2, 0, 0], [1, 0, 3]])
+    X, solvable = linalg.solve_fp(a, b, 5)
+    assert solvable.tolist() == [True, False, True]
+    assert not ((a @ X - b)[:, solvable] % 5).any()
+    for j in range(3):
+        x = linalg.solve_fp(a, b[:, j], 5)
+        assert (x is None) if j == 1 else np.array_equal(x, X[:, j])
+
+
 def test_inverse():
     p = 7
     a = np.array([[1, 2], [3, 4]])
@@ -220,12 +232,12 @@ def test_rref_matches_per_pivot_oracle(case):
     b = _random_matrix(rng, F, a.shape[0], 2, 0.5)
     if a.shape[1]:
         b[:, 0] = linalg.matmul_fp(a, _random_matrix(rng, F, a.shape[1], 1, 0.5), F)[:, 0]
-    kernel, solved = linalg.kernel_fp(a, F), linalg.solve_fp(a, b, F)
+    kernel, (X, solvable) = linalg.kernel_fp(a, F), linalg.solve_fp(a, b, F)
     with mock.patch.object(linalg, "rref_fp", oracle_rref):
         assert np.array_equal(kernel, linalg.kernel_fp(a, F))
-        for x, y in zip(solved, linalg.solve_fp(a, b, F)):
-            assert (x is None and y is None) or np.array_equal(x, y)
-    assert a.shape[1] == 0 or solved[0] is not None
+        Y, also = linalg.solve_fp(a, b, F)
+        assert np.array_equal(solvable, also) and np.array_equal(X[:, solvable], Y[:, also])
+    assert a.shape[1] == 0 or solvable[0]
 
 
 def test_rref_leaves_its_input_alone():

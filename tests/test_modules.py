@@ -282,6 +282,24 @@ def test_subquotient_requires_invariance():
         K.subquotient(w, Subspace.full(F3, w.dim), bad)
 
 
+@pytest.mark.parametrize("F", [F3, FieldCtx(2, 2)], ids=lambda F: f"F{F.q}")
+def test_is_invariant_matches_span_and_contains(F):
+    """is_invariant against the form that echelonizes each image and asks
+    containment: spun submodules are invariant, random spans mostly not."""
+    from kemod.modules import apply_generator, is_invariant, submodule_spin
+
+    rng = random.Random(2)
+    m = K.direct_sum(K.w_module(F, 3, 2), K.dual(K.w_module(F, 2, 2)))
+    seen = set()
+    for _ in range(40):
+        rows = [[F.random_code(rng) for _ in range(m.dim)] for _ in range(rng.randint(0, 3))]
+        for sub in (Subspace.span(F, m.dim, rows), submodule_spin(m, rows)):
+            want = all(sub.contains(apply_generator(m, i, sub)) for i in range(m.r))
+            assert is_invariant(m, sub) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_from_presentation_reproduces_w_module():
     # relations X1 v1, X2 v_n, X1^d v_i, X2 v_i - X1 v_{i+1}
     p, n, d = 3, 2, 2

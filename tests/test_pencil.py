@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import kemod as K
 from kemod import linalg, pencil
-from kemod.errors import ConsistencyError
+from kemod.errors import ConsistencyError, MathRefusal
 from kemod.generate import mixed_family
 from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, random_invertible
@@ -166,16 +166,24 @@ def _disguise(m, rng):
     return K.restrict(K.KEModule(m.ctx, 2, mats), random_invertible(m.ctx, 2, rng))
 
 
-def _family():
-    rng = random.Random(3)
-    mods = [K.w_module(p, n, d) for p in (2, 3, 5) for n in range(1, 5) for d in range(1, min(n, p) + 1)]
-    mods += [mem.module for mem in mixed_family(12, seed=5, max_dim=12)]
+def _disguised_w_sums(rng):
+    mods = []
     for parts in [[(3, 3), (3, 2)], [(4, 2), (2, 1)], [(3, 2), (2, 2)]]:
         a, b = (K.w_module(3, n, d) for n, d in parts)
         mods += [_disguise(K.direct_sum(a, b), rng), _disguise(K.direct_sum(a, K.dual(b)), rng)]
-    mods += [K.w_module(FieldCtx(2, 2), n, d) for n, d in [(2, 2), (3, 2), (4, 2)]]
-    mods += [K.w_module(FieldCtx(3, 2), n, d) for n, d in [(2, 2), (3, 3), (4, 2)]]
     return mods
+
+
+def _w_over_f4_and_f9():
+    return [K.w_module(FieldCtx(2, 2), n, d) for n, d in [(2, 2), (3, 2), (4, 2)]] + [
+        K.w_module(FieldCtx(3, 2), n, d) for n, d in [(2, 2), (3, 3), (4, 2)]
+    ]
+
+
+def _family():
+    mods = [K.w_module(p, n, d) for p in (2, 3, 5) for n in range(1, 5) for d in range(1, min(n, p) + 1)]
+    mods += [mem.module for mem in mixed_family(12, seed=5, max_dim=12)]
+    return mods + _disguised_w_sums(random.Random(3)) + _w_over_f4_and_f9()
 
 
 def _w_grid_and_mixed():
@@ -185,11 +193,8 @@ def _w_grid_and_mixed():
 
 
 def _solvable(gens, targets, F, dim):
-    return all(
-        sol is not None
-        for t in targets
-        for sol in pencil.solve_in_basis(gens, [t.coeffs], t.deg, dim, F)
-    )
+    """Every target in the span of gens, each solved at its own degree."""
+    return all(pencil.solve_in_basis(gens, pencil.pm_columns([t], dim), t.deg, F)[1].all() for t in targets)
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -316,21 +321,92 @@ def test_solve_in_basis_many_targets_of_one_degree():
     ]
     outside = np.zeros((d, tdeg + 1), dtype=np.int64)
     outside[:, 0] = 1  # a constant vector that (X_1 + t X_2)^2 does not kill
-    assert pencil.solve_in_basis(basis, [outside], tdeg, d, F) == [None]
+    assert pencil.solve_in_basis(basis, outside[:, None, :], tdeg, F)[1].tolist() == [False]
     targets = inside[:2] + [outside] + inside[2:]
-    sols = pencil.solve_in_basis(basis, targets, tdeg, d, F)
-    assert [sol is None for sol in sols] == [False, False, True, False, False]
-    for t, sol in zip(inside, sols[:2] + sols[3:]):
-        assert [cm.size for cm in sol] == sizes
+    C, solvable = pencil.solve_in_basis(basis, np.stack(targets, axis=1), tdeg, F)
+    assert solvable.tolist() == [True, True, False, True, True]
+    assert C.shape == (len(basis), len(targets), max(sizes))
+    for j, t in zip([0, 1, 3, 4], inside):
+        sol = [C[k, j, :size] for k, size in enumerate(sizes)]
+        assert not any(C[k, j, size:].any() for k, size in enumerate(sizes))
         assert np.array_equal(_combine(F, basis, sol, d, tdeg), t)
-        (single,) = pencil.solve_in_basis(basis, [t], tdeg, d, F)
-        assert all(np.array_equal(x, y) for x, y in zip(single, sol))
+        single, ok = pencil.solve_in_basis(basis, t[:, None, :], tdeg, F)
+        assert ok.tolist() == [True] and np.array_equal(single[:, 0], C[:, j])
 
 
 def test_solve_in_basis_without_generators():
     zero = np.zeros((2, 1), dtype=np.int64)
     one = np.ones((2, 1), dtype=np.int64)
-    assert pencil.solve_in_basis([], [zero, one], 0, 2, 3) == [[], None]
+    C, solvable = pencil.solve_in_basis([], np.stack([zero, one], axis=1), 0, 3)
+    assert C.shape == (0, 2, 1) and solvable.tolist() == [True, False]
+
+
+def oracle_pencil_coefficients(m, i):
+    """The coefficient array C of the i-th splitting as the engine built it
+    before one solve did: the targets grouped by degree, one solve per
+    degree against the shifts up to it, each solution cut into one slice
+    per generator and copied back slice by slice."""
+    F, d = m.ctx, m.dim
+    basis = m.kernel_generators(i)
+    targets = [(w.coeffs, w.deg) for w in m.kernel_generators(i - 1)]
+    for w in m.kernel_generators(i + 1):
+        targets.append((pencil.pm_mul(m.pencil(), w.coeffs[:, None, :], F)[:, 0, :], w.deg + 1))
+    coords = [None] * len(targets)
+    for tdeg in sorted({t for _, t in targets}):
+        idx = [k for k, (_, t) in enumerate(targets) if t == tdeg]
+        B = np.zeros(((tdeg + 1) * d, len(idx)), dtype=np.int64)
+        for j, k in enumerate(idx):
+            B[: targets[k][0].size, j] = targets[k][0].T.reshape(-1)
+        X, solvable = linalg.solve_fp(pencil._shift_rows(basis, tdeg, d).T, B, F)
+        assert solvable.all()
+        sizes = [max(0, tdeg - g.deg + 1) for g in basis]
+        starts = np.cumsum([0] + sizes)
+        for j, k in enumerate(idx):
+            coords[k] = [X[s : s + size, j] for s, size in zip(starts, sizes)]
+    maxdeg = max([0] + [arr.size - 1 for col in coords for arr in col])
+    C = np.zeros((len(basis), len(coords), maxdeg + 1), dtype=np.int64)
+    for cj, col in enumerate(coords):
+        for rj, arr in enumerate(col):
+            C[rj, cj, : arr.size] = arr
+    return C
+
+
+def test_one_solve_gives_the_per_degree_coefficients(monkeypatch):
+    """The C that each splitting hands to shifted_left_kernel, solved at the
+    top degree in one elimination, is the per-degree oracle's, byte for byte:
+    the W grid, disguised W modules and W sums, mixed_family members, and W
+    over F_4 and F_9."""
+    calls = []
+    real = pencil.shifted_left_kernel
+    monkeypatch.setattr(pencil, "shifted_left_kernel", lambda c, *x: calls.append(c) or real(c, *x))
+    mods = _w_grid_and_mixed() + _disguised_w_sums(random.Random(4)) + _w_over_f4_and_f9()
+    checked = 0
+    for m in mods:
+        for i in range(1, m.ctx.p + 1):
+            calls.clear()
+            try:
+                K.splitting_type(m, i)
+            except MathRefusal:
+                break
+            for c in calls:  # none when the bundle has rank 0
+                want = oracle_pencil_coefficients(m, i)
+                assert c.dtype == want.dtype and c.shape == want.shape and np.array_equal(c, want), (m, i)
+                checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("which, i", [("lower kernel generator", 2), ("pencil image", 1)])
+def test_a_target_outside_the_kernel_basis_is_refused(monkeypatch, which, i):
+    """A lower kernel generator that the i-th power does not kill, or a
+    generator of power i + 1 whose pencil image it does not kill, is refused."""
+    m = K.direct_sum(K.w_module(3, 4, 2), K.w_module(3, 3, 3))
+    power = m.power_pencil(i + (which == "pencil image"))
+    v = next(v for v in np.eye(m.dim, dtype=np.int64) if pencil.pm_mul(power, v[:, None, None], m.ctx).any())
+    fake, ell = [GradedGen(v[:, None], 0)], i - 1 if which == "lower kernel generator" else i + 1
+    real = K.KEModule.kernel_generators
+    monkeypatch.setattr(K.KEModule, "kernel_generators", lambda self, e: fake if e == ell else real(self, e))
+    with pytest.raises(ConsistencyError, match=f"^{which} outside the kernel basis$"):
+        K.splitting_type(m, i)
 
 
 def test_prefix_echelon_generators_equal_the_from_scratch_engine():
