@@ -3,9 +3,10 @@
 Polynomials are plain lists of coefficients, ascending degree, with no
 trailing zeros (the zero polynomial is the empty list).  Coefficients are
 whatever the supplied ``ops`` adapter manipulates: element codes of any F_q
-(``FieldCtx.ops``), or ``FieldScalar`` values.  Keeping the representation
-this primitive makes the factor-extraction code the same for every base
-field.
+(``FieldCtx.ops``).  Keeping the representation this primitive makes the
+factor-extraction code the same for every base field.  ``power`` is the
+one square-and-multiply of the package: field elements, polynomials mod m,
+matrices and polynomial matrices all go through it.
 """
 
 from __future__ import annotations
@@ -44,34 +45,6 @@ class IntModOps:
 
     def is_zero(self, a):
         return a == 0
-
-
-class ScalarOps:
-    """Coefficient ops for values carrying their own field arithmetic."""
-
-    __slots__ = ("zero", "one")
-
-    def __init__(self, zero, one):
-        self.zero = zero
-        self.one = one
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return a.inverse()
-
-    def is_zero(self, a):
-        return not a
 
 
 def trim(ops, f):
@@ -167,13 +140,22 @@ def deriv(ops, f):
     return trim(ops, out)
 
 
-def powmod(ops, f, e, m):
-    """f**e mod m by square-and-multiply."""
-    result = [ops.one]
-    base = rem(ops, f, m)
-    while e > 0:
+def power(x, e: int, mul, one):
+    """x^e for e >= 0 by square-and-multiply from the lowest set bit of e:
+    no product by ``one`` and no squaring past the highest bit.  For odd e
+    the first factor of the result is x itself, so for e = 1 x is returned."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")  # e >>= 1 would never reach 0
+    result = None
+    while True:
         if e & 1:
-            result = rem(ops, mul(ops, result, base), m)
-        base = rem(ops, mul(ops, base, base), m)
+            result = x if result is None else mul(result, x)
         e >>= 1
-    return result
+        if not e:
+            return one if result is None else result
+        x = mul(x, x)
+
+
+def powmod(ops, f, e, m):
+    """f**e mod m."""
+    return power(rem(ops, f, m), e, lambda a, b: rem(ops, mul(ops, a, b), m), [ops.one])

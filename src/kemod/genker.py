@@ -21,9 +21,9 @@ from .modules import (
     KEModule,
     PointSpec,
     _snf_of_power,
-    apply_generator,
     constant_jrank_decide,
     dual,
+    image_under_all,
     is_invariant,
     preimage_under_all,
     radical,
@@ -107,14 +107,8 @@ def _poly_mat_pow(a, e: int, ctx):
     n = len(a)
     one = Poly.const(ctx, a[0][0].nvars, 1)
     zero = Poly.zero(ctx, a[0][0].nvars)
-    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mat_mul(result, base, zero)
-        base = _poly_mat_mul(base, base, zero)
-        e >>= 1
-    return result
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return dpoly.power(a, e, lambda x, y: _poly_mat_mul(x, y, zero), eye)
 
 
 def _poly_mat_mul(a, b, zero):
@@ -225,10 +219,7 @@ def j_power(m: KEModule, sub: Subspace, j: int) -> Subspace:
         raise InputError("subspace is not X-invariant")
     cur = sub
     for _ in range(j):
-        nxt = Subspace.zero(m.ctx, m.dim)
-        for i in range(m.r):
-            nxt = nxt.sum(apply_generator(m, i, cur))
-        cur = nxt
+        cur = image_under_all(m, cur)
     return cur
 
 

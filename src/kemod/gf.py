@@ -6,11 +6,15 @@ base-p digits are its coefficients in the power basis of the modulus, so
 a matrix over any F_q is an int64 array of codes and ``FieldCtx`` alone
 holds the arithmetic on such arrays; ``FieldCtx.ops`` gives dpoly the same
 arithmetic on single codes, and ``FieldScalar`` wraps one code for the
-multivariate ``Poly``.  The module also provides the univariate
-factor-extraction routines on code lists (square-free part, one
-irreducible factor) needed to name jump points of polynomial matrices by
-their minimal polynomials, and the extension fields F_{q^m} that the
-generic-rank grid and the r >= 3 sampling evaluate in.
+multivariate ``Poly`` (its powers and p-th roots are ``dpoly.power`` on
+that code).  The module also provides the univariate routines on code
+lists: the square-free part, Rabin's irreducibility test
+(``is_irreducible``), and one irreducible factor by distinct- and
+equal-degree splitting, both reading t^(q^e) mod f off one Frobenius
+chain.  They name jump points of polynomial matrices by their minimal
+polynomials, and the seeded search ``irreducible_of_degree`` names every
+default modulus and the extension fields F_{q^m} that the generic-rank
+grid and the r >= 3 sampling evaluate in.
 
 Elementwise products: residues mod p for k = 1, log/antilog tables up to
 ``TABLE_Q``; past the tables a p = 2 code is a bit string, multiplied by
@@ -34,7 +38,7 @@ import random
 import numpy as np
 
 from . import dpoly
-from .dpoly import IntModOps, ScalarOps
+from .dpoly import IntModOps
 from .errors import InputError, MathRefusal
 
 # Exact range of the int64/float64 kernels: products of two residues (and
@@ -89,39 +93,14 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def is_irreducible_fp(p: int, f: list[int]) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    ops = IntModOps(p)
-    k = len(f) - 1
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    t = [0, 1]
-    # x^(p^k) == x mod f
-    r = t
-    for _ in range(k):
-        r = dpoly.powmod(ops, r, p, f)
-    if dpoly.trim(ops, dpoly.sub(ops, r, t)) != []:
-        return False
-    for q in _prime_divisors(k):
-        r = t
-        for _ in range(k // q):
-            r = dpoly.powmod(ops, r, p, f)
-        g = dpoly.gcd(ops, dpoly.sub(ops, r, t), f)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    """Rabin's irreducibility test for a monic polynomial over F_p."""
+    return is_irreducible(prime_field(p), f)
 
 
-def find_irreducible_fp(p: int, k: int, seed: int = 0) -> list[int]:
-    """Deterministically search for a monic irreducible of degree k over F_p."""
-    if k == 1:
-        return [0, 1]
-    rng = random.Random(f"irr:{p}:{k}:{seed}")
-    while True:
-        f = [rng.randrange(p) for _ in range(k)] + [1]
-        if is_irreducible_fp(p, f):
-            return f
+def find_irreducible_fp(p: int, k: int) -> list[int]:
+    """The monic irreducible of degree k over F_p that ``irreducible_of_degree``
+    draws for k > 1, and t for k = 1."""
+    return [0, 1] if k == 1 else irreducible_of_degree(prime_field(p), k)
 
 
 # OpenBLAS makes a dgemm on the calling thread when M * N * K <= 65536 *
@@ -190,11 +169,12 @@ class FieldCtx:
             )
         if modulus is None:
             modulus = tuple(find_irreducible_fp(p, k))
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise InputError("modulus must be monic of degree k")
-        if k > 1 and not is_irreducible_fp(p, list(modulus)):
-            raise InputError("modulus is not irreducible over F_p")
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise InputError("modulus must be monic of degree k")
+            if k > 1 and not is_irreducible_fp(p, list(modulus)):
+                raise InputError("modulus is not irreducible over F_p")
         self.p = p
         self.k = k
         self.q = p**k
@@ -253,12 +233,6 @@ class FieldCtx:
 
     def random_scalar(self, rng: random.Random) -> "FieldScalar":
         return FieldScalar(self, self.random_code(rng))
-
-    def random_nonzero(self, rng: random.Random) -> "FieldScalar":
-        while True:
-            s = self.random_scalar(rng)
-            if s:
-                return s
 
     def elements(self):
         """Iterate all q elements (small fields only)."""
@@ -467,18 +441,12 @@ class FieldCtx:
 
     def _primitive_root(self) -> int:
         n = self.q - 1
+
+        def mul(a, b):
+            return int(self._mul_digits(a, b))
+
         ell = _prime_divisors(n)
-
-        def power(a, e):
-            r = 1
-            while e:
-                if e & 1:
-                    r = int(self._mul_digits(r, a))
-                a = int(self._mul_digits(a, a))
-                e >>= 1
-            return r
-
-        return next(g for g in range(2, self.q) if all(power(g, n // l) != 1 for l in ell))
+        return next(g for g in range(2, self.q) if all(dpoly.power(g, n // l, mul, 1) != 1 for l in ell))
 
     # -- identity ------------------------------------------------------------------
 
@@ -607,14 +575,7 @@ class FieldScalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldScalar(self.ctx, dpoly.power(self.v, e, self.ctx.ops.mul, 1))
 
     def pth_root(self) -> "FieldScalar":
         """Inverse Frobenius: the unique y with y^p = self."""
@@ -641,11 +602,6 @@ class FieldScalar:
         return self.ctx.format(self.v)
 
 
-def scalar_ops(ctx: FieldCtx) -> ScalarOps:
-    """dpoly adapter with FieldScalar values."""
-    return ScalarOps(ctx.zero, ctx.one)
-
-
 # ---------------------------------------------------------------------------
 # Factor extraction over F_q: enough factorization to name one root of a
 # univariate polynomial by its minimal polynomial.  Square-free and
@@ -655,14 +611,8 @@ def scalar_ops(ctx: FieldCtx) -> ScalarOps:
 
 
 def _pth_root(ctx: FieldCtx, a: int) -> int:
-    """Inverse Frobenius: the code of the unique y with y^p = a."""
-    ops, r, e = ctx.ops, 1, ctx.p ** (ctx.k - 1)
-    while e:
-        if e & 1:
-            r = ops.mul(r, a)
-        a = ops.mul(a, a)
-        e >>= 1
-    return r
+    """Inverse Frobenius: the code of the unique y with y^p = a, y = a^(q/p)."""
+    return dpoly.power(a, ctx.p ** (ctx.k - 1), ctx.ops.mul, 1)
 
 
 def squarefree_part(ctx: FieldCtx, f: list) -> list:
@@ -685,12 +635,27 @@ def squarefree_part(ctx: FieldCtx, f: list) -> list:
     return sf
 
 
-def _frobenius_power(ctx: FieldCtx, f: list, e: int) -> list:
-    """t^(q^e) mod f."""
+def _frobenius_chain(ctx: FieldCtx, f: list):
+    """t^(q^e) mod f for e = 1, 2, ..., each the q-th power of the one before."""
     r = [0, 1]
-    for _ in range(e):
+    while True:
         r = dpoly.powmod(ctx.ops, r, ctx.q, f)
-    return r
+        yield r
+
+
+def is_irreducible(ctx: FieldCtx, f: list) -> bool:
+    """Rabin's test: f of degree n >= 1 over F_q (a code list) is irreducible
+    iff t^(q^n) = t mod f and t^(q^(n/l)) - t is prime to f for every prime
+    l dividing n, all read off one Frobenius chain."""
+    ops, n = ctx.ops, len(f) - 1
+    if n < 1:
+        return False
+    t, checks = dpoly.rem(ops, [0, 1], f), {n // l for l in _prime_divisors(n)}
+    for e, r in enumerate(_frobenius_chain(ctx, f), 1):
+        if e == n:
+            return r == t
+        if e in checks and len(dpoly.gcd(ops, dpoly.sub(ops, r, t), f)) > 1:
+            return False
 
 
 def _equal_degree_split(ctx: FieldCtx, f: list, e: int, rng: random.Random) -> list:
@@ -733,18 +698,11 @@ def some_irreducible_factor(ctx: FieldCtx, f: list, seed: int = 0) -> list:
     if len(f) - 1 < 1:
         raise MathRefusal("no irreducible factor of a constant polynomial")
     rng = random.Random(seed)
-    for e in range(1, len(f)):
-        if len(f) - 1 < e:
-            break
-        r = _frobenius_power(ctx, f, e)
+    # distinct-degree split: the first e with a factor of degree e in f
+    for e, r in enumerate(_frobenius_chain(ctx, f), 1):
         g = dpoly.gcd(ops, dpoly.sub(ops, r, [0, 1]), f)
         if len(g) - 1 > 0:
-            if len(g) - 1 == e:
-                return g
-            return _equal_degree_split(ctx, g, e, rng)
-        if len(f) - 1 == e:
-            return f
-    return f
+            return g if len(g) - 1 == e else _equal_degree_split(ctx, g, e, rng)
 
 
 def splitting_extension(ctx: FieldCtx, g: list, seed: int = 0):
@@ -799,13 +757,22 @@ def _primitive_candidates(ctx: FieldCtx, deg: int, seed: int):
 
 
 def irreducible_of_degree(ctx: FieldCtx, deg: int) -> list:
-    """A monic irreducible of degree deg over F_q (a code list) from a seeded
-    search; over F_p it is the polynomial find_irreducible_fp draws."""
+    """A monic irreducible of degree deg >= 1 over F_q (a code list): the
+    first candidate drawn from ``random.Random(f"irr:{p}:{deg}:0")`` that
+    passes ``is_irreducible``.  The default modulus of F_{p^k} is this
+    search over F_p."""
+    if deg < 1:
+        raise InputError(f"an irreducible polynomial needs degree >= 1, got {deg}")
     rng = random.Random(f"irr:{ctx.p}:{deg}:0")
     while True:
         f = [ctx.random_code(rng) for _ in range(deg)] + [1]
-        if len(some_irreducible_factor(ctx, f, seed=7)) - 1 == deg:
+        if is_irreducible(ctx, f):
             return f
+
+
+@functools.lru_cache(maxsize=None)
+def prime_field(p: int) -> FieldCtx:
+    return FieldCtx(p)
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,26 +18,20 @@ is very wide (``gf._matmul_mod``), so no thread setting is needed.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
+from .dpoly import power
 from .errors import InputError
-from .gf import FieldCtx
+from .gf import FieldCtx, prime_field
 
 # ---------------------------------------------------------------------------
 # numpy lane: matrices of codes over F_q
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _prime_field(p: int) -> FieldCtx:
-    return FieldCtx(p)
-
-
 def field(F) -> FieldCtx:
     """The field given as a FieldCtx or as a prime."""
-    return F if isinstance(F, FieldCtx) else _prime_field(F)
+    return F if isinstance(F, FieldCtx) else prime_field(F)
 
 
 def matmul_fp(a: np.ndarray, b: np.ndarray, F) -> np.ndarray:
@@ -46,17 +40,11 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, F) -> np.ndarray:
 
 
 def matpow_fp(a: np.ndarray, e: int, F) -> np.ndarray:
-    """a^e over F_q by binary powering from the lowest set bit of e; no
-    product by the identity and no squaring past the highest bit."""
+    """a^e over F_q by ``dpoly.power``: no product by the identity and no
+    squaring past the highest bit of e.  The result never shares memory with
+    a."""
     F = field(F)
-    base, result = F.canon(a), None
-    while True:
-        if e & 1:
-            result = base.copy() if result is None else F.matmul(result, base)
-        e >>= 1
-        if not e:
-            return np.eye(a.shape[0], dtype=np.int64) if result is None else result
-        base = F.matmul(base, base)
+    return power(F.canon(a).copy(), e, F.matmul, np.eye(a.shape[0], dtype=np.int64))
 
 
 SPARSE_MIN_CELLS = 16

@@ -487,6 +487,7 @@ def constant_jrank_decide(
     witness, and the sweep ends with its chunk.
     """
     m.require_valid()
+    _check_sampling(samples, ext_degree)
     p = m.ctx.p
     if not 1 <= j <= p:
         raise InputError(f"power j must be in 1..{p}")
@@ -495,6 +496,13 @@ def constant_jrank_decide(
     if key not in m._cache:
         m._cache[key] = _jrank_decision(m, j, samples, ext_degree, seed)
     return m._cache[key]
+
+
+def _check_sampling(samples: int, ext_degree: int | None) -> None:
+    if samples < 0:
+        raise InputError(f"samples must be >= 0, got {samples}")
+    if ext_degree is not None and ext_degree < 1:
+        raise InputError(f"extension degree must be >= 1, got {ext_degree}")
 
 
 def _jrank_decision(m: KEModule, j: int, samples: int, ext_degree: int | None, seed: int) -> JRankDecision:
@@ -593,6 +601,7 @@ def _witness_from_factor(m: KEModule, j: int, rho: int, factor) -> JRankDecision
 def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None = None, seed: int = 0) -> CJTDecision:
     """Decide constant Jordan type (exact for r <= 2)."""
     m.require_valid()
+    _check_sampling(samples, ext_degree)
     key = ("cjt", (samples, ext_degree, seed) if m.r >= 3 else None)
     if key in m._cache:
         return m._cache[key]
@@ -697,14 +706,18 @@ def apply_generator(m: KEModule, i: int, sub: Subspace) -> Subspace:
     return Subspace.span(m.ctx, m.dim, linalg.matmul_fp(sub.basis, m.mats[i].T, m.ctx))
 
 
+def image_under_all(m: KEModule, sub: Subspace) -> Subspace:
+    """X_1 sub + ... + X_r sub, all r images spanned in one echelon form."""
+    if sub.dim == 0:
+        return sub
+    images = linalg.matmul_fp(sub.basis, np.hstack([x.T for x in m.mats]), m.ctx)
+    return Subspace.span(m.ctx, m.dim, images.reshape(-1, m.dim))
+
+
 def radical(m: KEModule) -> Subspace:
     """Rad(M) = sum of the images of the X_i."""
     m.require_valid()
-    full = Subspace.full(m.ctx, m.dim)
-    out = Subspace.zero(m.ctx, m.dim)
-    for i in range(m.r):
-        out = out.sum(apply_generator(m, i, full))
-    return out
+    return image_under_all(m, Subspace.full(m.ctx, m.dim))
 
 
 def socle(m: KEModule) -> Subspace:
@@ -718,11 +731,7 @@ def radical_series(m: KEModule) -> list[Subspace]:
     m.require_valid()
     out = [Subspace.full(m.ctx, m.dim)]
     while out[-1].dim > 0:
-        cur = out[-1]
-        nxt = Subspace.zero(m.ctx, m.dim)
-        for i in range(m.r):
-            nxt = nxt.sum(apply_generator(m, i, cur))
-        out.append(nxt)
+        out.append(image_under_all(m, out[-1]))
     return out
 
 
@@ -757,9 +766,7 @@ def submodule_spin(m: KEModule, rows) -> Subspace:
     m.require_valid()
     cur = Subspace.span(m.ctx, m.dim, rows)
     while True:
-        nxt = cur
-        for i in range(m.r):
-            nxt = nxt.sum(apply_generator(m, i, cur))
+        nxt = cur.sum(image_under_all(m, cur))
         if nxt.dim == cur.dim:
             return cur
         cur = nxt

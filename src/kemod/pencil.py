@@ -36,6 +36,7 @@ import itertools
 
 import numpy as np
 
+from .dpoly import power
 from .errors import ConsistencyError
 from .linalg import field, kernel_of_rref, matmul_fp, rref_fp, solve_fp
 
@@ -68,18 +69,11 @@ def pm_mul(a: Pm, b: Pm, F) -> Pm:
 
 
 def pm_pow(a: Pm, e: int, F) -> Pm:
-    """a^e by binary powering from the lowest set bit of e, as
-    ``linalg.matpow_fp``: no product by the identity and no squaring past
-    the highest bit."""
+    """a^e by ``dpoly.power``, as ``linalg.matpow_fp``: no product by the
+    identity and no squaring past the highest bit of e."""
     F = field(F)
-    base, result = F.canon(a), None
-    while True:
-        if e & 1:
-            result = pm_trim(base).copy() if result is None else pm_mul(result, base, F)
-        e >>= 1
-        if not e:
-            return np.eye(a.shape[0], dtype=np.int64)[:, :, None] if result is None else result
-        base = pm_mul(base, base, F)
+    one = np.eye(a.shape[0], dtype=np.int64)[:, :, None]
+    return power(pm_trim(F.canon(a)).copy(), e, lambda x, y: pm_mul(x, y, F), one)
 
 
 class _PrefixEchelon:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import dpoly
 from .errors import InputError
-from .gf import FieldCtx, FieldScalar, scalar_ops
+from .gf import FieldCtx, FieldScalar
 
 
 class Poly:
@@ -59,11 +59,6 @@ class Poly:
 
     def constant_value(self) -> FieldScalar:
         return self.terms.get((0,) * self.nvars, self.ctx.zero)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, var: int) -> int:
         if not self.terms:
@@ -126,14 +121,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        result = Poly.const(self.ctx, self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return dpoly.power(self, n, Poly.__mul__, Poly.const(self.ctx, self.nvars, 1))
 
     def eval(self, point: list) -> FieldScalar:
         """Evaluate at scalars from the base field (or a compatible one)."""
@@ -228,17 +216,15 @@ class RationalFunction:
         if num.is_zero():
             return num, Poly.const(ctx, nv, 1)
         if nv == 1:
-            ops = scalar_ops(ctx)
-            nc, dc = num.univariate_coeffs(), den.univariate_coeffs()
+            # on codes; the FieldScalars rebuilt by decode, since
+            # from_univariate reads ints as elements of F_p
+            ops = ctx.ops
+            nc, dc = ([c.v for c in f.univariate_coeffs()] for f in (num, den))
             g = dpoly.gcd(ops, nc, dc)
             if len(g) > 1:
-                nc = dpoly.divmod_(ops, nc, g)[0]
-                dc = dpoly.divmod_(ops, dc, g)[0]
-            lead = dc[-1]
-            if lead != ctx.one:
-                inv = lead.inverse()
-                nc = dpoly.scale(ops, nc, inv)
-                dc = dpoly.scale(ops, dc, inv)
+                nc, dc = dpoly.divmod_(ops, nc, g)[0], dpoly.divmod_(ops, dc, g)[0]
+            inv = ops.inv(dc[-1])
+            nc, dc = ([ctx.decode(c) for c in dpoly.scale(ops, f, inv)] for f in (nc, dc))
             return Poly.from_univariate(ctx, nc), Poly.from_univariate(ctx, dc)
         # Multivariate: monomial content, then trial exact division.
         mono = tuple(min(a, b) for a, b in zip(num.monomial_content(), den.monomial_content()))

@@ -83,6 +83,17 @@ def test_bundle_refusal_exit_code(tmp_path, capsys):
     assert "refused" in err
 
 
+def test_bad_sampling_options_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "free3.json")
+    save_module(K.free_module(K.FieldCtx(2), 3, 1), path)
+    for opt in (["--ext-degree", "0"], ["--ext-degree", "-1"], ["--samples", "-1"]):
+        code, out, err = run_cli(["cjt", path] + opt, capsys)
+        assert (code, out) == (2, ""), opt
+        assert err.startswith("input error"), opt
+    for opt in (["--samples", "0"], ["--ext-degree", "1"]):
+        assert run_cli(["cjt", path] + opt, capsys)[0] == 0, opt
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,8 +8,10 @@ from kemod import dpoly, gf
 from kemod.errors import InputError
 from kemod.gf import (
     FieldCtx,
+    extension,
     find_irreducible_fp,
     irreducible_of_degree,
+    is_irreducible,
     is_irreducible_fp,
     some_irreducible_factor,
     splitting_extension,
@@ -45,6 +48,12 @@ def test_extension_field_is_a_field():
     # multiplicative order of some element divides 8 and the powers cycle
     seen = {gen**i for i in range(1, 9)}
     assert f9.one in seen
+    # powers against repeated products
+    for x in elements:
+        want = f9.one
+        for e in range(10):
+            assert x**e == want, (x, e)
+            want = want * x
 
 
 def test_frobenius_pth_root():
@@ -68,6 +77,131 @@ def test_find_irreducible_matches_exhaustive_count():
     assert f in ([1, 1, 0, 1], [1, 0, 1, 1])
 
 
+def _monic(ctx, deg):
+    for low in itertools.product(range(ctx.q), repeat=deg):
+        yield list(low) + [1]
+
+
+# degree 5 is the first where a reducible f (a cubic times a quadratic) has
+# no factor of degree dividing n/l, so only t^(q^n) = t mod f rejects it
+@pytest.mark.parametrize("p,k,top", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 3)])
+def test_irreducibility_matches_exhaustive_factor_search(p, k, top):
+    ctx = FieldCtx(p, k)
+    q = ctx.q
+    # Gauss's count of the monic irreducibles of each degree
+    gauss = [0, q, (q**2 - q) // 2, (q**3 - q) // 3, (q**4 - q**2) // 4, (q**5 - q) // 5,
+             (q**6 - q**3 - q**2 + q) // 6]
+    for deg in range(top + 1):
+        divisors = [g for d in range(1, deg // 2 + 1) for g in _monic(ctx, d)]
+        count = 0
+        for f in _monic(ctx, deg):
+            irreducible = deg >= 1 and all(dpoly.rem(ctx.ops, f, g) for g in divisors)
+            assert is_irreducible(ctx, f) == irreducible, f
+            if k == 1:
+                assert is_irreducible_fp(p, f) == irreducible, f
+            count += irreducible
+        assert count == gauss[deg], deg
+
+
+def test_degree_below_one_is_refused():
+    for deg in (0, -1):
+        with pytest.raises(InputError):
+            irreducible_of_degree(FieldCtx(3, 2), deg)
+        with pytest.raises(InputError):
+            find_irreducible_fp(5, deg)
+        with pytest.raises(InputError):
+            extension(FieldCtx(2), deg)
+
+
+# Pinned default moduli and extension() fields: element codes, files and
+# reports over F_{p^k} depend on them, so a drift in the seeded search
+# stream must show here.
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (2, 6): (1, 1, 0, 1, 1, 0, 1),
+    (2, 7): (1, 1, 0, 0, 1, 0, 1, 1),
+    (2, 8): (1, 1, 0, 0, 1, 1, 1, 1, 1),
+    (3, 2): (2, 2, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 2, 2, 1),
+    (3, 5): (1, 2, 2, 1, 0, 1),
+    (3, 6): (2, 2, 2, 1, 1, 1, 1),
+    (3, 7): (1, 2, 0, 1, 0, 0, 2, 1),
+    (3, 8): (1, 0, 2, 2, 1, 0, 1, 2, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (3, 4, 0, 1),
+    (5, 4): (4, 4, 3, 1, 1),
+    (5, 5): (3, 0, 4, 4, 4, 1),
+    (5, 6): (3, 1, 3, 0, 1, 0, 1),
+    (5, 7): (1, 1, 0, 1, 4, 2, 4, 1),
+    (5, 8): (2, 0, 1, 2, 3, 2, 0, 2, 1),
+    (7, 2): (4, 6, 1),
+    (7, 3): (5, 4, 5, 1),
+    (7, 4): (3, 1, 3, 3, 1),
+    (7, 5): (3, 5, 2, 4, 1, 1),
+    (7, 6): (1, 0, 3, 2, 4, 6, 1),
+    (7, 7): (5, 2, 0, 0, 1, 3, 5, 1),
+    (7, 8): (2, 4, 4, 0, 0, 4, 3, 1, 1),
+    (101, 2): (6, 8, 1),
+    (101, 3): (83, 42, 39, 1),
+    (101, 4): (12, 38, 41, 89, 1),
+    (101, 5): (57, 69, 28, 72, 48, 1),
+    (101, 6): (42, 52, 32, 73, 31, 79, 1),
+    (101, 7): (16, 71, 75, 66, 5, 15, 84, 1),
+    (101, 8): (8, 82, 41, 91, 77, 82, 18, 57, 1),
+}
+
+BASES = {"F2": (2, 1), "F3": (3, 1), "F5": (5, 1), "F4": (2, 2), "F9": (3, 2), "F8": (2, 3)}
+
+# (base, m) -> (p, k, modulus) of extension(base, m); the last m of each
+# base is the first with q^m > 2^20, the default of the r >= 3 sampling
+EXTENSION_MODULI = {
+    ("F2", 2): (2, 2, (1, 1, 1)),
+    ("F2", 3): (2, 3, (1, 0, 1, 1)),
+    ("F2", 4): (2, 4, (1, 1, 0, 0, 1)),
+    ("F2", 21): (2, 21, (1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1)),
+    ("F3", 2): (3, 2, (2, 2, 1)),
+    ("F3", 3): (3, 3, (1, 2, 0, 1)),
+    ("F3", 4): (3, 4, (2, 1, 2, 2, 1)),
+    ("F3", 13): (3, 13, (2, 2, 0, 0, 0, 2, 1, 1, 2, 1, 2, 0, 2, 1)),
+    ("F5", 2): (5, 2, (1, 1, 1)),
+    ("F5", 3): (5, 3, (3, 4, 0, 1)),
+    ("F5", 4): (5, 4, (4, 4, 3, 1, 1)),
+    ("F5", 9): (5, 9, (1, 2, 2, 0, 0, 3, 4, 2, 4, 1)),
+    ("F4", 2): (2, 4, (1, 1, 0, 0, 1)),
+    ("F4", 3): (2, 6, (1, 0, 1, 1, 0, 1, 1)),
+    ("F4", 4): (2, 8, (1, 1, 1, 1, 1, 1, 0, 0, 1)),
+    ("F4", 11): (2, 22, (1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1)),
+    ("F9", 2): (3, 4, (2, 2, 0, 0, 1)),
+    ("F9", 3): (3, 6, (1, 0, 1, 1, 0, 1, 1)),
+    ("F9", 4): (3, 8, (1, 0, 1, 2, 2, 2, 1, 0, 1)),
+    ("F9", 7): (3, 14, (2, 2, 1, 2, 1, 1, 0, 0, 1, 2, 2, 2, 1, 2, 1)),
+    ("F8", 2): (2, 6, (1, 0, 1, 0, 1, 1, 1)),
+    ("F8", 3): (2, 9, (1, 0, 1, 0, 1, 0, 1, 1, 1, 1)),
+    ("F8", 4): (2, 12, (1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1)),
+    ("F8", 7): (2, 21, (1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1)),
+}
+
+
+def test_default_moduli_are_pinned():
+    for (p, k), modulus in DEFAULT_MODULI.items():
+        assert FieldCtx(p, k).modulus == modulus, (p, k)
+        assert tuple(find_irreducible_fp(p, k)) == modulus, (p, k)
+    assert FieldCtx(101).modulus == (0, 1) and find_irreducible_fp(101, 1) == [0, 1]
+
+
+def test_extension_moduli_are_pinned():
+    for (name, m), want in EXTENSION_MODULI.items():
+        base = FieldCtx(*BASES[name])
+        ext = extension(base, m)
+        assert (ext.p, ext.k, ext.modulus) == want, (name, m)
+        assert (m > 4) == (base.q ** (m - 1) <= 2**20 < base.q**m), (name, m)
+    assert extension(FieldCtx(3, 2), 1) == FieldCtx(3, 2)
+
+
 def test_squarefree_part_strips_multiplicity():
     ctx = FieldCtx(3)
     ops = ctx.ops
@@ -89,7 +223,7 @@ def test_squarefree_part_pth_power():
     assert squarefree_part(ctx, f) == t
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 2)])
 def test_some_irreducible_factor_divides_and_is_irreducible(p, k):
     ctx = FieldCtx(p, k)
     ops = ctx.ops
@@ -102,8 +236,7 @@ def test_some_irreducible_factor_divides_and_is_irreducible(p, k):
         sf = squarefree_part(ctx, f)
         _, rem = dpoly.divmod_(ops, sf, g)
         assert rem == []
-        if k == 1:
-            assert is_irreducible_fp(p, g)
+        assert is_irreducible(ctx, g)
 
 
 def test_splitting_extension_contains_root():

@@ -138,6 +138,8 @@ def test_matpow_matches_repeated_products():
             assert np.array_equal(got, want), (F, e)
             assert got is not a
             want = linalg.matmul_fp(want, a, F)
+        with pytest.raises(ValueError):
+            linalg.matpow_fp(a, -1, F)
 
 
 # -- the sparse route against the per-pivot routine --------------------------------

@@ -83,6 +83,19 @@ def test_arithmetic_matches_evaluation_homomorphism():
         assert (a - b).eval(pt) == a.eval(pt) - b.eval(pt)
 
 
+def test_powers_match_repeated_products():
+    ctx = FieldCtx(3, 2)
+    t = Poly.variable(ctx, 1, 0)
+    u, v = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+    for f in (t + Poly.const(ctx, 1, ctx.gen()), u * ctx.gen() + v + Poly.const(ctx, 2, 2), Poly.zero(ctx, 1)):
+        want = Poly.const(ctx, f.nvars, 1)
+        for e in range(10):
+            assert f**e == want, (f, e)
+            want = want * f
+        with pytest.raises(ValueError):
+            f ** -1
+
+
 def test_exact_division():
     ctx = FieldCtx(3)
     a = Poly(ctx, 2, {(1, 0): ctx.one, (0, 1): ctx.one})       # t1 + t2

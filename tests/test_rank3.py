@@ -147,6 +147,17 @@ def test_decision_cache_keys_on_sampling():
     assert K.constant_jrank_decide(m, 1, samples=0).kind == "probably_constant"
 
 
+def test_bad_sampling_options_are_refused_for_every_rank():
+    # also for r <= 2, where no sampling happens, and after a cached answer
+    for m in (rank3_free(), K.w_module(3, 4, 3), K.free_module(F3, 1, 1)):
+        K.constant_jordan_type(m)
+        for kw in ({"samples": -1}, {"ext_degree": 0}, {"ext_degree": -2}):
+            with pytest.raises(InputError):
+                K.constant_jordan_type(m, **kw)
+            with pytest.raises(InputError):
+                K.constant_jrank_decide(m, 1, **kw)
+
+
 def test_rank_grid_swept_once_per_module(monkeypatch):
     from kemod import modules
 
