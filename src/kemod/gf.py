@@ -8,7 +8,7 @@ holds the arithmetic on such arrays; ``FieldCtx.ops`` gives dpoly the same
 arithmetic on single codes, and ``FieldScalar`` wraps one code for the
 multivariate ``Poly`` (its powers and p-th roots are ``dpoly.power`` on
 that code).  The module also provides the univariate routines on code
-lists: the square-free part, Rabin's irreducibility test
+lists: the square-free part, Ben-Or's irreducibility test
 (``is_irreducible``), and one irreducible factor by distinct- and
 equal-degree splitting, both reading t^(q^e) mod f off one Frobenius
 chain.  They name jump points of polynomial matrices by their minimal
@@ -93,7 +93,7 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def is_irreducible_fp(p: int, f: list[int]) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over F_p."""
+    """``is_irreducible`` for a monic polynomial over F_p."""
     return is_irreducible(prime_field(p), f)
 
 
@@ -644,18 +644,20 @@ def _frobenius_chain(ctx: FieldCtx, f: list):
 
 
 def is_irreducible(ctx: FieldCtx, f: list) -> bool:
-    """Rabin's test: f of degree n >= 1 over F_q (a code list) is irreducible
-    iff t^(q^n) = t mod f and t^(q^(n/l)) - t is prime to f for every prime
-    l dividing n, all read off one Frobenius chain."""
+    """Ben-Or's test (FOCS 1981): f of degree n >= 1 over F_q (a code list)
+    is irreducible iff t^(q^e) - t is prime to f for every e <= n/2, all
+    read off one Frobenius chain.  A reducible f has an irreducible factor of
+    some degree d <= n/2, which divides t^(q^d) - t; most reducible f have
+    one of small degree, so they are rejected after a few steps of the
+    chain."""
     ops, n = ctx.ops, len(f) - 1
     if n < 1:
         return False
-    t, checks = dpoly.rem(ops, [0, 1], f), {n // l for l in _prime_divisors(n)}
-    for e, r in enumerate(_frobenius_chain(ctx, f), 1):
-        if e == n:
-            return r == t
-        if e in checks and len(dpoly.gcd(ops, dpoly.sub(ops, r, t), f)) > 1:
+    t = dpoly.rem(ops, [0, 1], f)
+    for _, r in zip(range(n // 2), _frobenius_chain(ctx, f)):
+        if len(dpoly.gcd(ops, dpoly.sub(ops, r, t), f)) > 1:
             return False
+    return True
 
 
 def _equal_degree_split(ctx: FieldCtx, f: list, e: int, rng: random.Random) -> list:

@@ -1,22 +1,29 @@
 """Exact linear algebra over any F_q, plus a generic lane for the
 rational-function scalars of the symbolic generic-point computations.
 
-Matrices over F_q are int64 arrays of element codes (see ``gf.FieldCtx``);
-every routine takes the field as a ``FieldCtx`` or, for a prime field, as
-the plain prime p, and does its arithmetic through the field's array
-methods.  Every elimination goes through ``rref_fp``, which picks its route
-from the input's nonzero count: over a prime field a matrix with a few
-nonzeros per row and column first loses its single-entry rows, which are
-pivots of their own, in vectorized passes, and the rest is reduced row by
-row as {column: residue} maps, touching only the nonzeros; any other
+Matrices over F_q are int64 arrays of element codes (see ``gf.FieldCtx``)
+or, where they are large and mostly zero, ``Coo`` triplets of their
+nonzeros; every routine takes the field as a ``FieldCtx`` or, for a prime
+field, as the plain prime p, and does its arithmetic through the field's
+array methods.  Every elimination goes through ``rref_fp``, which picks its
+route from the input's nonzero count: over a prime field a matrix with a
+few nonzeros per row and column first loses its single-entry rows, which
+are pivots of their own, in vectorized passes, and the rest is reduced row
+by row as {column: residue} maps, touching only the nonzeros; any other
 matrix is reduced by dense row operations, vectorized per pivot.  Both
-routes give the same canonical echelon form.  Matrix products go through
+routes give the same canonical echelon form, and in the input's form:
+dense in, dense out; ``Coo`` in, ``Coo`` out, with no dense array of the
+matrix's size unless it takes the dense route (``kernel_fp`` and
+``kernel_of_rref`` likewise).  Matrix products go through
 float64 BLAS when the intermediate values provably fit in the 53-bit
 mantissa, in pieces that BLAS makes on the calling thread unless a product
 is very wide (``gf._matmul_mod``), so no thread setting is needed.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,42 +54,79 @@ def matpow_fp(a: np.ndarray, e: int, F) -> np.ndarray:
     return power(F.canon(a).copy(), e, F.matmul, np.eye(a.shape[0], dtype=np.int64))
 
 
+class Coo(NamedTuple):
+    """A rows x cols matrix over F_q as (row, column, value) triplets, in
+    ascending row order, at most one per position.  A value may be 0, or p
+    or more over F_p; positions without a triplet hold 0."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "Coo":
+        row, col = a.nonzero()
+        return cls(row, col, a[row, col], a.shape)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.row, self.col] = self.val
+        return out
+
+
 SPARSE_MIN_CELLS = 16
 SPARSE_MAX_NNZ_PER_LINE = 2
 SPARSE_PEEL_RATIO = 8
 
 
-def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_q.
+def rref_fp(a, F) -> tuple:
+    """Reduced row echelon form over F_q of a dense matrix or a ``Coo``.
 
     Returns:
-        (R, pivots): R with unit pivots and zeros above/below them,
-        pivots the list of pivot column indices.
+        (R, pivots): R with unit pivots and zeros above/below them, of the
+        input's shape, a ``Coo`` of its nonzeros for a ``Coo`` input and an
+        int64 array for a dense one; pivots the list of pivot column
+        indices.
 
     Over a prime field, a matrix of at least ``SPARSE_MIN_CELLS`` cells with
     at most ``SPARSE_MAX_NNZ_PER_LINE`` * (rows + cols) nonzeros takes the
     sparse route (``_rref_sparse``): it peels the rows with a single entry
     in vectorized passes and reduces the rest as row maps, touching only
-    the nonzeros.  Every other matrix is reduced by dense row operations,
-    one vectorized pass per pivot.  Both give the same canonical
-    (R, pivots).  The crossover, measured per call (best of 5, 2-CPU
-    machine, one BLAS thread) on the 3291 sparse-route eliminations of one
-    seed-1 ``bundle`` and one ``suite`` benchmark round, as the sparse
-    route's time over the dense route's (median, 5-95 %): 1.05 (0.65-2.9)
-    at 16-31 cells, 0.87 (0.50-2.3) at 32-63, 0.59 (0.37-1.5) at 64-255,
-    0.34 (0.11-0.84) at 256-4095 and 0.10 (0.05-0.23) from 4096 on; below
-    16 cells 2.2 on random matrices.  On random n x n matrices over F_2 and
-    F_5 with n = 8..700 it is 0.27-0.92 with 2 (rows + cols) nonzeros and
-    mostly 1.4-2.7 with 4 (rows + cols), whose rows fill in.
+    the nonzeros.  A ``Coo`` hands it its triplets, a dense matrix those of
+    its nonzeros.  Every other matrix, a ``Coo`` made dense, is reduced by
+    dense row operations, one vectorized pass per pivot.  Both give the same
+    canonical (R, pivots).  The crossover, measured per call (best of 5,
+    2-CPU machine, one BLAS thread) on the 3291 sparse-route eliminations
+    of one seed-1 ``bundle`` and one ``suite`` benchmark round, as the
+    sparse route's time over the dense route's (median, 5-95 %): 1.05
+    (0.65-2.9) at 16-31 cells, 0.87 (0.50-2.3) at 32-63, 0.59 (0.37-1.5)
+    at 64-255, 0.34 (0.11-0.84) at 256-4095 and 0.10 (0.05-0.23) from 4096
+    on; below 16 cells 2.2 on random matrices.  On random n x n matrices
+    over F_2 and F_5 with n = 8..700 it is 0.27-0.92 with 2 (rows + cols)
+    nonzeros and mostly 1.4-2.7 with 4 (rows + cols), whose rows fill in.
     """
     F = field(F)
-    a = np.asarray(a, dtype=np.int64)
+    coo = isinstance(a, Coo)
+    if not coo:
+        a = np.asarray(a, dtype=np.int64)
     rows, cols = a.shape
-    if F.k == 1 and a.size >= SPARSE_MIN_CELLS:
-        nz = np.flatnonzero(a != 0)
-        if nz.size <= SPARSE_MAX_NNZ_PER_LINE * (rows + cols):
-            return _rref_sparse(a, nz, F.p)
-    R = F.canon(a)
+    if F.k == 1 and rows * cols >= SPARSE_MIN_CELLS:
+        if coo:
+            sparse = a if np.count_nonzero(a.val) <= SPARSE_MAX_NNZ_PER_LINE * (rows + cols) else None
+        else:
+            flat = a.ravel()
+            nz = flat.nonzero()[0]
+            sparse = None
+            if nz.size <= SPARSE_MAX_NNZ_PER_LINE * (rows + cols):
+                sparse = Coo(*np.divmod(nz, cols), flat[nz], a.shape)
+        if sparse is not None:
+            r, c, vals, pivots = _rref_sparse(sparse, F.p)
+            if not coo:
+                return Coo(r, c, vals, a.shape).dense(), pivots
+            order = r.argsort(kind="stable")
+            return Coo(r[order], c[order], vals[order], a.shape), pivots
+    R = F.canon(a.dense() if coo else a)
     if R is a:
         R = R.copy()
     pivots: list[int] = []
@@ -90,7 +134,7 @@ def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if pr >= rows:
             break
-        nz = np.nonzero(R[pr:, c])[0]
+        nz = R[pr:, c].nonzero()[0]
         if nz.size == 0:
             continue
         r0 = pr + nz[0]
@@ -106,13 +150,13 @@ def rref_fp(a, F) -> tuple[np.ndarray, list[int]]:
             R[mask] = F.sub_mul(R[mask], coef[mask][:, None], R[pr])
         pivots.append(c)
         pr += 1
-    return R, pivots
+    return (Coo.from_dense(R) if coo else R), pivots
 
 
-def _rref_sparse(a: np.ndarray, nz: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """``rref_fp`` over F_p of a matrix given with its flat nonzero indices.
+def _rref_sparse(a: Coo, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """``rref_fp`` over F_p of a matrix given as triplets.
 
-    The nonzeros become (row, column, residue) triplets in row order.  First
+    The triplets that are not 0 mod p are kept, in row order.  First
     the rows with a single entry are peeled, in vectorized passes over the
     triplets (the singleton pass of structured Gaussian elimination; see
     LaMacchia and Odlyzko, CRYPTO '90).  This is exact: a row whose only
@@ -134,12 +178,12 @@ def _rref_sparse(a: np.ndarray, nz: np.ndarray, p: int) -> tuple[np.ndarray, lis
     leading column is new, and joins the echelon rows there with a unit
     lead.  Back substitution, from the last pivot up, then clears the pivot
     columns of every core row.  The core holds no peeled column, so its
-    rows and the e_c, in pivot order, are the RREF."""
+    rows and the e_c, in pivot order, are the RREF.  Returns its triplets
+    (row, column, value), in no particular order, and the pivots."""
     rows, cols = a.shape
-    vals = a.reshape(-1)[nz] % p
+    vals = a.val % p
     live = vals != 0
-    r, c = np.divmod(nz[live], cols)
-    vals = vals[live]
+    r, c, vals = a.row[live], a.col[live], vals[live]
     peeled = np.zeros(cols, dtype=bool)
     peel = True
     while True:
@@ -180,14 +224,16 @@ def _rref_sparse(a: np.ndarray, nz: np.ndarray, p: int) -> tuple[np.ndarray, lis
     leads = np.fromiter(basis, dtype=np.int64, count=len(basis))
     peeled[leads] = True  # from here on it marks every pivot column
     pivots = peeled.nonzero()[0]
-    R = np.zeros((rows, cols), dtype=np.int64)
-    flat = R.reshape(-1)
-    flat[pivots.searchsorted(units) * cols + units] = 1
-    at = pivots.searchsorted(leads).tolist()  # the row of R that holds each lead
-    flat[[i * cols + j for i, row in zip(at, basis.values()) for j in row]] = [
-        x for row in basis.values() for x in row.values()
-    ]
-    return R, pivots.tolist()
+    sizes = np.fromiter(map(len, basis.values()), dtype=np.int64, count=len(basis))
+    # the e_c, then the core rows; r holds the pivot of each entry's row
+    n = units.size
+    r, c, vals = np.empty((3, n + int(sizes.sum())), dtype=np.int64)
+    r[:n] = c[:n] = units
+    vals[:n] = 1
+    r[n:] = leads.repeat(sizes)
+    c[n:] = np.fromiter(chain.from_iterable(basis.values()), np.int64)
+    vals[n:] = np.fromiter(chain.from_iterable(map(dict.values, basis.values())), np.int64)
+    return pivots.searchsorted(r), c, vals, pivots.tolist()
 
 
 def _eliminate(row: dict, f: int, b: dict, p: int) -> None:
@@ -204,19 +250,33 @@ def rank_fp(a, F) -> int:
     return len(rref_fp(a, F)[1])
 
 
-def kernel_fp(a, F) -> np.ndarray:
-    """Row basis of the right kernel {x : a @ x = 0} over F_q."""
+def kernel_fp(a, F):
+    """Row basis of the right kernel {x : a @ x = 0} over F_q, a ``Coo`` for
+    a ``Coo`` a."""
     F = field(F)
     R, pivots = rref_fp(a, F)
     return kernel_of_rref(R, pivots, F)
 
 
-def kernel_of_rref(R: np.ndarray, pivots: list[int], F: FieldCtx) -> np.ndarray:
-    """The kernel basis of an RREF: one row per free column."""
-    cols = R.shape[1]
-    is_free = np.ones(cols, dtype=bool)
+def kernel_of_rref(R, pivots: list[int], F: FieldCtx, cols: int | None = None):
+    """The kernel basis of an RREF R, or of its column prefix R[:, :cols]
+    with the pivots that lie in it: one row per free column, 1 there and
+    -R[i, free] at pivots[i].  A ``Coo`` for a ``Coo`` R, else dense."""
+    cols = R.shape[1] if cols is None else int(cols)
+    # the rows of R past the prefix's pivots have no entry left of cols
+    is_free = np.zeros(R.shape[1], dtype=bool)
+    is_free[:cols] = True
     is_free[pivots] = False
-    free = np.nonzero(is_free)[0]
+    free = is_free.nonzero()[0]
+    if isinstance(R, Coo):
+        keep = is_free[R.col]
+        slot = np.empty(cols, dtype=np.int64)  # the basis row of each free column
+        slot[free] = ids = np.arange(free.size)
+        row = np.concatenate([ids, slot[R.col[keep]]])
+        col = np.concatenate([free, np.asarray(pivots, dtype=np.int64)[R.row[keep]]])
+        val = np.concatenate([np.ones(free.size, dtype=np.int64), F.neg(R.val[keep])])
+        order = row.argsort(kind="stable")
+        return Coo(row[order], col[order], val[order], (free.size, cols))
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = F.neg(R[: len(pivots)][:, free].T)

@@ -606,10 +606,13 @@ def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None 
     if key in m._cache:
         return m._cache[key]
     p = m.ctx.p
-    if m.r >= 3 and _grid_fits(m, p - 1):
-        generic_power_ranks(m, p - 1)  # one grid sweep for every j below
     probable = False
     for j in range(1, p):
+        # for r >= 3, j = 1 is decided first, on its own grid with about
+        # 1/(p - 1)^(r - 1) of the cells of the grid for all j < p, which is
+        # swept once, and only for a module that passes j = 1
+        if j == 2 and m.r >= 3 and _grid_fits(m, p - 1):
+            generic_power_ranks(m, p - 1)
         dec = constant_jrank_decide(m, j, samples=samples, ext_degree=ext_degree, seed=seed + j)
         if dec.kind == "not_constant":
             out = CJTDecision("not_cjt", None, witness={"j": j, **(dec.witness or {})})

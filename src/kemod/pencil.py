@@ -27,18 +27,25 @@ basis-aligned module are almost monomial: in a seed-1 ``bundle`` benchmark
 round half of their rows are empty, and 9 in 10 pivots come from rows that
 hold a single entry, directly or once other such rows are gone.  So their
 eliminations take the sparse route of ``linalg.rref_fp``, which peels
-those rows before it eliminates.
+those rows before it eliminates.  Every matrix the engine eliminates (the
+constraints of a sweep, the shifts of the old generators, a degree's
+kernel and the [shifts | targets] of a solve) is built as a
+``linalg.Coo`` straight from the nonzeros of its source, by vectorized
+gathers and one sort by row, and the echelon forms and kernels come back
+as ``Coo``s that are read the same way; only the new generators and the
+coordinates are dense.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 import numpy as np
 
 from .dpoly import power
 from .errors import ConsistencyError
-from .linalg import field, kernel_of_rref, matmul_fp, rref_fp, solve_fp
+from .linalg import Coo, field, kernel_of_rref, matmul_fp, rref_fp
 
 Pm = np.ndarray  # (rows, cols, deg+1)
 
@@ -82,7 +89,7 @@ class _PrefixEchelon:
     nullity and kernel (as ``kernel_fp`` gives it) come without a new
     elimination."""
 
-    def __init__(self, M: np.ndarray, ends: np.ndarray, F):
+    def __init__(self, M, ends: np.ndarray, F):
         self.F, self.ends = field(F), ends
         self.R, self.piv = rref_fp(M, self.F)
         self.ranks = np.searchsorted(self.piv, ends)
@@ -90,9 +97,8 @@ class _PrefixEchelon:
     def nullity(self, k: int) -> int:
         return int(self.ends[k] - self.ranks[k])
 
-    def kernel(self, k: int) -> np.ndarray:
-        r = self.ranks[k]
-        return kernel_of_rref(self.R[:r, : self.ends[k]], self.piv[:r], self.F)
+    def kernel(self, k: int):
+        return kernel_of_rref(self.R, self.piv[: self.ranks[k]], self.F, self.ends[k])
 
 
 class GradedGen:
@@ -105,55 +111,71 @@ class GradedGen:
         self.deg = deg
 
 
-def _shift_rows(gens: list[GradedGen], n: int, cols: int) -> np.ndarray:
-    """Rows t^e g for every generator g and e = 0..n - deg g, flattened in
-    the deg-<=n layout (coefficient of t^e in block e)."""
-    out = np.zeros((kernel_slice_dim(gens, n), (n + 1) * cols), dtype=np.int64)
-    i = 0
-    for g in gens:
-        flat = g.coeffs.T.reshape(-1)
-        for e in range(n - g.deg + 1):
-            out[i, e * cols : e * cols + flat.size] = flat
-            i += 1
-    return out
-
-
-def _complement(K: np.ndarray, old: np.ndarray, F) -> np.ndarray:
+def _complement(K: Coo, old, F) -> np.ndarray:
     """The RREF of the rows of span(K) that vanish on the pivot columns of
-    old, a complement of span(old) in span(K) (old independent and inside
-    span(K)).  With those columns moved first, the echelon form of K has one
-    row pivoted on each of them and the rest vanish there: the rest, with
-    the columns moved back, is that RREF."""
+    old (dense or a ``Coo``), a complement of span(old) in span(K) (old
+    independent and inside span(K)).  With those columns moved first, the
+    echelon form of K has one row pivoted on each of them and the rest
+    vanish there: the rest, with the columns moved back, is that RREF."""
     lead = rref_fp(old, F)[1] if old.shape[0] else []
     rest = np.ones(K.shape[1], dtype=bool)
     rest[lead] = False
-    order = np.concatenate([np.array(lead, dtype=np.int64), np.flatnonzero(rest)])
-    R, piv = rref_fp(K[:, order], F)
+    order = np.concatenate([np.array(lead, dtype=np.int64), rest.nonzero()[0]])
+    R, piv = rref_fp(K._replace(col=order.argsort()[K.col]), F)
     n = len(lead)
     if piv[:n] != list(range(n)) or len(piv) - n != K.shape[0] - old.shape[0]:
         raise ConsistencyError(
             f"kernel slice of dimension {K.shape[0]} with {old.shape[0]} old shifts has {len(piv) - n} new generators"
         )
-    out = np.empty((len(piv) - n, K.shape[1]), dtype=np.int64)
-    out[:, order] = R[n : len(piv)]
+    out = np.zeros((len(piv) - n, K.shape[1]), dtype=np.int64)
+    first = R.row.searchsorted(n)
+    out[R.row[first:] - n, order[R.col[first:]]] = R.val[first:]
     return out
 
 
-def _constraints(c: Pm, power: np.ndarray, row: np.ndarray) -> np.ndarray:
+def _gather(per_group: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(item, at): for each item i, in turn, the entries of its group
+    group[i], where group g owns the entries numbered from
+    sum(per_group[:g]) on, per_group[g] of them."""
+    counts = per_group[group]
+    item = np.arange(group.size).repeat(counts)
+    skip = (per_group.cumsum() - per_group)[group] - (counts.cumsum() - counts)
+    return item, np.arange(item.size) + skip.repeat(counts)
+
+
+def _constraints(c: Pm, power: np.ndarray, row: np.ndarray) -> Coo:
     """Matrix of psi -> psi * c on the unknowns u (the coefficient of
     t^power[u] in psi_row[u]), its rows ordered by power of t, then column
-    of c: one slab copy per run of unknowns with one power and consecutive
-    rows.  With zero shifts this is the linearization of v -> c^T v."""
+    of c, as a ``Coo``: the nonzeros of c gathered for each unknown from its
+    row of c, then one stable sort by matrix row.  With zero shifts this is
+    the linearization of v -> c^T v."""
     _, cols, d1 = c.shape
-    size = row.size
-    M = np.zeros((int(power.max(initial=0)) + d1, cols, size), dtype=np.int64)
-    cut = np.ones(size + 1, dtype=bool)
-    cut[1:-1] = (power[1:] != power[:-1]) | (row[1:] != row[:-1] + 1)
-    cut, power, row = np.flatnonzero(cut).tolist(), power.tolist(), row.tolist()
-    ct = c.transpose(2, 1, 0)
-    for u0, u1 in zip(cut, cut[1:]):
-        M[power[u0] : power[u0] + d1, :, u0:u1] = ct[:, :, row[u0] : row[u0] + u1 - u0]
-    return M.reshape(-1, size)
+    src, j, e = c.nonzero()  # ordered by row of c
+    unknown, at = _gather(np.bincount(src, minlength=c.shape[0]), row)
+    out = (power[unknown] + e[at]) * cols + j[at]
+    order = out.argsort(kind="stable")
+    shape = ((int(power.max(initial=0)) + d1) * cols, row.size)
+    return Coo(out[order], unknown[order], c[src, j, e][at[order]], shape)
+
+
+def _old_shifts(gens: list[tuple[int, np.ndarray]], k: int, lev, row, column, width: int) -> Coo:
+    """The shifts t^e g of the generators g found so far that stay within
+    level index k, one row each (generator by generator, e ascending), over
+    the first width unknowns, as a ``Coo``: the coefficient of g at unknown
+    u moves to the unknown of level index lev[u] + e and row row[u]."""
+    if not gens:
+        return Coo(*[np.zeros(0, dtype=np.int64)] * 3, (0, int(width)))
+    sizes = np.fromiter((vec.size for _, vec in gens), np.int64, len(gens))
+    flat = np.concatenate([vec for _, vec in gens])
+    nz = flat.nonzero()[0]
+    start = sizes.cumsum() - sizes
+    owner = start.searchsorted(nz, side="right") - 1
+    shifts = k + 1 - np.fromiter((k0 for k0, _ in gens), np.int64, len(gens))
+    g = np.arange(len(gens)).repeat(shifts)  # the generator of each shift
+    out, at = _gather(np.bincount(owner, minlength=len(gens)), g)
+    u = nz[at] - start[owner[at]]
+    e = out - (shifts.cumsum() - shifts)[g[out]]
+    return Coo(out, column[lev[u] + e, row[u]], flat[nz[at]], (g.size, int(width)))
 
 
 def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list[tuple[int, np.ndarray]]:
@@ -199,13 +221,7 @@ def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list
             if got != want:
                 raise ConsistencyError(f"kernel slice of dimension {got} at degree {n}, {want} predicted")
         elif got != want:
-            old = np.zeros((want, ends[k]), dtype=np.int64)
-            i = 0
-            for k0, vec in gens:
-                e = np.arange(k - k0 + 1)[:, None]
-                old[i + e, column[lev[: vec.size] + e, row[: vec.size]]] = vec
-                i += e.size
-            for vec in _complement(ech.kernel(k), old, F):
+            for vec in _complement(ech.kernel(k), _old_shifts(gens, k, lev, row, column, ends[k]), F):
                 if not vec[ends[k] - active[k].sum() :].any():
                     raise ConsistencyError("minimal kernel generator without a coefficient at its degree")
                 gens.append((k, vec))
@@ -239,10 +255,6 @@ def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:
     return [GradedGen(vec.reshape(n + 1, cols).T.copy(), n) for n, vec in sweep]
 
 
-def kernel_slice_dim(gens: list[GradedGen], n: int) -> int:
-    return sum(max(0, n - g.deg + 1) for g in gens)
-
-
 def coefficient_rows(gens: list[GradedGen]) -> np.ndarray:
     """All monomial-coefficient vectors of the generators, stacked as rows."""
     if not gens:
@@ -261,24 +273,40 @@ def pm_columns(gens: list[GradedGen], rows: int) -> Pm:
 def solve_in_basis(gens: list[GradedGen], targets: Pm, tdeg: int, F) -> tuple[np.ndarray, np.ndarray]:
     """Express each column of targets, of degree <= tdeg, as sum N_m c_m.
 
-    One ``solve_fp`` solves every target against the shifts t^e N_m with
-    e <= tdeg - deg(N_m).  The shifts are independent, so a target has at
-    most one set of coordinates; as the basis is minimal, one of degree
-    <= n has them in the shifts of degree <= n alone (the predictable-degree
-    property; Forney, SIAM J. Control 13, 1975), so the coordinates do not
-    depend on the top degree.  Returns (C, solvable): C[m, j, e] is the
-    coefficient of t^e in c_m for target j, shape (len(gens), #targets,
-    max(1, tdeg - min deg + 1)); C[:, j] means nothing unless solvable[j].
+    One elimination of [S^T | B] solves every target against the shifts
+    t^e N_m with e <= tdeg - deg(N_m): the columns of S^T are the shifts,
+    those of B the targets, both as coefficient vectors of degree <= tdeg,
+    built as one ``Coo`` by ``_constraints`` with the shifts as powers.  The
+    shifts are independent, so a target has at most one set of coordinates;
+    as the basis is minimal, one of degree <= n has them in the shifts of
+    degree <= n alone (the predictable-degree property; Forney, SIAM J.
+    Control 13, 1975), so the coordinates do not depend on the top degree.
+    Returns (C, solvable): C[m, j, e] is the coefficient of t^e in c_m for
+    target j, shape (len(gens), #targets, max(1, tdeg - min deg + 1));
+    C[:, j] means nothing unless solvable[j].
     """
     rows, count, width = targets.shape
-    B = np.zeros((tdeg + 1, rows, count), dtype=np.int64)
-    B[:width] = targets.transpose(2, 0, 1)
-    X, solvable = solve_fp(_shift_rows(gens, tdeg, rows).T, B.reshape(-1, count), F)
-    sizes = np.array([max(0, tdeg - g.deg + 1) for g in gens], dtype=np.int64)
-    owner = np.repeat(np.arange(len(gens)), sizes)
-    shift = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    C = np.zeros((len(gens), count, max(1, int(sizes.max(initial=0)))), dtype=np.int64)
-    C[owner, :, shift] = X
+    # the generators, then the targets, as the rows of one polynomial matrix,
+    # and its unknowns: the shifts t^e N_m, then each target once
+    c = np.zeros((len(gens) + count, rows, max([width] + [g.deg + 1 for g in gens])), dtype=np.int64)
+    for m, g in enumerate(gens):
+        c[m, :, : g.deg + 1] = g.coeffs
+    c[len(gens) :, :, :width] = targets.transpose(1, 0, 2)
+    sizes = [max(0, tdeg - g.deg + 1) for g in gens]
+    per = np.array(sizes + [1] * count, dtype=np.int64)
+    row = np.arange(per.size).repeat(per)
+    power = np.arange(row.size) - (per.cumsum() - per).repeat(per)
+    nshift = row.size - count
+    R, piv = rref_fp(_constraints(c, power, row)._replace(shape=((tdeg + 1) * rows, row.size)), F)
+    # the rows of R below the rank of S^T hold only target columns, and a
+    # target is solvable iff its column vanishes there
+    n = R.row.searchsorted(bisect_left(piv, nshift))
+    solvable = np.ones(count, dtype=bool)
+    solvable[R.col[n:] - nshift] = False
+    top = R.col[:n] >= nshift
+    i = np.array(piv, dtype=np.int64)[R.row[:n][top]]  # the shift pivoted in each entry's row
+    C = np.zeros((len(gens), count, max([1] + sizes)), dtype=np.int64)
+    C[row[i], R.col[:n][top] - nshift, power[i]] = R.val[:n][top]
     return C, solvable
 
 

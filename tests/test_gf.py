@@ -82,8 +82,8 @@ def _monic(ctx, deg):
         yield list(low) + [1]
 
 
-# degree 5 is the first where a reducible f (a cubic times a quadratic) has
-# no factor of degree dividing n/l, so only t^(q^n) = t mod f rejects it
+# the tops reach degree 5 over F_2 and F_3, where f can be a quadratic
+# times a cubic: its factor shows at e = 2, a degree that does not divide 5
 @pytest.mark.parametrize("p,k,top", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 3)])
 def test_irreducibility_matches_exhaustive_factor_search(p, k, top):
     ctx = FieldCtx(p, k)
@@ -111,6 +111,10 @@ def test_degree_below_one_is_refused():
             find_irreducible_fp(5, deg)
         with pytest.raises(InputError):
             extension(FieldCtx(2), deg)
+
+
+def _bits(digits):
+    return tuple(map(int, digits))
 
 
 # Pinned default moduli and extension() fields: element codes, files and
@@ -152,6 +156,15 @@ DEFAULT_MODULI = {
     (101, 6): (42, 52, 32, 73, 31, 79, 1),
     (101, 7): (16, 71, 75, 66, 5, 15, 84, 1),
     (101, 8): (8, 82, 41, 91, 77, 82, 18, 57, 1),
+    # past the tables: the fields of test_xor_product_equals_digit_planes,
+    # the constant coefficient first
+    (2, 12): _bits("1100110000001"),
+    (2, 13): _bits("10101110110011"),
+    (2, 21): _bits("1010010001001101010111"),
+    (2, 31): _bits("11101000011010101101100000011001"),
+    (2, 32): _bits("110011000001000001000010011011101"),
+    (2, 47): _bits("100101100110001011001110011101101110110001100001"),
+    (2, 61): _bits("11001011111010110100000101101111101001100100100111110100001111"),
 }
 
 BASES = {"F2": (2, 1), "F3": (3, 1), "F5": (5, 1), "F4": (2, 2), "F9": (3, 2), "F8": (2, 3)}
@@ -313,12 +326,8 @@ def test_product_past_the_float64_bound_is_exact():
 
 @pytest.mark.parametrize("k", [12, 13, 21, 31, 32, 47, 61])
 def test_xor_product_equals_digit_planes(k):
-    # past the tables, p = 2 multiplies the codes themselves by shift-and-XOR;
-    # the seeded search for a modulus takes seconds at k = 47 and 61, so those
-    # get x^47 + x^5 + 1 and x^61 + x^5 + x^2 + x + 1
-    sparse = {47: (0, 5), 61: (0, 1, 2, 5)}
-    modulus = tuple(int(i in sparse[k]) for i in range(k)) + (1,) if k in sparse else None
-    F = FieldCtx(2, k, modulus)
+    # past the tables, p = 2 multiplies the codes themselves by shift-and-XOR
+    F = FieldCtx(2, k)
     assert F.q > gf.TABLE_Q and not F._tables()
     rng = np.random.default_rng(k)
     a = rng.integers(0, F.q, (6, 1, 1), dtype=np.int64)

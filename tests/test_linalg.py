@@ -242,6 +242,51 @@ def test_rref_matches_per_pivot_oracle(case):
     assert a.shape[1] == 0 or solvable[0]
 
 
+def _as_coo(a, F, rng):
+    """a as triplets in ascending row order, each row's in a random order,
+    with a few zero values added and, over F_p, some values raised by
+    multiples of p."""
+    rows, cols = a.shape
+    cells = {(i, j) for i, j in zip(*np.nonzero(a))}
+    if rows * cols:
+        cells |= {(rng.randrange(rows), rng.randrange(cols)) for _ in range(rng.randrange(4))}
+    triplets = []
+    for i, j in sorted(cells, key=lambda cell: (cell[0], rng.random())):
+        v = int(a[i, j])
+        if F.k == 1 and rng.random() < 0.3:
+            v += F.p * rng.randrange(1, 4)
+        triplets.append((i, j, v))
+    r, c, v = (np.array(x, dtype=np.int64) for x in zip(*triplets)) if triplets else [np.zeros(0, np.int64)] * 3
+    return linalg.Coo(r, c, v, (rows, cols))
+
+
+def _assert_coo_of_nonzeros(R, shape):
+    assert isinstance(R, linalg.Coo) and R.shape == shape
+    assert all(x.dtype == np.int64 for x in R[:3])
+    assert np.all(R.val != 0) and np.all(np.diff(R.row) >= 0)
+    assert np.unique(R.row * shape[1] + R.col).size == R.row.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(rref_inputs(), st.integers(0, 2**32))
+def test_rref_of_coo_is_the_dense_rref(case, seed):
+    """A Coo in gives a Coo out, which made dense is the dense rref_fp and the
+    per-pivot oracle byte for byte: over F_2, F_3 and F_5 on either route,
+    over F_4 and F_9 on the dense one; with zero values, values of p and
+    more, empty rows and zero-size shapes."""
+    F, a = case
+    coo = _as_coo(a, F, random.Random(seed))
+    assert np.array_equal(coo.dense() % F.p if F.k == 1 else coo.dense(), F.canon(a))
+    R, pivots = linalg.rref_fp(coo, F)
+    dense, want = linalg.rref_fp(a, F), oracle_rref(a, F)
+    assert pivots == dense[1] == want[1]
+    _assert_coo_of_nonzeros(R, a.shape)
+    assert np.array_equal(R.dense(), dense[0]) and np.array_equal(R.dense(), want[0])
+    K_ = linalg.kernel_fp(coo, F)
+    _assert_coo_of_nonzeros(K_, (a.shape[1] - len(pivots), a.shape[1]))
+    assert np.array_equal(K_.dense(), linalg.kernel_fp(a, F))
+
+
 def test_rref_leaves_its_input_alone():
     # both routes return a fresh array and never write to the input
     for a in (np.eye(5, dtype=np.int64), np.ones((5, 5), dtype=np.int64) * 7):

@@ -44,6 +44,26 @@ def _flatten_shift(g, shift, vdeg, cols):
     return v
 
 
+def kernel_slice_dim(gens, n):
+    """The dimension of the degree-n slice that the shifts of gens span."""
+    return sum(max(0, n - g.deg + 1) for g in gens)
+
+
+def shift_rows(gens, n, cols):
+    """Rows t^e g for every generator g and e = 0..n - deg g, flattened in
+    the deg-<=n layout (coefficient of t^e in block e), one Python loop per
+    shift: the dense form of the shift blocks that the engine builds as
+    triplets."""
+    out = np.zeros((kernel_slice_dim(gens, n), (n + 1) * cols), dtype=np.int64)
+    i = 0
+    for g in gens:
+        flat = g.coeffs.T.reshape(-1)
+        for e in range(n - g.deg + 1):
+            out[i, e * cols : e * cols + flat.size] = flat
+            i += 1
+    return out
+
+
 def oracle_graded_kernel_basis(a, F, kappa):
     rows, cols, d1 = a.shape
     if kappa == 0:
@@ -146,9 +166,9 @@ def oracle_scratch_graded_kernel_basis(a, F, kappa):
     gens = []
     for delta in range(degcap + 1):
         K_ = linalg.kernel_fp(linearize(a, delta), F)
-        if K_.shape[0] == pencil.kernel_slice_dim(gens, delta):
+        if K_.shape[0] == kernel_slice_dim(gens, delta):
             continue
-        for res in pencil._complement(K_, pencil._shift_rows(gens, delta, cols), F):
+        for res in pencil._complement(linalg.Coo.from_dense(K_), shift_rows(gens, delta, cols), F):
             gens.append(GradedGen(res.reshape(delta + 1, cols).T.copy(), delta))
         if len(gens) >= kappa:
             return gens
@@ -274,7 +294,9 @@ def test_zero_shift_constraints_are_the_linearization():
     cols = a.shape[1]
     for top in range(4):
         level, row = np.divmod(np.arange((top + 1) * cols), cols)
-        assert np.array_equal(pencil._constraints(a.transpose(1, 0, 2), level, row), linearize(a, top))
+        M = pencil._constraints(a.transpose(1, 0, 2), level, row)
+        assert isinstance(M, linalg.Coo) and np.all(np.diff(M.row) >= 0)
+        assert np.array_equal(M.dense(), linearize(a, top))
 
 
 def test_sweeps_refuse_a_wrong_count(monkeypatch):
@@ -357,7 +379,7 @@ def oracle_pencil_coefficients(m, i):
         B = np.zeros(((tdeg + 1) * d, len(idx)), dtype=np.int64)
         for j, k in enumerate(idx):
             B[: targets[k][0].size, j] = targets[k][0].T.reshape(-1)
-        X, solvable = linalg.solve_fp(pencil._shift_rows(basis, tdeg, d).T, B, F)
+        X, solvable = linalg.solve_fp(shift_rows(basis, tdeg, d).T, B, F)
         assert solvable.all()
         sizes = [max(0, tdeg - g.deg + 1) for g in basis]
         starts = np.cumsum([0] + sizes)
@@ -430,7 +452,8 @@ def test_prefix_echelon_generators_equal_the_from_scratch_engine():
 def test_prefix_echelon_matches_kernel_fp_of_each_prefix(F, data):
     """Every column prefix's nullity and kernel equal those of kernel_fp of
     the prefix itself: random block-Toeplitz sweeps (blocks of random
-    sizes, empty ones too, rows below each prefix) and random dense matrices."""
+    sizes, empty ones too, rows below each prefix) and random dense matrices,
+    each given dense and as a Coo, whose kernels are Coos."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     density = data.draw(st.sampled_from([0.15, 0.5, 1.0]))
     rows, cols, d1 = (data.draw(st.integers(0, 5)) for _ in range(3))
@@ -448,11 +471,15 @@ def test_prefix_echelon_matches_kernel_fp_of_each_prefix(F, data):
         ).reshape(rows * 2, cols * 2)
         ends = np.array(sorted(data.draw(st.lists(st.integers(0, cols * 2), min_size=1, max_size=5))))
     ech = pencil._PrefixEchelon(M, ends, F)
+    sparse = pencil._PrefixEchelon(linalg.Coo.from_dense(M), ends, F)
     for k, end in enumerate(ends):
         want = linalg.kernel_fp(M[:, :end], F)
-        assert ech.nullity(k) == want.shape[0]
+        assert ech.nullity(k) == sparse.nullity(k) == want.shape[0]
         got = ech.kernel(k)
         assert got.dtype == np.int64 and np.array_equal(got, want), (k, end)
+        got = sparse.kernel(k)
+        assert isinstance(got, linalg.Coo) and got.shape == want.shape
+        assert got.val.dtype == np.int64 and np.array_equal(got.dense(), want), (k, end)
 
 
 def oracle_complement(K, old, F):
@@ -471,7 +498,7 @@ def oracle_complement(K, old, F):
 def test_complement_matches_reduce_then_eliminate(F, data):
     """The permuted elimination gives the oracle's rows byte for byte: K a
     kernel basis of a random sparse or dense matrix, old independent
-    combinations of its rows."""
+    combinations of its rows, both handed over as Coos, as the sweep does."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     density = data.draw(st.sampled_from([0.05, 0.2, 1.0]))
     rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 40))
@@ -481,7 +508,7 @@ def test_complement_matches_reduce_then_eliminate(F, data):
     K = linalg.kernel_fp(rand(rows, cols), F)
     C = linalg.row_space_fp(rand(data.draw(st.integers(0, K.shape[0])), K.shape[0]), F)[0]
     old = linalg.matmul_fp(C, K, F) if C.size else np.zeros((0, cols), dtype=np.int64)
-    got = pencil._complement(K, old, F)
+    got = pencil._complement(linalg.Coo.from_dense(K), linalg.Coo.from_dense(old), F)
     want = oracle_complement(K, old, F)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert got.shape[0] == K.shape[0] - old.shape[0]

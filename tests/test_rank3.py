@@ -198,7 +198,7 @@ def test_decision_sweeps_the_grid_once_at_p_minus_one(monkeypatch, ctx):
     real = modules._grid_ranks
     monkeypatch.setattr(modules, "_grid_ranks", lambda m, jmax: widths.append(jmax) or real(m, jmax))
     dec = K.constant_jordan_type(K.KEModule(ctx, 3, mats))
-    assert widths == [ctx.p - 1]
+    assert widths == [1, ctx.p - 1]  # j = 1 first, then one sweep for every j
     assert dec.kind == "probably_cjt" and repr(dec.jordan_type) == "[2][1]^2"
     # a caller that needs j = 1 only gets the narrowest grid
     widths.clear()
@@ -206,6 +206,24 @@ def test_decision_sweeps_the_grid_once_at_p_minus_one(monkeypatch, ctx):
     assert modules.generic_power_ranks(m, 1) == [1]
     assert K.constant_jrank_decide(m, 1).kind == "probably_constant"
     assert widths == [1]
+
+
+def test_a_module_not_cjt_at_j1_sweeps_no_wider_grid(monkeypatch):
+    # X_1 = J_4 + J_4, X_2 = X_3 = 0 over F_5: rank 6 off the plane l_1 = 0,
+    # rank 0 on it; the grid for every j < 5 has 33^2 points, that for j = 1 9^2
+    from kemod import modules
+
+    jb = np.eye(4, k=-1, dtype=np.int64)
+    x1 = np.kron(np.eye(2, dtype=np.int64), jb)
+    m = K.KEModule(FieldCtx(5), 3, [x1, np.zeros_like(x1), np.zeros_like(x1)])
+    widths = []
+    real = modules._grid_ranks
+    monkeypatch.setattr(modules, "_grid_ranks", lambda m, jmax: widths.append(jmax) or real(m, jmax))
+    dec = K.constant_jordan_type(m)
+    assert widths == [1]
+    assert dec.kind == "not_cjt" and dec.witness["j"] == 1
+    assert dec.witness["point"] == "(0, 1, 0)"
+    assert dec.witness["rank_there"] == 0 and dec.witness["generic_rank"] == 6
 
 
 # -- the per-point loops the stacked sweeps replaced ----------------------------------
