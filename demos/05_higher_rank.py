@@ -2,7 +2,7 @@
 and splitting types along lines.
 
 For r >= 3 the parameter space is P^{r-1}; full splitting types no longer
-exist, but generic ranks are still computed exactly (a grid of points in
+exist, but generic ranks are still computed exactly (a lattice of points in
 an extension field), constancy is tested on the rational points when they
 are few and then decided Monte Carlo with an explicit failure bound,
 and restrictions to lines recover honest P^1 splitting types.
@@ -19,8 +19,8 @@ dec = K.constant_jrank_decide(m, 1, samples=48, seed=5)
 print("constant 1-rank:", dec.kind, "rank", dec.rank,
       f"(failure bound {1 - dec.confidence:.2e})")
 
-# n-th power generic kernels work in every rank via the multivariate
-# rational function field F_2(t2, t3).
+# n-th power generic kernels work in every rank: the sum of the kernels at
+# the points of generic rank of one lattice in an extension of F_2.
 print("dim K^1 =", K.generic_kernel(m).dim, " dim I^1 =", K.generic_image_power(m, 1).dim)
 
 # Lines in P^2 correspond to rank-2 homogeneously embedded subgroups; the

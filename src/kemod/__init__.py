@@ -6,7 +6,6 @@ subquotient bundles on the projective line.
 
 from .errors import ConsistencyError, InputError, KemodError, MathRefusal
 from .gf import FieldCtx, FieldScalar
-from .poly import Poly, RationalFunction, coefficient_vectors, specialize
 from .subspace import Subspace, column_space, kernel_space, row_space
 from .snf import smith_normal_form
 from .modules import (

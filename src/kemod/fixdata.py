@@ -1,8 +1,8 @@
 """Programmatic constructors for the bundled fixture modules.
 
-The JSON fixtures shipped in ``fixtures/`` are generated from these
-constructors; tests assert the shipped files match, so transcription is
-auditable vertex by vertex through the basis labels.
+The JSON fixtures shipped in ``fixtures/`` were written from these
+constructors by ``io.save_module``; tests assert the shipped files match,
+so transcription is auditable vertex by vertex through the basis labels.
 """
 
 from __future__ import annotations
@@ -71,10 +71,3 @@ FIXTURES = {
         },
     ),
 }
-
-
-def write_fixture_files(directory):
-    from .io import save_module
-
-    for name, (builder, meta) in FIXTURES.items():
-        save_module(builder(), f"{directory}/{name}.json", metadata=meta)

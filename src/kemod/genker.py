@@ -1,37 +1,48 @@
 """Generic kernels, generic images, and the generic kernel filtration.
 
-The n-th power generic kernel is computed exactly by the coefficient-span
-method: a polynomial basis of the kernel of (X_1 + t_2 X_2 + ...)^n over
-the rational function field specializes, at every point of a dense open
-set, to a kernel basis; the F_q-span of all its monomial-coefficient
-vectors therefore equals the sum of those kernels, which is the defining
-intersection over dense opens.  Generic images go through duality, with
-an independent direct intersection cross-check in rank two.
+The n-th power generic kernel C = K^n(M) is the smallest F_q-subspace
+whose span over F_q(t_2..t_r) holds the kernel of
+A = (X_1 + t_2 X_2 + ... + t_r X_r)^n.  For r = 2 it is the coefficient
+span of the minimal graded kernel basis of the pencil.  For r != 2 it is
+the sum of the kernels of A at the points of maximal rank rho of one
+principal lattice of degree n * rho (``_lattice_kernel``), exact because
+  * Cramer's rule on a nonzero rho-minor gives polynomial kernel vectors
+    of total degree <= n * rho whose coefficients span C; their values on
+    a lattice where no such polynomial can vanish span C over F_{q^e};
+  * those vectors vanish wherever the rank is below rho, and
+  * at a point of rank rho the Cramer vectors of a minor that is nonzero
+    there span the kernel, and lie in C.
+Generic images go through duality, with an independent direct
+intersection cross-check in rank two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from . import dpoly, linalg, pencil
 from .errors import ConsistencyError, InputError, MathRefusal
 from .gf import some_irreducible_factor
 from .modules import (
     KEModule,
-    PointSpec,
+    _chunks,
+    _lattice,
+    _point_powers,
     _snf_of_power,
+    _stack_ranks,
     constant_jrank_decide,
     dual,
+    generic_power_ranks,
     image_under_all,
     is_invariant,
+    mats_over,
     preimage_under_all,
     radical,
     root_operator,
     subquotient,
-    x_alpha,
 )
-from .poly import Poly, RationalFunction, coefficient_vectors
 from .subspace import Subspace
 
 
@@ -61,68 +72,48 @@ def generic_kernel_power(m: KEModule, n: int) -> GenericKernelReport:
     key = ("genker", n)
     if key in m._cache:
         return m._cache[key]
-    if m.r == 1:
-        # only one point; the kernel of X_1^n itself
-        ker = linalg.kernel_fp(linalg.matpow_fp(m.mats[0], n, m.ctx), m.ctx)
-        rep = GenericKernelReport(n, Subspace.span(m.ctx, m.dim, ker), "single-point-kernel", True)
-    elif m.r == 2:
+    if m.r == 2:
         sub = Subspace.span(m.ctx, m.dim, pencil.coefficient_rows(m.kernel_generators(n)))
         rep = GenericKernelReport(n, sub, "generic-point-coefficients", True)
     else:
-        sub = _genker_symbolic(m, n)
-        rep = GenericKernelReport(n, sub, "generic-point-coefficients", True)
+        rep = GenericKernelReport(n, _lattice_kernel(m, n), "lattice-point-kernels", True)
     if not is_invariant(m, rep.subspace):
         raise ConsistencyError("generic kernel is not X-invariant")
     m._cache[key] = rep
     return rep
 
 
-def _genker_symbolic(m: KEModule, n: int) -> Subspace:
-    """Rational-function-field kernel + cleared denominators (any r, any k)."""
-    a_sym = x_alpha(m, PointSpec.generic())
-    apow = _poly_mat_pow(a_sym, n, m.ctx)
-    nv = apow[0][0].nvars
-    rows = [[RationalFunction.from_poly(e) for e in row] for row in apow]
-    zero = RationalFunction.const(m.ctx, nv, 0)
-    one = RationalFunction.const(m.ctx, nv, 1)
-    kern = linalg.kernel_gen(rows, zero, one)
-    coeff_rows = []
-    for vec in kern:
-        cleared = vec
-        den_prod = one
-        for e in vec:
-            den_prod = den_prod * RationalFunction.from_poly(e.den)
-        polys = []
-        for e in cleared:
-            val = e * den_prod
-            if not val.den.is_constant():
-                raise ConsistencyError("denominator failed to clear")
-            polys.append(val.num * val.den.constant_value().inverse())
-        for cv in coefficient_vectors(polys):
-            coeff_rows.append(cv)
-    return Subspace.span(m.ctx, m.dim, coeff_rows)
+def _lattice_kernel(m: KEModule, n: int) -> Subspace:
+    """Sum of Ker(X_alpha^n) over the points of ``_lattice(m, n * rho)`` where
+    the rank is the generic rank rho, brought back from F_{q^e} to F_q.
 
-
-def _poly_mat_pow(a, e: int, ctx):
-    n = len(a)
-    one = Poly.const(ctx, a[0][0].nvars, 1)
-    zero = Poly.zero(ctx, a[0][0].nvars)
-    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return dpoly.power(a, e, lambda x, y: _poly_mat_mul(x, y, zero), eye)
-
-
-def _poly_mat_mul(a, b, zero):
-    n, mdim, k = len(a), len(b), len(b[0])
-    out = [[zero for _ in range(k)] for _ in range(n)]
-    for i in range(n):
-        for s in range(mdim):
-            c = a[i][s]
-            if c.is_zero():
-                continue
-            for j in range(k):
-                if not b[s][j].is_zero():
-                    out[i][j] = out[i][j] + c * b[s][j]
-    return out
+    Each point's kernel is one ``kernel_fp``; the running sum is kept as an
+    RREF over F_{q^e}, which for a subspace defined over F_q has its
+    entries in F_q.  A point of rank above rho, no point of rank rho, or an
+    entry outside F_q is an error.
+    """
+    F = m.ctx
+    rho = generic_power_ranks(m, n)[n - 1]
+    fld, points = _lattice(m, n * rho)
+    mats = mats_over(m, fld)
+    basis, top = np.zeros((0, m.dim), dtype=np.int64), 0
+    for chunk in _chunks(points, m.dim):
+        (pw,) = _point_powers(fld, mats, chunk, [n])
+        ranks = _stack_ranks(fld, pw)
+        top = max(top, int(ranks.max()))
+        if top > rho:
+            raise ConsistencyError(f"a lattice point has rank {top} above the generic rank {rho}")
+        kernels = [linalg.kernel_fp(a, fld) for a in pw[ranks == rho]]
+        basis = linalg.row_space_fp(np.vstack([basis, *kernels]), fld)[0]
+    if top < rho:
+        raise ConsistencyError(f"no lattice point reaches the generic rank {rho}")
+    # the codes of F_q inside fld, sorted, and the F_q code of each
+    emb = fld.embed(np.arange(F.q), F)
+    order = emb.argsort()
+    at = emb[order].searchsorted(basis).clip(max=F.q - 1)
+    if not np.array_equal(emb[order][at], basis):
+        raise ConsistencyError("the generic kernel's echelon basis is not defined over the base field")
+    return Subspace.span(F, m.dim, order[at])
 
 
 def generic_kernel(m: KEModule) -> GenericKernelReport:

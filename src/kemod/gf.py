@@ -6,15 +6,15 @@ base-p digits are its coefficients in the power basis of the modulus, so
 a matrix over any F_q is an int64 array of codes and ``FieldCtx`` alone
 holds the arithmetic on such arrays; ``FieldCtx.ops`` gives dpoly the same
 arithmetic on single codes, and ``FieldScalar`` wraps one code for the
-multivariate ``Poly`` (its powers and p-th roots are ``dpoly.power`` on
-that code).  The module also provides the univariate routines on code
-lists: the square-free part, Ben-Or's irreducibility test
+generic elimination lane of ``linalg`` (its powers and p-th roots are
+``dpoly.power`` on that code).  The module also provides the univariate
+routines on code lists: the square-free part, Ben-Or's irreducibility test
 (``is_irreducible``), and one irreducible factor by distinct- and
 equal-degree splitting, both reading t^(q^e) mod f off one Frobenius
 chain.  They name jump points of polynomial matrices by their minimal
 polynomials, and the seeded search ``irreducible_of_degree`` names every
 default modulus and the extension fields F_{q^m} that the generic-rank
-grid and the r >= 3 sampling evaluate in.
+lattice, the r >= 3 generic kernels and the r >= 3 sampling evaluate in.
 
 Elementwise products: residues mod p for k = 1, log/antilog tables up to
 ``TABLE_Q``; past the tables a p = 2 code is a bit string, multiplied by

@@ -1,5 +1,8 @@
-"""Exact linear algebra over any F_q, plus a generic lane for the
-rational-function scalars of the symbolic generic-point computations.
+"""Exact linear algebra over any F_q, plus a generic elimination lane
+(``rref_gen``, ``kernel_gen``) for any scalars with +, -, *, inverse() and
+truth.  No library route uses that lane; it stays as the scalar reference
+that the tests hold the array lane to, and the benchmark's tracer counts
+its calls to show that no workload reaches it.
 
 Matrices over F_q are int64 arrays of element codes (see ``gf.FieldCtx``)
 or, where they are large and mostly zero, ``Coo`` triplets of their
@@ -283,24 +286,6 @@ def kernel_of_rref(R, pivots: list[int], F: FieldCtx, cols: int | None = None):
     return basis
 
 
-def solve_fp(a, b, F):
-    """One solution x of a @ x = b (column sense), or None.  For a 2-d b,
-    (X, solvable): column j of X solves a @ x = b[:, j] where solvable[j],
-    all from one echelon form of [a | b]; column j is solvable iff it
-    vanishes below the rank of a, whatever the other columns of b are."""
-    F = field(F)
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)  # rref_fp reduces them
-    cols = a.shape[1]
-    R, pivots = rref_fp(np.hstack([a, b.reshape(-1, 1) if b.ndim == 1 else b]), F)
-    rank = int(np.searchsorted(pivots, cols))
-    X = np.zeros((cols, R.shape[1] - cols), dtype=np.int64)
-    X[pivots[:rank]] = R[:rank, cols:]
-    solvable = ~R[rank:, cols:].any(axis=0)
-    if b.ndim == 2:
-        return X, solvable
-    return X[:, 0] if solvable[0] else None
-
-
 def inv_fp(a, F) -> np.ndarray:
     F = field(F)
     a = F.canon(a)
@@ -326,7 +311,7 @@ def reduce_rows_fp(vecs: np.ndarray, ech: np.ndarray, pivots: list[int], F) -> n
 
 
 # ---------------------------------------------------------------------------
-# generic lane: any scalar with +,-,*,inverse(),bool (rational functions)
+# generic lane: any scalar with +,-,*,inverse(),bool
 # ---------------------------------------------------------------------------
 
 
@@ -360,10 +345,6 @@ def rref_gen(rows: list[list], zero) -> tuple[list[list], list[int]]:
         pivots.append(c)
         pr += 1
     return R, pivots
-
-
-def rank_gen(rows: list[list], zero) -> int:
-    return len(rref_gen(rows, zero)[1])
 
 
 def kernel_gen(rows: list[list], zero, one) -> list[list]:

@@ -9,11 +9,13 @@ sheaf slices) is phrased in terms of this class.
 Exact generic ranks — the rank of X_alpha^j at the generic point of the
 projective parameter space — come for r = 2 from the Smith form of
 (X_1 + t X_2)^j over F_q[t], the same one that decides constant Jordan
-type.  For r >= 3 they are the maximum of numeric ranks over a grid larger
-than the degree of any maximal minor, taken in an extension field F_{q^m}
-when the base field is too small.  The grid's points, and those the r >= 3
-decision tests, are ranked as stacks of matrices by one fraction-free
-elimination of all of them (``_point_ranks``).
+type.  For r >= 3 they are the maximum of numeric ranks over a principal
+lattice of points (``_lattice``) on which no maximal minor can vanish,
+taken in an extension field F_{q^m} when the base field is too small; the
+r >= 3 generic kernels are the sums of the point kernels on such a lattice
+(``genker``).  The lattice's points, and those the r >= 3 decision tests,
+are ranked as stacks of matrices by one fraction-free elimination of all
+of them (``_point_ranks``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from . import linalg, pencil
 from .errors import ConsistencyError, InputError, MathRefusal
 from .gf import FieldCtx, extension, some_irreducible_factor
-from .poly import Poly
 from .snf import smith_normal_form
 from .subspace import Subspace
 
@@ -228,33 +229,12 @@ class KEModule:
 
 
 def x_alpha(m: KEModule, pt: PointSpec):
-    """The operator sum(lambda_i X_i) at a closed point (a code array over the
-    point's field), or the symbolic X_1 + t_2 X_2 + ... at the generic point
-    (Poly entries, chart lambda_1 = 1)."""
+    """The operator sum(lambda_i X_i) at a closed point, a code array over the
+    point's field.  The generic point has no such matrix: its data are the
+    generic ranks (``generic_power_ranks``) and kernels (``genker``)."""
     m.require_valid()
     if pt.is_generic:
-        nv = max(m.r - 1, 1)
-        rows = []
-        for a in range(m.dim):
-            row = []
-            for b in range(m.dim):
-                terms = {}
-                for i in range(m.r):
-                    c = m.ctx.decode(m.mats[i][a, b])
-                    if not c:
-                        continue
-                    e = [0] * nv
-                    if i > 0:
-                        e[i - 1] = 1
-                    e = tuple(e)
-                    s = terms.get(e, m.ctx.zero) + c
-                    if s:
-                        terms[e] = s
-                    else:
-                        terms.pop(e, None)
-                row.append(Poly(m.ctx, nv, terms))
-            rows.append(row)
-        return rows
+        raise InputError("X_alpha needs a closed point; the generic point has no matrix")
     coords = pt.coords
     if len(coords) != m.r:
         raise InputError("point has wrong number of coordinates")
@@ -288,8 +268,8 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
     (generic point).
 
     For r = 2 the rank of (X_1 + t X_2)^j is that of its Smith form over
-    F_q[t]; for r >= 3 it comes from the widest ``_grid_ranks`` sweep so far
-    (up to j = p - 1).  From j = p on the rank is 0.
+    F_q[t]; for r >= 3 it comes from the widest ``_grid_ranks`` lattice sweep
+    so far (up to j = p - 1).  From j = p on the rank is 0.
     """
     m.require_valid()
     key = ("generic_ranks", jmax)
@@ -313,12 +293,14 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
 
 
 def _grid_fits(m: KEModule, jmax: int) -> bool:
-    """Whether the rank grid for j <= jmax is within the cap."""
+    """Whether the rank sweep for j <= jmax is within the cap: the grid of
+    side jmax * dim + 1 that holds its lattice has at most 300,000 points."""
     return m.r < 3 or (jmax * m.dim + 1) ** (m.r - 1) <= 300_000
 
 
 def _grid_bound(m: KEModule, jmax: int) -> int:
-    """Side of the rank grid for j <= jmax, or InputError when the grid is too large."""
+    """Side of the grid that holds the rank lattice for j <= jmax, or
+    InputError when it is over the cap (``_grid_fits``)."""
     if not _grid_fits(m, jmax):
         raise InputError("generic-rank grid too large for this rank and dimension")
     return jmax * m.dim + 1
@@ -327,28 +309,52 @@ def _grid_bound(m: KEModule, jmax: int) -> int:
 def _grid_ranks(m: KEModule, jmax: int) -> list[int]:
     """Generic ranks of X_alpha^j, j = 1..min(jmax, p), for any r >= 2.
 
-    The rank equals the maximum of the numeric ranks over any grid whose
-    side exceeds the total degree of a maximal minor (<= j * dim), taken in
-    an extension field when the base is too small.  The grid points are
+    A nonzero maximal minor of X_alpha^j has total degree <= j * dim in
+    t_2..t_r, so it vanishes at no point of ``_lattice(m, jmax * dim)``, and
+    the rank is the maximum of the numeric ranks there.  The points are
     evaluated in chunks of stacked matrices (``_point_ranks``), every power
-    of a chunk from one stack.  For r = 2 it is the tests' independent
-    check of the Smith-form ranks.
+    of a chunk from one stack.  For r = 2 it is the tests' independent check
+    of the Smith-form ranks.
     """
-    F, d = m.ctx, m.dim
-    jmax = min(jmax, F.p)
-    bound = _grid_bound(m, jmax)
-    nvars = m.r - 1
-    mdeg = 1
-    while F.q**mdeg < bound:
-        mdeg += 1
-    fld = extension(F, mdeg)
+    jmax = min(jmax, m.ctx.p)
+    _grid_bound(m, jmax)
+    fld, points = _lattice(m, jmax * m.dim)
     mats = mats_over(m, fld)
     ranks = np.zeros(jmax, dtype=np.int64)
-    # the codes 0..bound-1 are distinct elements of fld
-    grid = ((1,) + tup for tup in itertools.product(range(bound), repeat=nvars))
-    for chunk in _chunks(grid, d):
+    for chunk in _chunks(points, m.dim):
         ranks = np.maximum(ranks, _point_ranks(fld, mats, chunk, range(1, jmax + 1)).max(axis=0))
     return ranks.tolist()
+
+
+def _lattice(m: KEModule, degree: int):
+    """(fld, points): the principal lattice of the given degree on the chart
+    lambda_1 = 1, the points (1, c_a2, ..., c_ar) with a_i >= 0 and
+    sum a_i <= degree, where c_a is the code a of fld, the smallest
+    F_{q^e} with more than ``degree`` elements (the base field for r = 1,
+    whose lattice is the one point (1,)).
+
+    No nonzero polynomial in t_2..t_r of total degree <= degree vanishes on
+    it (Chung and Yao, SIAM J. Numer. Anal. 14, 1977): in the Newton basis
+    prod_i prod_{b < e_i} (t_i - c_b), |e| <= degree, the values at the
+    points ordered by sum a_i form a triangular system with a nonzero
+    diagonal.  There are binomial(degree + r - 1, r - 1) points, about
+    1/(r - 1)! of the grid of side degree + 1.
+    """
+    F, nvars = m.ctx, m.r - 1
+    e = 1
+    while nvars and F.q**e <= degree:
+        e += 1
+    return extension(F, e), ((1,) + a for a in _simplex(nvars, degree))
+
+
+def _simplex(nvars: int, degree: int):
+    """The tuples of nvars nonnegative ints with sum <= degree, in lex order."""
+    if nvars == 0:
+        yield ()
+        return
+    for a in range(degree + 1):
+        for rest in _simplex(nvars - 1, degree - a):
+            yield (a,) + rest
 
 
 # Cells of one stack of point matrices: a sweep over many points evaluates
@@ -363,24 +369,31 @@ def _chunks(points, d: int):
         yield chunk
 
 
-def _point_ranks(fld: FieldCtx, mats, points, powers) -> np.ndarray:
-    """Ranks of X_alpha^j at every point, for each j of the ascending powers:
-    an array (len(points), len(powers)).
+def _point_powers(fld: FieldCtx, mats, points, powers):
+    """X_alpha^j at every point, a stack (len(points), d, d) for each j of the
+    ascending powers in turn.
 
     ``points`` are coordinate tuples of codes over fld, ``mats`` the
-    generators over fld.  X_alpha of all points is one stack (B, d, d),
-    built with one broadcast product per generator; its powers are stacked
-    products, and ``_stack_ranks`` reduces each of them in one pass.
+    generators over fld.  X_alpha of all points is one stack, built with
+    one broadcast product per generator; its powers are stacked products.
     """
     pts = np.array(points, dtype=np.int64).reshape(-1, len(mats))
     a = np.zeros((len(pts),) + mats[0].shape, dtype=np.int64)
     for i, x in enumerate(mats):
         a = fld.add(a, fld.mul(pts[:, i, None, None], x))
-    out = np.zeros((len(pts), len(powers)), dtype=np.int64)
     pw, e = a, 1
-    for col, j in enumerate(powers):
+    for j in powers:
         while e < j:
             pw, e = fld.matmul(pw, a), e + 1
+        yield pw
+
+
+def _point_ranks(fld: FieldCtx, mats, points, powers) -> np.ndarray:
+    """Ranks of X_alpha^j at every point, for each j of the ascending powers:
+    an array (len(points), len(powers)), each power of the stack
+    (``_point_powers``) reduced in one pass by ``_stack_ranks``."""
+    out = np.zeros((len(points), len(powers)), dtype=np.int64)
+    for col, pw in enumerate(_point_powers(fld, mats, points, powers)):
         out[:, col] = _stack_ranks(fld, pw)
     return out
 
@@ -608,9 +621,9 @@ def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None 
     p = m.ctx.p
     probable = False
     for j in range(1, p):
-        # for r >= 3, j = 1 is decided first, on its own grid with about
-        # 1/(p - 1)^(r - 1) of the cells of the grid for all j < p, which is
-        # swept once, and only for a module that passes j = 1
+        # for r >= 3, j = 1 is decided first, on its own lattice with about
+        # 1/(p - 1)^(r - 1) of the points of the lattice for all j < p, which
+        # is swept once, and only for a module that passes j = 1
         if j == 2 and m.r >= 3 and _grid_fits(m, p - 1):
             generic_power_ranks(m, p - 1)
         dec = constant_jrank_decide(m, j, samples=samples, ext_degree=ext_degree, seed=seed + j)
@@ -700,13 +713,6 @@ def restrict(m: KEModule, a_matrix) -> KEModule:
 # ---------------------------------------------------------------------------
 # subspaces attached to a module
 # ---------------------------------------------------------------------------
-
-
-def apply_generator(m: KEModule, i: int, sub: Subspace) -> Subspace:
-    """Image of a subspace under X_i."""
-    if sub.dim == 0:
-        return Subspace.zero(m.ctx, m.dim)
-    return Subspace.span(m.ctx, m.dim, linalg.matmul_fp(sub.basis, m.mats[i].T, m.ctx))
 
 
 def image_under_all(m: KEModule, sub: Subspace) -> Subspace:

@@ -5,7 +5,7 @@ Splitting types (r = 2, every F_q) come from one engine: it presents the
 graded module by minimal polynomial kernel bases of (X_1 + t X_2)^l and reads
 h0 of the dual bundle off a shift-graded minimal left kernel, giving the
 twists in closed form.  The bases are ``KEModule.kernel_generators``, shared
-with the generic kernels and sized by Smith-form ranks (the rank grid serves
+with the generic kernels and sized by Smith-form ranks (the rank lattice serves
 r >= 3 only).  The classical saturation recipe on the graded slices of
 ``SliceCache`` (h0 through a divisibility window) is kept in the test suite
 as the independent oracle this engine is checked against.

@@ -1,7 +1,15 @@
-"""Sparse multivariate polynomials and rational functions over F_q.
+"""The symbolic generic point: the tests' oracle for generic ranks and kernels.
 
-These are the exact carriers for generic-point computations: the matrix
-X_1 + t_2*X_2 + ... lives over Poly, kernels over RationalFunction.
+Sparse multivariate polynomials and rational functions over F_q carry the
+matrix X_1 + t_2 X_2 + ... + t_r X_r (``x_alpha_generic``) and its kernel
+over F_q(t_2..t_r).  ``genker_symbolic`` is the coefficient-span method:
+a kernel basis over the rational function field, denominators cleared,
+and the F_q-span of every monomial-coefficient vector; ``generic_rank``
+is the rank of X_alpha by the same elimination (``rank_gen`` on
+``kemod.linalg.rref_gen``).  They are
+slow after a change of basis, and independent of the library's numeric
+routes, which is what an oracle needs.
+
 Univariate fractions are kept fully reduced (monic gcd divided out);
 multivariate fractions are reduced by monomial content plus trial exact
 division, with equality checked by cross-multiplication so canonicality
@@ -10,9 +18,10 @@ is never load-bearing.
 
 from __future__ import annotations
 
-from . import dpoly
-from .errors import InputError
-from .gf import FieldCtx, FieldScalar
+from kemod import dpoly, linalg
+from kemod.errors import ConsistencyError, InputError, MathRefusal
+from kemod.gf import FieldCtx, FieldScalar
+from kemod.subspace import Subspace
 
 
 class Poly:
@@ -306,8 +315,6 @@ def specialize(rf: RationalFunction, point: list) -> FieldScalar:
     Raises:
         MathRefusal: if the (reduced) denominator vanishes at the point.
     """
-    from .errors import MathRefusal
-
     pt = [rf.ctx.scalar(x) if isinstance(x, int) else x for x in point]
     d = rf.den.eval(pt)
     if not d:
@@ -329,4 +336,89 @@ def coefficient_vectors(vec: list[Poly]) -> list[list[FieldScalar]]:
     out = []
     for e in monos:
         out.append([p.terms.get(e, ctx.zero) for p in vec])
+    return out
+
+
+def rank_gen(rows: list[list], zero) -> int:
+    """Rank of a matrix of operator-based scalars (rational functions, or
+    ``FieldScalar``s)."""
+    return len(linalg.rref_gen(rows, zero)[1])
+
+
+def x_alpha_generic(m) -> list[list[Poly]]:
+    """X_1 + t_2 X_2 + ... + t_r X_r with Poly entries in max(r - 1, 1)
+    variables (the chart lambda_1 = 1)."""
+    m.require_valid()
+    nv = max(m.r - 1, 1)
+    rows = []
+    for a in range(m.dim):
+        row = []
+        for b in range(m.dim):
+            terms = {}
+            for i in range(m.r):
+                c = m.ctx.decode(m.mats[i][a, b])
+                if not c:
+                    continue
+                e = [0] * nv
+                if i > 0:
+                    e[i - 1] = 1
+                e = tuple(e)
+                s = terms.get(e, m.ctx.zero) + c
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
+            row.append(Poly(m.ctx, nv, terms))
+        rows.append(row)
+    return rows
+
+
+def generic_rank(m) -> int:
+    """Rank of X_alpha over F_q(t_2..t_r)."""
+    rows = [[RationalFunction.from_poly(e) for e in row] for row in x_alpha_generic(m)]
+    return rank_gen(rows, RationalFunction.const(m.ctx, rows[0][0].nvars, 0))
+
+
+def genker_symbolic(m, n: int) -> Subspace:
+    """Rational-function-field kernel of X_alpha^n + cleared denominators
+    (any r, any k)."""
+    apow = poly_mat_pow(x_alpha_generic(m), n, m.ctx)
+    nv = apow[0][0].nvars
+    rows = [[RationalFunction.from_poly(e) for e in row] for row in apow]
+    zero = RationalFunction.const(m.ctx, nv, 0)
+    one = RationalFunction.const(m.ctx, nv, 1)
+    coeff_rows = []
+    for vec in linalg.kernel_gen(rows, zero, one):
+        den_prod = one
+        for e in vec:
+            den_prod = den_prod * RationalFunction.from_poly(e.den)
+        polys = []
+        for e in vec:
+            val = e * den_prod
+            if not val.den.is_constant():
+                raise ConsistencyError("denominator failed to clear")
+            polys.append(val.num * val.den.constant_value().inverse())
+        coeff_rows.extend(coefficient_vectors(polys))
+    return Subspace.span(m.ctx, m.dim, coeff_rows)
+
+
+def poly_mat_pow(a, e: int, ctx):
+    n = len(a)
+    one = Poly.const(ctx, a[0][0].nvars, 1)
+    zero = Poly.zero(ctx, a[0][0].nvars)
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return dpoly.power(a, e, lambda x, y: poly_mat_mul(x, y, zero), eye)
+
+
+def poly_mat_mul(a, b, zero):
+    n, mdim, k = len(a), len(b), len(b[0])
+    out = [[zero for _ in range(k)] for _ in range(n)]
+    for i in range(n):
+        for s in range(mdim):
+            c = a[i][s]
+            if c.is_zero():
+                continue
+            for j in range(k):
+                if not b[s][j].is_zero():
+                    out[i][j] = out[i][j] + c * b[s][j]
     return out

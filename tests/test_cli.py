@@ -149,6 +149,18 @@ def test_genker_genimg_filtration(capsys):
     assert layers[0]["dim"] == 0 and layers[-1]["dim"] == 7
 
 
+def test_genker_on_a_rank_three_file(tmp_path, capsys):
+    # kE over F_2 with r = 3: K^1 is the radical, spanned by the seven
+    # monomials of positive degree
+    path = str(tmp_path / "free3.json")
+    save_module(K.free_module(K.FieldCtx(2), 3, 1), path)
+    code, out, _ = run_cli(["genker", path, "--power", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["dim"], doc["method"], doc["certified"]) == (7, "lattice-point-kernels", True)
+    assert len(doc["basis"]) == 7 and all(row[0] == 0 for row in doc["basis"])
+
+
 def test_layer_extraction(tmp_path, capsys):
     fix = str(fixture_path("sixteen"))
     out_file = tmp_path / "layer.json"

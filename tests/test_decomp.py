@@ -56,7 +56,7 @@ def test_hom_space_contains_identity():
     hom = K.hom_space(w, w)
     eye = np.eye(w.dim, dtype=np.int64)
     # identity must be a combination of the basis: solve
-    from kemod.linalg import solve_fp
+    from oracles import solve_fp
 
     cols = np.array([f.reshape(-1) for f in hom.basis]).T
     assert solve_fp(cols, eye.reshape(-1), 3) is not None

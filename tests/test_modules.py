@@ -8,6 +8,8 @@ from kemod.errors import InputError, MathRefusal
 from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, random_invertible
 from kemod.subspace import Subspace
+from oracles import apply_generator
+from symbolic import generic_rank, x_alpha_generic
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -68,13 +70,20 @@ def test_x_alpha_coordinate_points():
 
 def test_x_alpha_generic_is_pencil():
     w = K.w_module(3, 2, 2)
-    sym = K.x_alpha(w, K.PointSpec.generic())
+    sym = x_alpha_generic(w)
     # evaluating the symbolic matrix at t = 2 must match the closed point (1, 2)
     pt = [F3.one, F3.scalar(2)]
     closed = K.x_alpha(w, K.PointSpec.closed(F3, [1, 2]))
     for a in range(3):
         for b in range(3):
             assert sym[a][b].eval([F3.scalar(2)]) == F3.scalar(int(closed[a, b]))
+
+
+def test_x_alpha_at_the_generic_point_is_refused():
+    # the generic point has ranks and kernels, not a matrix over F_q
+    for m in (K.w_module(3, 2, 2), K.free_module(F2, 3), K.trivial_module(F3, 1, 2)):
+        with pytest.raises(InputError):
+            K.x_alpha(m, K.PointSpec.generic())
 
 
 def test_x_alpha_zero_point_rejected():
@@ -112,17 +121,9 @@ def test_jordan_type_at_extension_point():
 
 def test_generic_ranks_match_symbolic_elimination():
     # cross-check the grid method against honest rational-function elimination
-    from kemod.linalg import rank_gen
-    from kemod.poly import RationalFunction
-
-    rng = random.Random(2)
     for p, n, d in [(2, 3, 2), (3, 3, 2), (5, 4, 3)]:
         w = K.w_module(p, n, d)
-        sym = K.x_alpha(w, K.PointSpec.generic())
-        ctx = w.ctx
-        rows = [[RationalFunction.from_poly(e) for e in row] for row in sym]
-        zero = RationalFunction.const(ctx, 1, 0)
-        assert rank_gen(rows, zero) == generic_power_ranks(w, 1)[0]
+        assert generic_rank(w) == generic_power_ranks(w, 1)[0]
 
 
 # -- constant rank / CJT decisions ----------------------------------------------
@@ -286,7 +287,7 @@ def test_subquotient_requires_invariance():
 def test_is_invariant_matches_span_and_contains(F):
     """is_invariant against the form that echelonizes each image and asks
     containment: spun submodules are invariant, random spans mostly not."""
-    from kemod.modules import apply_generator, is_invariant, submodule_spin
+    from kemod.modules import is_invariant, submodule_spin
 
     rng = random.Random(2)
     m = K.direct_sum(K.w_module(F, 3, 2), K.dual(K.w_module(F, 2, 2)))

@@ -22,7 +22,8 @@ from kemod.generate import mixed_family
 from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, random_invertible
 from kemod.pencil import GradedGen
-from kemod.poly import Poly, RationalFunction
+from oracles import solve_fp
+from symbolic import Poly, RationalFunction, rank_gen
 
 # -- oracles: one generator at a time ----------------------------------------------
 
@@ -256,7 +257,7 @@ def _rank_over_rational_functions(F, c):
         return 0
     entry = lambda codes: RationalFunction.from_poly(Poly.from_univariate(F, [F.decode(e) for e in codes]))
     entries = [[entry(c[m, j]) for j in range(cols)] for m in range(rows)]
-    return linalg.rank_gen(entries, RationalFunction.const(F, 1, 0))
+    return rank_gen(entries, RationalFunction.const(F, 1, 0))
 
 
 @pytest.mark.parametrize(
@@ -379,7 +380,7 @@ def oracle_pencil_coefficients(m, i):
         B = np.zeros(((tdeg + 1) * d, len(idx)), dtype=np.int64)
         for j, k in enumerate(idx):
             B[: targets[k][0].size, j] = targets[k][0].T.reshape(-1)
-        X, solvable = linalg.solve_fp(shift_rows(basis, tdeg, d).T, B, F)
+        X, solvable = solve_fp(shift_rows(basis, tdeg, d).T, B, F)
         assert solvable.all()
         sizes = [max(0, tdeg - g.deg + 1) for g in basis]
         starts = np.cumsum([0] + sizes)

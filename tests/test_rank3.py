@@ -1,12 +1,16 @@
 """Higher-rank (r >= 3) paths: Monte Carlo constant-rank decisions, exact
-generic ranks via grids, slice dimensions, and line restrictions.
+generic ranks and kernels via lattices of points, slice dimensions, and
+line restrictions.
 
 The library evaluates the points of both r >= 3 sweeps as stacks, ranked by
-one fraction-free elimination; the per-point loops it replaced are kept
-here as oracles (``oracle_grid_ranks``, ``oracle_jrank_decision``), and
-verdicts, witnesses and confidences must match them exactly."""
+one fraction-free elimination; the per-point loops over the full grid it
+replaced are kept here as oracles (``oracle_grid_ranks``,
+``oracle_jrank_decision``), and verdicts, witnesses and confidences must
+match them exactly.  Generic kernels and images are held to the symbolic
+route over F_q(t_2..t_r) (``symbolic.genker_symbolic``)."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -15,12 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import kemod as K
 from kemod import linalg, modules
-from kemod.errors import InputError
+from kemod import genker
+from kemod.errors import ConsistencyError, InputError
 from kemod.gf import FieldCtx, extension
-from kemod.linalg import rank_gen
 from kemod.modules import JRankDecision
-from kemod.poly import RationalFunction
 from kemod.sheaf import monomials
+from symbolic import generic_rank, genker_symbolic
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -65,20 +69,13 @@ def test_generic_ranks_match_symbolic_r3():
     m2 = K.KEModule(F2, 3, [x1, x2, x3])
     assert m2.validate().ok
     for m in (rank3_free(), m2):
-        sym = K.x_alpha(m, K.PointSpec.generic())
-        rows = [[RationalFunction.from_poly(e) for e in row] for row in sym]
-        zero = RationalFunction.const(m.ctx, 2, 0)
-        from kemod.modules import generic_power_ranks
-
-        assert rank_gen(rows, zero) == generic_power_ranks(m, 1)[0]
+        assert generic_rank(m) == modules.generic_power_ranks(m, 1)[0]
 
 
 def test_genker_r3_matches_symbolic():
     m = rank3_free()
     rep = K.generic_kernel(m)
-    from kemod.genker import _genker_symbolic
-
-    assert rep.subspace == _genker_symbolic(m, 1)
+    assert rep.subspace == genker_symbolic(m, 1)
     # the generic kernel of a free module is its radical (equal images)
     assert rep.subspace == K.radical(m).sum(K.socle(m))
 
@@ -450,7 +447,66 @@ def test_sweep_stops_at_the_first_chunk_with_a_drop(monkeypatch):
     m = ORACLE_MODULES["F2 fault"]()
     dec = modules._jrank_decision(m, 1, 64, None, 1)
     assert dec.witness["point"] == "(0, 1, 0)"
-    # grid chunks, then the first of the seven rational points' chunks holds
-    # (0, 1, 0), the fifth point in draw order
-    grid = modules._grid_bound(m, 1) ** 2
-    assert calls[-2:] == [3, 3] and sum(calls) == grid + 6
+    # the chunks of the lattice of degree dim = 2 in r - 1 = 2 variables,
+    # binomial(2 + 2, 2) = 6 points; then the first of the seven rational
+    # points' chunks holds (0, 1, 0), the fifth point in draw order
+    lattice = math.comb(m.dim + m.r - 1, m.r - 1)
+    assert calls[-2:] == [3, 3] and sum(calls) == lattice + 6
+
+
+# -- generic kernels and images on the lattice against the symbolic route -----------
+
+
+GENKER_MODULES = {
+    "kE F2 r3": lambda: K.free_module(F2, 3),
+    "kE F2 r4": lambda: K.free_module(F2, 4),
+    "kE F3 r3": lambda: K.free_module(F3, 3),
+    "kE F4 r3": lambda: K.free_module(F4, 3),
+    **ORACLE_MODULES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENKER_MODULES))
+def test_lattice_kernels_and_images_match_the_symbolic_route(name):
+    m = GENKER_MODULES[name]()
+    md = K.dual(m)
+    for n in range(1, m.ctx.p + 1):
+        rep = K.generic_kernel_power(m, n)
+        assert rep.method == "lattice-point-kernels" and rep.certified
+        assert rep.subspace == genker_symbolic(m, n), n
+        # the image through duality; at dim 27 the dual's rank lattice for
+        # n = 2 alone takes seconds, so kE over F_3 checks n = 1 and n = p
+        if m.dim <= 16 or n in (1, m.ctx.p):
+            assert K.generic_image_power(m, n) == genker_symbolic(md, n).perp(), n
+
+
+def test_generic_kernels_follow_a_change_of_basis():
+    # C(P M P^-1) = P C(M) on kE over F_3 (dim 27), out of the symbolic
+    # route's reach after the change of basis
+    m = K.free_module(F3, 3)
+    P = modules.random_invertible(F3, m.dim, random.Random(1))
+    Pi = linalg.inv_fp(P, F3)
+    moved = K.KEModule(F3, 3, [linalg.matmul_fp(linalg.matmul_fp(P, x, F3), Pi, F3) for x in m.mats])
+    want = K.generic_kernel_power(m, 1).subspace
+    got = K.generic_kernel_power(moved, 1).subspace
+    assert got.dim == want.dim == 23
+    assert got == K.Subspace.span(F3, m.dim, linalg.matmul_fp(want.basis, P.T, F3))
+
+
+def test_a_wrong_generic_rank_is_an_error(monkeypatch):
+    # one too small: lattice points rank above it; one too large: none reaches it
+    real = modules.generic_power_ranks
+    for shift in (-1, 1):
+        monkeypatch.setattr(genker, "generic_power_ranks", lambda m, n: real(m, n)[:-1] + [real(m, n)[-1] + shift])
+        with pytest.raises(ConsistencyError):
+            K.generic_kernel_power(K.free_module(F2, 3), 1)
+
+
+def test_rank_one_kernels_come_from_the_one_point_lattice():
+    jb = np.eye(3, k=-1, dtype=np.int64)
+    m = K.KEModule(F3, 1, [jb])
+    for n in (1, 2, 3):
+        rep = K.generic_kernel_power(m, n)
+        assert rep.method == "lattice-point-kernels"
+        assert rep.subspace == K.Subspace.span(F3, 3, linalg.kernel_fp(linalg.matpow_fp(jb, n, F3), F3))
+        assert rep.subspace == genker_symbolic(m, n)
