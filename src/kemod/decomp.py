@@ -149,13 +149,12 @@ def _split_rec(m: KEModule, rng: random.Random, rounds: int):
 
 
 def _random_combination(F, basis, rng: random.Random, shape) -> np.ndarray:
-    """sum c_f f over the basis with uniformly random c_f in F_q."""
-    out = np.zeros(shape, dtype=np.int64)
-    for f in basis:
-        c = rng.randrange(F.q)
-        if c:
-            out = F.add(out, F.mul(c, f))
-    return out
+    """sum c_f f over the basis with uniformly random c_f in F_q: every c_f is
+    drawn, zeros included, then one product of the coefficient row with the
+    basis stacked as (len(basis), rows * cols)."""
+    coeffs = np.array([[rng.randrange(F.q) for _ in basis]], dtype=np.int64)
+    stacked = np.reshape(basis, (len(basis), shape[0] * shape[1]))
+    return F.matmul(coeffs, stacked).reshape(shape)
 
 
 def _part_list(mod: KEModule, rows, rng, rounds):

@@ -156,7 +156,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "base", "ops", "_pw", "_fold_mat",
-                 "_mod_bits", "_from_base", "_log", "_exp", "_log_l", "_exp_l")
+                 "_mod_bits", "_from_base", "_log", "_exp", "_log_l", "_exp_l", "_digit_tab")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -191,6 +191,7 @@ class FieldCtx:
         # p = 2: the modulus as a bit string, x^k included
         self._mod_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else 0
         self._log = None
+        self._digit_tab = None
         self.ops = IntModOps(p) if k == 1 else _ExtOps(self)
 
     # -- scalars ---------------------------------------------------------------
@@ -376,10 +377,17 @@ class FieldCtx:
         return self._undigits((src._digits(a) @ self._from_base) % self.p)
 
     def _digits(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)[..., None]
+        """The base-p digits of codes, on a new last axis of length k.  Odd
+        p with 1 < k and q <= TABLE_Q reads them off a (q, k) table, one
+        gather instead of k divisions."""
+        a = np.asarray(a, dtype=np.int64)
         if self.p == 2:
-            return (a >> np.arange(self.k)) & 1
-        return (a // self._pw) % self.p
+            return (a[..., None] >> np.arange(self.k)) & 1
+        if self.k > 1 and self.q <= TABLE_Q:
+            if self._digit_tab is None:
+                self._digit_tab = (np.arange(self.q)[:, None] // self._pw) % self.p
+            return self._digit_tab.take(a, axis=0)
+        return (a[..., None] // self._pw) % self.p
 
     def _undigits(self, d: np.ndarray):
         return d @ self._pw

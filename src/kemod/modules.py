@@ -4,7 +4,10 @@ The central object is KEModule: r commuting d x d matrices over F_q with
 vanishing p-th powers, stored as int64 arrays of element codes (see
 ``gf.FieldCtx``).  Module elements are column vectors; subspaces are
 row-echelon bases.  Everything downstream (Jordan types, generic kernels,
-sheaf slices) is phrased in terms of this class.
+sheaf slices) is phrased in terms of this class.  A module caches its
+results, and the modules derived from one (duals, restrictions,
+subquotients) keep one cache per distinct set of matrices
+(``KEModule._derive``).
 
 Exact generic ranks — the rank of X_alpha^j at the generic point of the
 projective parameter space — come for r = 2 from the Smith form of
@@ -138,9 +141,21 @@ class KEModule:
     ``mats`` may be int64 arrays of element codes, or nested lists of
     FieldScalars, coefficient lists, or ints (read as elements of F_p);
     they are stored as a tuple of (d, d) int64 code arrays.
+
+    ``_cache`` holds what has been computed on the module (validation, Smith
+    forms, generic ranks, kernel bases, decisions, generic kernels, splitting
+    types), each under a key that with the field, r and the matrices fixes
+    the value.  A module made from another by ``dual``, ``restrict`` or a
+    subquotient (``_derive``) joins its source's *family*: a dict, shared
+    by the root and everything derived from it, from the content
+    (r, dim, matrices) to one cache.  So derived modules whose matrices
+    are equal (a double dual, M as its own full submodule, two equal
+    layers) read and fill one cache.  A module built by the constructor is
+    a new root and starts empty, even when its matrices equal another's.
+    Cached values are shared: callers must not change them in place.
     """
 
-    __slots__ = ("ctx", "r", "dim", "mats", "labels", "_cache")
+    __slots__ = ("ctx", "r", "dim", "mats", "labels", "_cache", "_family")
 
     def __init__(self, ctx: FieldCtx, r: int, mats, labels=None):
         if r < 1:
@@ -155,6 +170,20 @@ class KEModule:
         self.mats = mats
         self.labels = tuple(labels) if labels else None
         self._cache = {}
+        self._family = None
+
+    def _derive(self, r: int, mats, labels=None) -> "KEModule":
+        """A module over the same field made from this one: it joins this
+        module's family and takes the family's cache for its content."""
+        mod = KEModule(self.ctx, r, mats, labels)
+        if self._family is None:
+            self._family = {self._content(): self._cache}
+        mod._cache = self._family.setdefault(mod._content(), mod._cache)
+        mod._family = self._family
+        return mod
+
+    def _content(self) -> tuple:
+        return (self.r, self.dim) + tuple(x.tobytes() for x in self.mats)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -209,11 +238,16 @@ class KEModule:
 
     def kernel_generators(self, ell: int) -> list[pencil.GradedGen]:
         """Minimal graded kernel basis of (X_1 + t X_2)^ell (r = 2), empty for
-        ell <= 0: the one basis behind splitting types and generic kernels."""
+        ell <= 0: the one basis behind splitting types and generic kernels.
+        From ell = p on the power is zero and the basis is the unit vectors
+        in degree 0, as the sweep would find them."""
         key = ("kernel_generators", ell)
         if key not in self._cache:
             gens = []
-            if ell > 0:
+            if ell >= self.ctx.p:
+                self.pencil()  # refuses r != 2
+                gens = [pencil.GradedGen(e[:, None].copy(), 0) for e in np.eye(self.dim, dtype=np.int64)]
+            elif ell > 0:
                 rho = generic_power_ranks(self, ell)[-1]
                 gens = pencil.graded_kernel_basis(self.power_pencil(ell), self.ctx, self.dim - rho)
             self._cache[key] = gens
@@ -491,13 +525,14 @@ def constant_jrank_decide(
 
     Exact for r <= 2: the Smith form over F_q[t] gives the generic rank and
     the jump points on the affine chart, and the point at infinity is
-    checked apart.  For r >= 3 the generic rank is exact (``_grid_ranks``)
-    and the decision tests every point of P^{r-1}(F_q) when there are at
-    most ``samples`` of them, then ``samples`` random points over a large
-    extension.  The points are ranked as stacks, a chunk of at most
-    ``STACK_CELLS`` matrix entries at a time (``_point_ranks``); the first
-    point in draw order whose rank differs from the generic one is the
-    witness, and the sweep ends with its chunk.
+    checked apart.  Exact for the zero module, of rank 0 everywhere.  For
+    r >= 3 the generic rank is exact (``_grid_ranks``) and the decision
+    tests every point of P^{r-1}(F_q) when there are at most ``samples`` of
+    them, then ``samples`` random points over a large extension.  The
+    points are ranked as stacks, a chunk of at most ``STACK_CELLS`` matrix
+    entries at a time (``_point_ranks``); the first point in draw order
+    whose rank differs from the generic one is the witness, and the sweep
+    ends with its chunk.
     """
     m.require_valid()
     _check_sampling(samples, ext_degree)
@@ -522,7 +557,7 @@ def _jrank_decision(m: KEModule, j: int, samples: int, ext_degree: int | None, s
     if j == m.ctx.p:
         return JRankDecision("constant", j, 0)
     rho = generic_power_ranks(m, j)[j - 1]
-    if m.r == 1:
+    if m.r == 1 or m.dim == 0:
         return JRankDecision("constant", j, rho)
     if m.r == 2:
         nonunit = next((f for f in _snf_of_power(m, j).invariant_factors if len(f) > 1), None)
@@ -612,7 +647,7 @@ def _witness_from_factor(m: KEModule, j: int, rho: int, factor) -> JRankDecision
 
 
 def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None = None, seed: int = 0) -> CJTDecision:
-    """Decide constant Jordan type (exact for r <= 2)."""
+    """Decide constant Jordan type (exact for r <= 2 and for the zero module)."""
     m.require_valid()
     _check_sampling(samples, ext_degree)
     key = ("cjt", (samples, ext_degree, seed) if m.r >= 3 else None)
@@ -691,7 +726,7 @@ def direct_sum(a: KEModule, b: KEModule) -> KEModule:
 def dual(m: KEModule) -> KEModule:
     """k-linear dual: X_i acts by plain transpose."""
     m.require_valid()
-    return KEModule(m.ctx, m.r, [x.T.copy() for x in m.mats])
+    return m._derive(m.r, [x.T.copy() for x in m.mats])
 
 
 def restrict(m: KEModule, a_matrix) -> KEModule:
@@ -707,7 +742,7 @@ def restrict(m: KEModule, a_matrix) -> KEModule:
     if linalg.rank_fp(A, m.ctx) != s:
         raise InputError("restriction matrix must have full column rank")
     mats = [_combine(m.ctx, m.mats, A[:, jcol]) for jcol in range(s)]
-    return KEModule(m.ctx, s, mats, labels=m.labels)
+    return m._derive(s, mats, labels=m.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +838,7 @@ def subquotient_with_lift(m: KEModule, top: Subspace, bottom: Subspace):
     mats = [
         bottom.reduce(linalg.matmul_fp(comp, x.T, m.ctx))[:, pivots].T for x in m.mats
     ]
-    return KEModule(m.ctx, m.r, mats), comp
+    return m._derive(m.r, mats), comp
 
 
 def sub_as_module(m: KEModule, sub: Subspace):

@@ -29,7 +29,7 @@ class Subspace:
     @classmethod
     def span(cls, ctx: FieldCtx, ambient: int, rows) -> "Subspace":
         """Echelonize arbitrary spanning rows (any form ``FieldCtx.array`` reads)."""
-        arr = ctx.array(rows).reshape(-1, ambient)
+        arr = _as_rows(ctx.array(rows), ambient)
         if arr.shape[0] == 0:
             return cls.zero(ctx, ambient)
         ech, piv = linalg.row_space_fp(arr, ctx)
@@ -55,7 +55,7 @@ class Subspace:
 
     def reduce(self, vecs) -> np.ndarray:
         """Residuals of row vectors after reduction modulo this subspace."""
-        v = self.ctx.array(vecs).reshape(-1, self.ambient)
+        v = _as_rows(self.ctx.array(vecs), self.ambient)
         return linalg.reduce_rows_fp(v, self.basis, list(self.pivots), self.ctx)
 
     def contains(self, other: "Subspace") -> bool:
@@ -104,6 +104,12 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def _as_rows(arr: np.ndarray, ambient: int) -> np.ndarray:
+    """arr as rows of length ambient.  In ambient 0 reshape(-1, 0) cannot
+    infer the count, so every axis but the last counts rows."""
+    return arr.reshape(-1, ambient) if ambient else arr.reshape(int(np.prod(arr.shape[:-1])), 0)
 
 
 def row_space(ctx: FieldCtx, mat) -> Subspace:

@@ -153,9 +153,12 @@ def verify_theorems(m: KEModule, seed: int = 0) -> dict:
                 except MathRefusal as e:
                     record(f"equal-images reduction (i={i}, j={j})", False, str(e))
 
+    # the dual as a root of its own: ``dual(m)`` would share the cache that
+    # generic_image_power filled, and the check would compare a value with itself
+    md_root = KEModule(m.ctx, m.r, [x.T.copy() for x in m.mats])
     for n in range(1, p + 1):
         primary = generic_image_power(m, n)  # internally cross-checked
-        viaperp = generic_kernel_power(dual(m), n).subspace.perp()
+        viaperp = generic_kernel_power(md_root, n).subspace.perp()
         record(f"kernel/image duality at n={n}", primary == viaperp)
 
     record_chains()

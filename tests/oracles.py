@@ -30,3 +30,15 @@ def apply_generator(m, i: int, sub: Subspace) -> Subspace:
     if sub.dim == 0:
         return Subspace.zero(m.ctx, m.dim)
     return Subspace.span(m.ctx, m.dim, linalg.matmul_fp(sub.basis, m.mats[i].T, m.ctx))
+
+
+def random_combination_loop(F, basis, rng, shape):
+    """sum c_f f over the basis with c_f = rng.randrange(q), one F.mul and
+    F.add per nonzero coefficient: the loop ``decomp._random_combination``
+    replaced by one product."""
+    out = np.zeros(shape, dtype=np.int64)
+    for f in basis:
+        c = rng.randrange(F.q)
+        if c:
+            out = F.add(out, F.mul(c, f))
+    return out

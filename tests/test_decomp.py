@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import kemod as K
-from kemod import linalg
+from kemod import decomp, linalg
 from kemod.errors import ConsistencyError, InputError
 from kemod.fixdata import mainexample_module
 from kemod.gf import FieldCtx
+from oracles import random_combination_loop
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -165,3 +166,37 @@ def test_iso_probe_symmetric_verdicts():
 
 def test_iso_probe_dim_mismatch():
     assert K.iso_probe(K.w_module(3, 2, 2), K.w_module(3, 3, 2), seed=0).kind == "not_isomorphic"
+
+
+@pytest.mark.parametrize("F", [F2, F3, FieldCtx(5), FieldCtx(2, 3), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}")
+def test_random_combination_is_the_loop(F):
+    rng = np.random.default_rng(F.q)
+    basis = list(rng.integers(0, F.q, (7, 4, 5)))
+    a, b = random.Random(3), random.Random(3)
+    for _ in range(5):
+        assert np.array_equal(decomp._random_combination(F, basis, a, (4, 5)), random_combination_loop(F, basis, b, (4, 5)))
+    assert a.random() == b.random()  # the same draws
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: K.direct_sum(K.w_module(3, 2, 2), K.w_module(3, 2, 2)),
+        lambda: K.direct_sum(K.w_module(2, 3, 2), K.dual(K.w_module(2, 3, 2))),
+        lambda: K.direct_sum(mainexample_module(), K.trivial_module(F3, 2, 2)),
+        lambda: K.direct_sum(K.w_module(FieldCtx(3, 2), 3, 2), K.trivial_module(FieldCtx(3, 2), 2, 1)),
+    ],
+    ids=["w22+w22", "w32+dual over F2", "mainexample+k^2", "w32+k over F9"],
+)
+def test_decompositions_and_iso_certificates_are_those_of_the_loop(monkeypatch, build):
+    m = build()
+    new = K.decompose(m, seed=5)
+    iso = K.iso_probe(m, m, seed=5)
+    monkeypatch.setattr(decomp, "_random_combination", random_combination_loop)
+    m = build()
+    old = K.decompose(m, seed=5)
+    assert new.count == old.count >= 2
+    for s, t in zip(new.summands, old.summands):
+        assert all(np.array_equal(a, b) for a, b in zip(s.mats, t.mats))
+    assert np.array_equal(new.certificate, old.certificate)
+    assert np.array_equal(iso.certificate, K.iso_probe(m, m, seed=5).certificate)

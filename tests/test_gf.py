@@ -356,3 +356,14 @@ def test_stacked_matmul_is_the_product_of_each_slice(F):
     for s in range(4):
         assert np.array_equal(got[s], F.matmul(a[s], b[s]))
     assert F.matmul(a[:0], b[:0]).shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 4)], ids=["F9", "F25", "F81"])
+def test_digit_table_is_the_division_form(p, k):
+    F = FieldCtx(p, k)
+    codes = np.arange(F.q)
+    want = (codes[:, None] // p ** np.arange(k)) % p
+    assert np.array_equal(F._digits(codes), want)
+    assert F._digit_tab is not None  # read off the table
+    stack = np.random.default_rng(p + k).integers(0, F.q, (3, 4, 5))
+    assert np.array_equal(F._digits(stack), (stack[..., None] // p ** np.arange(k)) % p)

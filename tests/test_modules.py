@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kemod as K
+from kemod import pencil
 from kemod.errors import InputError, MathRefusal
 from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, random_invertible
@@ -556,3 +557,22 @@ def test_dense_jump_module_witness_and_image_cut(monkeypatch):
     with pytest.raises(ConsistencyError):
         K.generic_image_power(m, 1)
     assert [F3.encode(c) for c in w["minimal_polynomial"]] in [list(g) for g in cuts]
+
+
+@pytest.mark.parametrize("F", [F2, F3, FieldCtx(3, 2)], ids=lambda F: f"F{F.q}")
+@pytest.mark.parametrize("d", [0, 1, 5])
+def test_kernel_generators_from_p_on_are_the_zero_pencils_sweep(monkeypatch, F, d):
+    want = pencil.graded_kernel_basis(np.zeros((d, d, 1), dtype=np.int64), F, d)
+    monkeypatch.setattr(pencil, "graded_kernel_basis", None)  # no sweep from p on
+    m = K.trivial_module(F, 2, d)
+    for ell in (F.p, F.p + 1):
+        got = m.kernel_generators(ell)
+        assert [g.deg for g in got] == [g.deg for g in want]
+        for g, w in zip(got, want):
+            assert g.coeffs.dtype == w.coeffs.dtype and g.coeffs.shape == w.coeffs.shape
+            assert g.coeffs.tobytes() == w.coeffs.tobytes()
+
+
+def test_kernel_generators_from_p_on_refuse_other_ranks():
+    with pytest.raises(InputError):
+        K.trivial_module(F3, 3, 2).kernel_generators(3)
