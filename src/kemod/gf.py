@@ -291,6 +291,8 @@ class FieldCtx:
         rows = [self.array(x, ndim - 1) for x in a]
         if not rows:
             return np.zeros((0,) * ndim, dtype=np.int64)
+        if len({x.shape for x in rows}) > 1:
+            raise InputError("ragged nesting: entries of different lengths")
         return np.array(rows, dtype=np.int64)
 
     def canon(self, a) -> np.ndarray:

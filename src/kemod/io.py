@@ -43,32 +43,32 @@ def module_to_dict(m: KEModule, metadata: dict | None = None) -> dict:
 
 def module_from_dict(doc: dict) -> KEModule:
     try:
-        if doc.get("format") != FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT:
             raise InputError(f"not a {FORMAT} document")
         p = int(doc["p"])
         k = int(doc.get("field_degree", 1))
         r = int(doc["r"])
         dim = int(doc["dim"])
         gens = doc["generators"]
+        if len(gens) != r:
+            raise InputError(f"expected {r} generator matrices, found {len(gens)}")
+        modulus = doc.get("modulus")
+        if k > 1 and modulus is None:
+            raise InputError("extension-field module file lacks a modulus")
+        ctx = FieldCtx(p, k, None if k == 1 else tuple(int(c) for c in modulus))
+        mats = []
+        for g in gens:
+            if len(g) != dim * dim:
+                raise InputError("generator matrix has wrong number of entries")
+            mats.append(ctx.array(g, ndim=1).reshape(dim, dim))
+        labels = None
+        meta = doc.get("metadata") or {}
+        if isinstance(meta, dict) and meta.get("basis_labels"):
+            labels = [str(x) for x in meta["basis_labels"]]
+            if len(labels) != dim:
+                raise InputError("basis_labels length differs from dim")
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed module file: {e}") from e
-    if len(gens) != r:
-        raise InputError(f"expected {r} generator matrices, found {len(gens)}")
-    modulus = doc.get("modulus")
-    if k > 1 and modulus is None:
-        raise InputError("extension-field module file lacks a modulus")
-    ctx = FieldCtx(p, k, None if k == 1 else tuple(int(c) for c in modulus))
-    mats = []
-    for g in gens:
-        if len(g) != dim * dim:
-            raise InputError("generator matrix has wrong number of entries")
-        mats.append(ctx.array(g, ndim=1).reshape(dim, dim))
-    labels = None
-    meta = doc.get("metadata") or {}
-    if isinstance(meta, dict) and meta.get("basis_labels"):
-        labels = [str(x) for x in meta["basis_labels"]]
-        if len(labels) != dim:
-            raise InputError("basis_labels length differs from dim")
     mod = KEModule(ctx, r, mats, labels=labels)
     rep = mod.validate()
     if not rep.ok:

@@ -16,11 +16,11 @@ by row as {column: residue} maps, touching only the nonzeros; any other
 matrix is reduced by dense row operations, vectorized per pivot.  Both
 routes give the same canonical echelon form, and in the input's form:
 dense in, dense out; ``Coo`` in, ``Coo`` out, with no dense array of the
-matrix's size unless it takes the dense route (``kernel_fp`` and
-``kernel_of_rref`` likewise).  Matrix products go through
-float64 BLAS when the intermediate values provably fit in the 53-bit
-mantissa, in pieces that BLAS makes on the calling thread unless a product
-is very wide (``gf._matmul_mod``), so no thread setting is needed.
+matrix's size unless it takes the dense route (``kernel_fp`` likewise).
+Matrix products go through float64 BLAS when the intermediate values
+provably fit in the 53-bit mantissa, in pieces that BLAS makes on the
+calling thread unless a product is very wide (``gf._matmul_mod``), so no
+thread setting is needed.
 """
 
 from __future__ import annotations
@@ -254,21 +254,13 @@ def rank_fp(a, F) -> int:
 
 
 def kernel_fp(a, F):
-    """Row basis of the right kernel {x : a @ x = 0} over F_q, a ``Coo`` for
-    a ``Coo`` a."""
+    """Row basis of the right kernel {x : a @ x = 0} over F_q: one row per
+    free column of the RREF R, 1 there and -R[i, free] at pivots[i].  A
+    ``Coo`` for a ``Coo`` a, else dense."""
     F = field(F)
     R, pivots = rref_fp(a, F)
-    return kernel_of_rref(R, pivots, F)
-
-
-def kernel_of_rref(R, pivots: list[int], F: FieldCtx, cols: int | None = None):
-    """The kernel basis of an RREF R, or of its column prefix R[:, :cols]
-    with the pivots that lie in it: one row per free column, 1 there and
-    -R[i, free] at pivots[i].  A ``Coo`` for a ``Coo`` R, else dense."""
-    cols = R.shape[1] if cols is None else int(cols)
-    # the rows of R past the prefix's pivots have no entry left of cols
-    is_free = np.zeros(R.shape[1], dtype=bool)
-    is_free[:cols] = True
+    cols = R.shape[1]
+    is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
     free = is_free.nonzero()[0]
     if isinstance(R, Coo):

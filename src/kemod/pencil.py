@@ -14,26 +14,26 @@ ascending shifted degree.  It has two entry points:
   give the section space of the dual of a cokernel bundle on the
   projective line.
 
-Where a degree's kernel is larger than the span of the shifts of the
-earlier generators, one echelon form of its rows, with the pivot columns of
-those shifts moved first, gives the degree's new generators
-(``_complement``).  No degree is eliminated anew: the unknowns of degree
-<= n come first, so one echelon form up to a top degree holds that of
-every lower degree as a column prefix (``_PrefixEchelon``), and the top
-grows when the sweep passes it.  ``solve_in_basis`` solves all targets of
-a splitting type with one echelon form, at their top degree, and writes
-the coordinates straight into the coefficient array.  The matrices of a
-basis-aligned module are almost monomial: in a seed-1 ``bundle`` benchmark
-round half of their rows are empty, and 9 in 10 pivots come from rows that
-hold a single entry, directly or once other such rows are gone.  So their
-eliminations take the sparse route of ``linalg.rref_fp``, which peels
-those rows before it eliminates.  Every matrix the engine eliminates (the
-constraints of a sweep, the shifts of the old generators, a degree's
-kernel and the [shifts | targets] of a solve) is built as a
-``linalg.Coo`` straight from the nonzeros of its source, by vectorized
-gathers and one sort by row, and the echelon forms and kernels come back
-as ``Coo``s that are read the same way; only the new generators and the
-coordinates are dense.
+The unknowns of shifted degree <= n come first, so one echelon form up to
+a top degree holds that of every lower degree as a column prefix, and the
+top grows when the sweep passes it.  Its free columns give the generators
+straight away: those of degree n are the kernel vectors of the unknowns of
+degree n that are free while the same row's unknown of degree n - 1 is
+not.  Such a vector is 0 at every free unknown but its own, so the basis
+is in shifted Popov form, weak Popov in particular (Mulders and
+Storjohann, J. Symbolic Comput. 35, 2003).  ``solve_in_basis`` solves all
+targets of a splitting type with one echelon form, at their top degree,
+and writes the coordinates straight into the coefficient array.  The
+matrices of a basis-aligned module are almost monomial: in a seed-1
+``bundle`` benchmark round half of their rows are empty, and 9 in 10
+pivots come from rows that hold a single entry, directly or once other
+such rows are gone.  So their eliminations take the sparse route of
+``linalg.rref_fp``, which peels those rows before it eliminates.  Every
+matrix the engine eliminates (the constraints of a sweep and the
+[shifts | targets] of a solve) is built as a ``linalg.Coo`` straight from
+the nonzeros of its source, by vectorized gathers and one sort by row, and
+the echelon forms come back as ``Coo``s that are read the same way; only
+the generators and the coordinates are dense.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .dpoly import power
 from .errors import ConsistencyError
-from .linalg import Coo, field, kernel_of_rref, matmul_fp, rref_fp
+from .linalg import Coo, field, matmul_fp, rref_fp
 
 Pm = np.ndarray  # (rows, cols, deg+1)
 
@@ -83,24 +83,6 @@ def pm_pow(a: Pm, e: int, F) -> Pm:
     return power(pm_trim(F.canon(a)).copy(), e, lambda x, y: pm_mul(x, y, F), one)
 
 
-class _PrefixEchelon:
-    """One echelon form of M read at the column prefixes M[:, :ends[k]]: the
-    RREF of a column prefix is the prefix of the RREF, so each prefix's
-    nullity and kernel (as ``kernel_fp`` gives it) come without a new
-    elimination."""
-
-    def __init__(self, M, ends: np.ndarray, F):
-        self.F, self.ends = field(F), ends
-        self.R, self.piv = rref_fp(M, self.F)
-        self.ranks = np.searchsorted(self.piv, ends)
-
-    def nullity(self, k: int) -> int:
-        return int(self.ends[k] - self.ranks[k])
-
-    def kernel(self, k: int):
-        return kernel_of_rref(self.R, self.piv[: self.ranks[k]], self.F, self.ends[k])
-
-
 class GradedGen:
     """One minimal-basis generator: coefficient array (cols, deg+1) plus its degree."""
 
@@ -109,28 +91,6 @@ class GradedGen:
     def __init__(self, coeffs: np.ndarray, deg: int):
         self.coeffs = coeffs
         self.deg = deg
-
-
-def _complement(K: Coo, old, F) -> np.ndarray:
-    """The RREF of the rows of span(K) that vanish on the pivot columns of
-    old (dense or a ``Coo``), a complement of span(old) in span(K) (old
-    independent and inside span(K)).  With those columns moved first, the
-    echelon form of K has one row pivoted on each of them and the rest
-    vanish there: the rest, with the columns moved back, is that RREF."""
-    lead = rref_fp(old, F)[1] if old.shape[0] else []
-    rest = np.ones(K.shape[1], dtype=bool)
-    rest[lead] = False
-    order = np.concatenate([np.array(lead, dtype=np.int64), rest.nonzero()[0]])
-    R, piv = rref_fp(K._replace(col=order.argsort()[K.col]), F)
-    n = len(lead)
-    if piv[:n] != list(range(n)) or len(piv) - n != K.shape[0] - old.shape[0]:
-        raise ConsistencyError(
-            f"kernel slice of dimension {K.shape[0]} with {old.shape[0]} old shifts has {len(piv) - n} new generators"
-        )
-    out = np.zeros((len(piv) - n, K.shape[1]), dtype=np.int64)
-    first = R.row.searchsorted(n)
-    out[R.row[first:] - n, order[R.col[first:]]] = R.val[first:]
-    return out
 
 
 def _gather(per_group: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,42 +118,27 @@ def _constraints(c: Pm, power: np.ndarray, row: np.ndarray) -> Coo:
     return Coo(out[order], unknown[order], c[src, j, e][at[order]], shape)
 
 
-def _old_shifts(gens: list[tuple[int, np.ndarray]], k: int, lev, row, column, width: int) -> Coo:
-    """The shifts t^e g of the generators g found so far that stay within
-    level index k, one row each (generator by generator, e ascending), over
-    the first width unknowns, as a ``Coo``: the coefficient of g at unknown
-    u moves to the unknown of level index lev[u] + e and row row[u]."""
-    if not gens:
-        return Coo(*[np.zeros(0, dtype=np.int64)] * 3, (0, int(width)))
-    sizes = np.fromiter((vec.size for _, vec in gens), np.int64, len(gens))
-    flat = np.concatenate([vec for _, vec in gens])
-    nz = flat.nonzero()[0]
-    start = sizes.cumsum() - sizes
-    owner = start.searchsorted(nz, side="right") - 1
-    shifts = k + 1 - np.fromiter((k0 for k0, _ in gens), np.int64, len(gens))
-    g = np.arange(len(gens)).repeat(shifts)  # the generator of each shift
-    out, at = _gather(np.bincount(owner, minlength=len(gens)), g)
-    u = nz[at] - start[owner[at]]
-    e = out - (shifts.cumsum() - shifts)[g[out]]
-    return Coo(out, column[lev[u] + e, row[u]], flat[nz[at]], (g.size, int(width)))
-
-
 def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list[tuple[int, np.ndarray]]:
     """The degree sweep: a minimal basis of {psi row vector : psi * c = 0}
     with row degree shifts, as (shifted degree, coefficients over the
     unknowns of shifted degree <= it) per generator, degrees ascending.
 
     The coefficient of t^e in psi_m has level e - shifts[m], and the
-    unknowns are ordered by level.  The first echelon form reaches four
-    levels past the lowest; the top grows by half when the sweep passes it,
-    and the generators found so far are kept.  Each new generator has a
-    coefficient at its own level, since otherwise it would lie in the slice
-    one level lower, which the earlier shifts span.  Once there are count
-    generators, the predicted nullity is checked at check more levels.
+    unknowns are ordered by level, then row.  The first echelon form reaches
+    four levels past the lowest; the top grows by half when the sweep passes
+    it, and the generators found so far are kept.  A kernel vector's last
+    nonzero lies on a free unknown, and t maps the free unknown (level, m)
+    to the free unknown (level + 1, m).  So the generators of level k are
+    the kernel vectors of the free unknowns (k, m) with (k - 1, m) not free:
+    1 there and -R[i, u] at the pivot of row i.  The shifts of all the
+    generators end on distinct free unknowns, one on each, so they span
+    every slice.  Once there are count generators, no unknown may become
+    free for check more levels.
     """
     rows, cols, d1 = c.shape
     if count == 0:
         return []
+    F = field(F)
     lo = -int(shifts.max(initial=0))
     # Each minimal index is at most (d1 - 1) * rank(c) <= (d1 - 1) * rows: by the
     # index sum theorem the unshifted ones add up to at most that, and shifts
@@ -214,17 +159,27 @@ def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list
             column = np.full(active.shape, -1)
             column[lev, row] = np.arange(row.size)
             ends = np.cumsum(active.sum(axis=1))
-            ech = _PrefixEchelon(_constraints(c, lo + lev + shifts[row], row), ends, F)
-        want = sum(k - k0 + 1 for k0, _ in gens)
-        got = ech.nullity(k)
+            R, piv = rref_fp(_constraints(c, lo + lev + shifts[row], row), F)
+            piv = np.array(piv, dtype=np.int64)
+            free = active.copy()
+            free[lev[piv], row[piv]] = False
+            fresh = free.copy()  # free, but not free one level lower
+            fresh[1:] &= ~free[:-1]
+        u = column[k, fresh[k]]
         if done is not None:
-            if got != want:
-                raise ConsistencyError(f"kernel slice of dimension {got} at degree {n}, {want} predicted")
-        elif got != want:
-            for vec in _complement(ech.kernel(k), _old_shifts(gens, k, lev, row, column, ends[k]), F):
-                if not vec[ends[k] - active[k].sum() :].any():
-                    raise ConsistencyError("minimal kernel generator without a coefficient at its degree")
-                gens.append((k, vec))
+            if u.size:
+                raise ConsistencyError(
+                    f"kernel slice of dimension {free[: k + 1].sum()} at degree {n}, "
+                    f"{sum(k - k0 + 1 for k0, _ in gens)} predicted"
+                )
+        elif u.size:
+            slot = np.full(row.size, -1)
+            slot[u] = np.arange(u.size)
+            at = slot[R.col] >= 0
+            vecs = np.zeros((u.size, ends[k]), dtype=np.int64)
+            vecs[np.arange(u.size), u] = 1
+            vecs[slot[R.col[at]], piv[R.row[at]]] = F.neg(R.val[at])
+            gens += [(k, vec) for vec in vecs]
             if len(gens) >= count:
                 if len(gens) > count:
                     raise ConsistencyError(f"{len(gens)} kernel generators for {count} expected")

@@ -118,10 +118,7 @@ def verify_theorems(m: KEModule, seed: int = 0) -> dict:
         if n > p:
             record(f"power reduction at i={i}", True, "n = i+1 exceeds p; K^n = M, identity")
             continue
-        ksub = sub_as_module(m, generic_kernel_power(m, n).subspace)[0]
-        q1 = quotient_module(ksub, generic_image_power(ksub, n))
-        q2big = quotient_module(m, generic_image_power(m, n))
-        q2 = sub_as_module(q2big, generic_kernel_power(q2big, n).subspace)[0]
+        q1, q2 = _power_subquotients(m, n, n)
         try:
             s1 = splitting_type(q1, i)
             s2 = splitting_type(q2, i)
@@ -169,6 +166,15 @@ def verify_theorems(m: KEModule, seed: int = 0) -> dict:
 
     report["ok"] = all(c["ok"] for c in checks)
     return report
+
+
+def _power_subquotients(m: KEModule, n: int, mm: int) -> tuple[KEModule, KEModule]:
+    """K^n(M)/I^mm K^n(M) and K^n(M/I^mm M), with I^mm N the generic
+    mm-th power image of N."""
+    ksub = sub_as_module(m, generic_kernel_power(m, n).subspace)[0]
+    a = quotient_module(ksub, generic_image_power(ksub, mm))
+    q = quotient_module(m, generic_image_power(m, mm))
+    return a, sub_as_module(q, generic_kernel_power(q, n).subspace)[0]
 
 
 def _equal_n_images_slice_check(m: KEModule, n: int) -> dict:
@@ -224,10 +230,7 @@ def conjecture_scan(count: int, seed: int, family: str = "all", primes=(3, 5)) -
         p = m.ctx.p
         n = min(2, p)
         try:
-            ksub = sub_as_module(m, generic_kernel_power(m, n).subspace)[0]
-            q1 = quotient_module(ksub, generic_image_power(ksub, n))
-            q2big = quotient_module(m, generic_image_power(m, n))
-            q2 = sub_as_module(q2big, generic_kernel_power(q2big, n).subspace)[0]
+            q1, q2 = _power_subquotients(m, n, n)
         except KemodError as e:
             anomalies.append({"module": name, "error": str(e)})
             continue
@@ -284,10 +287,7 @@ def question_scan(count: int, seed: int, primes=(3, 5)) -> dict:
             pairs.append((2, 1))
         for n, mm in pairs:
             try:
-                ksub = sub_as_module(m, generic_kernel_power(m, n).subspace)[0]
-                a = quotient_module(ksub, generic_image_power(ksub, mm))
-                qbig = quotient_module(m, generic_image_power(m, mm))
-                b = sub_as_module(qbig, generic_kernel_power(qbig, n).subspace)[0]
+                a, b = _power_subquotients(m, n, mm)
             except KemodError as e:
                 details.append({"module": name, "n": n, "m": mm, "error": str(e)})
                 continue

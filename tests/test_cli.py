@@ -7,6 +7,7 @@ import pytest
 import kemod as K
 from kemod.cli import main
 from kemod.io import fixture_path, load_module, save_module
+from test_io import MALFORMED
 
 
 def run_cli(args, capsys):
@@ -119,6 +120,25 @@ def test_invalid_module_file_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(["validate", str(path)], capsys)
     assert code == 2  # fails to parse into a valid module
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_module_file_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "") and err.startswith("input error")
+
+
+@pytest.mark.parametrize("field", [K.FieldCtx(3), K.FieldCtx(3, 2)], ids=["F3", "F9"])
+@pytest.mark.parametrize(
+    "argv", [["restrict", "--matrix", "1,0;0", "-o", "out.json"], ["line-splitting", "--i", "1", "--line", "1;0,1"]]
+)
+def test_ragged_matrix_exits_2(argv, field, tmp_path, capsys):
+    path = str(tmp_path / "w.json")
+    save_module(K.w_module(field, 3, 2), path)
+    code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+    assert (code, out) == (2, "") and err.startswith("input error")
 
 
 def test_restrict_round_trip(w43, tmp_path, capsys):

@@ -169,3 +169,10 @@ def test_int_arrays_are_codes_and_int_lists_are_prime_field_elements():
     assert K.KEModule(f9, 1, [entries]).mats[0][1, 0] == 2  # 5 read in F_3
     with pytest.raises(InputError):
         K.KEModule(f9, 1, [np.array([[0, 0], [9, 0]])])
+
+
+@pytest.mark.parametrize("F", [FieldCtx(3), FieldCtx(3, 2)], ids=["F3", "F9"])
+def test_ragged_nesting_is_an_input_error(F):
+    for a in ([[1, 0], [0]], [[1], [0, 1]]):
+        with pytest.raises(InputError, match="ragged"):
+            F.array(a)

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -64,6 +65,36 @@ def test_wrong_entry_count_rejected():
         "dim": 2,
         "generators": [[0, 0, 0]],
     }
+    with pytest.raises(InputError):
+        module_from_dict(doc)
+
+
+def _malformed_docs():
+    """Module documents of wrong shapes, by name."""
+    base = module_to_dict(K.w_module(3, 2, 2))
+    ext = module_to_dict(K.w_module(FieldCtx(3, 2), 2, 2))
+    docs = {"document is a list": [base]}
+    for name, doc, key, value in [
+        ("generators is 5", base, "generators", 5),
+        ("modulus is 5", ext, "modulus", 5),
+        ("modulus holds 'a'", ext, "modulus", ["a", 1, 1]),
+        ("basis_labels is 7", base, "metadata", {"basis_labels": 7}),
+    ]:
+        docs[name] = {**doc, key: value}
+    for entry in ("a", None):
+        docs[f"generator is {entry!r}"] = {**base, "generators": [entry, base["generators"][1]]}
+        for field, doc in (("F3", base), ("F9", ext)):
+            gens = copy.deepcopy(doc["generators"])
+            gens[0][0] = entry
+            docs[f"{field} entry is {entry!r}"] = {**doc, "generators": gens}
+    return docs
+
+
+MALFORMED = _malformed_docs()
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_is_an_input_error(doc):
     with pytest.raises(InputError):
         module_from_dict(doc)
 

@@ -3,10 +3,11 @@
 The row-at-a-time oracles select kernel generators one candidate row at a
 time, re-echelonizing after each one; the library selects each degree's new
 generators in one batch.  Both must find the same minimal indices, and their
-generators must span the same module.  The from-scratch oracle is the batched
-engine with each degree's kernel computed from its whole linearization; the
-library reads every degree's kernel off one echelon form up to a top degree,
-and its generators must be the same arrays.
+generators must span the same module.  The from-scratch oracle takes each
+degree's kernel from its whole linearization and keeps the kernel vectors
+of the unknowns that became free at that degree; the library reads them
+off one echelon form up to a top degree, and its generators must be the
+same arrays.
 """
 
 import random
@@ -160,17 +161,22 @@ def oracle_shifted_left_kernel(c, rowshifts, F, count):
 
 
 def oracle_scratch_graded_kernel_basis(a, F, kappa):
+    """For each degree delta, the rows of kernel_fp(linearize(a, delta))
+    whose free column lies in block delta and was not free in block
+    delta - 1 (a kernel_fp row ends on its free column, with a 1)."""
     rows, cols, d1 = a.shape
     if kappa == 0:
         return []
     degcap = (d1 - 1) * max(1, cols - kappa) + cols + 1
-    gens = []
+    gens, was_free = [], np.zeros(cols, dtype=bool)
     for delta in range(degcap + 1):
         K_ = linalg.kernel_fp(linearize(a, delta), F)
-        if K_.shape[0] == kernel_slice_dim(gens, delta):
-            continue
-        for res in pencil._complement(linalg.Coo.from_dense(K_), shift_rows(gens, delta, cols), F):
+        last = K_.shape[1] - 1 - (K_[:, ::-1] != 0).argmax(axis=1)
+        block = last[last >= delta * cols] - delta * cols
+        for res in K_[last >= delta * cols][~was_free[block]]:
             gens.append(GradedGen(res.reshape(delta + 1, cols).T.copy(), delta))
+        was_free = np.zeros(cols, dtype=bool)
+        was_free[block] = True
         if len(gens) >= kappa:
             return gens
     raise ConsistencyError("oracle kernel basis incomplete")
@@ -260,16 +266,9 @@ def _rank_over_rational_functions(F, c):
     return rank_gen(entries, RationalFunction.const(F, 1, 0))
 
 
-@pytest.mark.parametrize(
-    "F", [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}"
-)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_sweep_matches_oracles_on_random_pencils(F, data):
-    """Random polynomial matrices of degree <= 3, some rows and columns zero,
-    random row shifts: the left-kernel indices equal the row-at-a-time
-    oracle's, and with zero shifts the right kernel of the transpose is the
-    from-scratch oracle's, byte for byte; the count is the corank over F_q(t)."""
+def _random_pencil(F, data):
+    """A random polynomial matrix of degree <= 3, some rows and columns zero,
+    random row shifts, and its corank over F_q(t)."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     rows, cols, deg = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
     density = data.draw(st.sampled_from([0.2, 0.5, 1.0]))
@@ -280,7 +279,20 @@ def test_sweep_matches_oracles_on_random_pencils(F, data):
     c[data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0
     c[:, data.draw(st.lists(st.booleans(), min_size=cols, max_size=cols))] = 0
     shifts = data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
-    count = rows - _rank_over_rational_functions(F, c)
+    return c, shifts, rows - _rank_over_rational_functions(F, c)
+
+
+FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"F{F.q}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_oracles_on_random_pencils(F, data):
+    """Random pencils: the left-kernel indices equal the row-at-a-time
+    oracle's, and with zero shifts the right kernel of the transpose is the
+    from-scratch oracle's, byte for byte; the count is the corank over F_q(t)."""
+    c, shifts, count = _random_pencil(F, data)
     assert pencil.shifted_left_kernel(c, shifts, F, count) == oracle_shifted_left_kernel(c, shifts, F, count)
     a = c.transpose(1, 0, 2)
     new = pencil.graded_kernel_basis(a, F, count)
@@ -288,6 +300,38 @@ def test_sweep_matches_oracles_on_random_pencils(F, data):
     assert [(g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in new] == [
         (g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in old
     ]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"F{F.q}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_generators_are_in_popov_form(F, data):
+    """Random pencils with row shifts: every generator psi of the sweep has
+    psi * c = 0 and a 1 at its last unknown, which lies at its own degree,
+    in a row where no other generator ends; and no other generator has a
+    coefficient in that row from that degree on."""
+    c, shifts, count = _random_pencil(F, data)
+    s = np.array(shifts, dtype=np.int64)
+    gens = pencil._minimal_basis(c, s, F, count, 2)
+    assert len(gens) == count
+    lo = -int(s.max(initial=0))
+    # the level index and row of each unknown up to shifted degree n, level-major
+    layout = lambda n: np.nonzero(s[None, :] + np.arange(lo, n + 1)[:, None] >= 0)
+    ends = []
+    for n, vec in gens:
+        lev, row = layout(n)
+        assert vec.shape == row.shape
+        psi = np.zeros((1, c.shape[0], n - lo + 1), dtype=np.int64)
+        psi[0, row, lev + lo + s[row]] = vec  # the coefficient of t^(level + shift)
+        assert not pencil.pm_mul(psi, c, F).any()
+        u = vec.nonzero()[0][-1]
+        assert vec[u] == 1 and lo + lev[u] == n
+        ends.append((n, row[u]))
+    assert len({m for _, m in ends}) == len(ends)
+    for j, (n, vec) in enumerate(gens):
+        lev, row = layout(n)
+        for i, (ni, m) in enumerate(ends):
+            assert i == j or not vec[(row == m) & (lo + lev >= ni)].any()
 
 
 def test_zero_shift_constraints_are_the_linearization():
@@ -443,76 +487,6 @@ def test_prefix_echelon_generators_equal_the_from_scratch_engine():
             assert [(g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in new] == [
                 (g.deg, g.coeffs.dtype, g.coeffs.tolist()) for g in old
             ], (m, ell)
-
-
-@pytest.mark.parametrize(
-    "F", [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}"
-)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_prefix_echelon_matches_kernel_fp_of_each_prefix(F, data):
-    """Every column prefix's nullity and kernel equal those of kernel_fp of
-    the prefix itself: random block-Toeplitz sweeps (blocks of random
-    sizes, empty ones too, rows below each prefix) and random dense matrices,
-    each given dense and as a Coo, whose kernels are Coos."""
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    density = data.draw(st.sampled_from([0.15, 0.5, 1.0]))
-    rows, cols, d1 = (data.draw(st.integers(0, 5)) for _ in range(3))
-    if data.draw(st.booleans()):
-        a = np.array(
-            [F.random_code(rng) if rng.random() < density else 0 for _ in range(rows * cols * (d1 + 1))],
-            dtype=np.int64,
-        ).reshape(rows, cols, d1 + 1)
-        top = data.draw(st.integers(0, 5))
-        M, ends = linearize(a, top), cols * np.arange(1, top + 2)
-    else:
-        M = np.array(
-            [F.random_code(rng) if rng.random() < density else 0 for _ in range(rows * cols * 4)],
-            dtype=np.int64,
-        ).reshape(rows * 2, cols * 2)
-        ends = np.array(sorted(data.draw(st.lists(st.integers(0, cols * 2), min_size=1, max_size=5))))
-    ech = pencil._PrefixEchelon(M, ends, F)
-    sparse = pencil._PrefixEchelon(linalg.Coo.from_dense(M), ends, F)
-    for k, end in enumerate(ends):
-        want = linalg.kernel_fp(M[:, :end], F)
-        assert ech.nullity(k) == sparse.nullity(k) == want.shape[0]
-        got = ech.kernel(k)
-        assert got.dtype == np.int64 and np.array_equal(got, want), (k, end)
-        got = sparse.kernel(k)
-        assert isinstance(got, linalg.Coo) and got.shape == want.shape
-        assert got.val.dtype == np.int64 and np.array_equal(got.dense(), want), (k, end)
-
-
-def oracle_complement(K, old, F):
-    """The complement as the engine chose it before: all of K reduced by the
-    echelon form of old, then one echelon form of the residuals."""
-    if old.shape[0]:
-        ech, piv = linalg.rref_fp(old, F)
-        K = linalg.reduce_rows_fp(K, ech[: len(piv)], piv, F)
-    R, piv = linalg.rref_fp(K, F)
-    return R[: len(piv)]
-
-
-@pytest.mark.parametrize("F", [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(3, 2)], ids=lambda F: f"F{F.q}")
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_complement_matches_reduce_then_eliminate(F, data):
-    """The permuted elimination gives the oracle's rows byte for byte: K a
-    kernel basis of a random sparse or dense matrix, old independent
-    combinations of its rows, both handed over as Coos, as the sweep does."""
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    density = data.draw(st.sampled_from([0.05, 0.2, 1.0]))
-    rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 40))
-    rand = lambda r, c: np.array(
-        [F.random_code(rng) if rng.random() < density else 0 for _ in range(r * c)], dtype=np.int64
-    ).reshape(r, c)
-    K = linalg.kernel_fp(rand(rows, cols), F)
-    C = linalg.row_space_fp(rand(data.draw(st.integers(0, K.shape[0])), K.shape[0]), F)[0]
-    old = linalg.matmul_fp(C, K, F) if C.size else np.zeros((0, cols), dtype=np.int64)
-    got = pencil._complement(linalg.Coo.from_dense(K), linalg.Coo.from_dense(old), F)
-    want = oracle_complement(K, old, F)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
-    assert got.shape[0] == K.shape[0] - old.shape[0]
 
 
 def test_pm_pow_from_the_lowest_set_bit(monkeypatch):
