@@ -1,9 +1,10 @@
 """Decomposition, isomorphism probing, and the evidence scanners.
 
-Fitting splitting by random endomorphisms is Las Vegas: summands are
-always genuine (the change-of-basis certificate is verified exactly), only
-indecomposability carries sampling confidence.  Two scanners assemble
-evidence on open structural questions; they report, never assert.
+Summands are always genuine (the change-of-basis certificate is verified
+exactly).  Trivial summands and summands with a local endomorphism ring are
+certified indecomposable; only a block left to the random Fitting rounds
+carries sampling confidence.  Two scanners assemble evidence on open
+structural questions; they report, never assert.
 """
 
 import kemod as K

@@ -1,9 +1,15 @@
 """Endomorphism algebras, Fitting decomposition, and isomorphism probing.
 
-Splitting off summands is Las Vegas: a random endomorphism e either splits
-the module exactly (M = Ker e^d + Im e^d, verified), or it doesn't; after
-`rounds` consecutive failures a block is declared indecomposable with that
-confidence only.  Certificates are always verified by reassembly.
+A block is split by its structure first, by chance only after that.  A
+block on which every X_i is 0 is k^d, and splits along the unit vectors at
+once.  A block whose endomorphism ring is F_q plus a nilpotent ideal is
+local, so it is certified indecomposable (``_is_local``).  Any other block
+is split Las Vegas: a random endomorphism e either splits it exactly
+(M = Ker e^d + Im e^d, verified), or it doesn't; after `rounds` consecutive
+failures the block is kept whole and flagged in ``rounds_exhausted_blocks``,
+indecomposable with that confidence only.  Such a block is either
+indecomposable with a residue field bigger than F_q or a sum that the
+rounds missed.  Certificates are always verified by reassembly.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import dpoly, linalg
 from .errors import ConsistencyError, InputError
 from .modules import (
     KEModule,
@@ -51,11 +57,15 @@ def hom_space(a: KEModule, b: KEModule) -> HomSpace:
         # a Kronecker factor of 0s and 1s multiplies codes exactly
         blocks.append(F.sub(np.kron(idb, a.mats[i].T), np.kron(b.mats[i], ida)))
     kern = linalg.kernel_fp(np.vstack(blocks), F)
-    stack = kern.reshape(len(kern), db, da)
+    h = len(kern)
+    stack = kern.reshape(h, db, da)
+    # the whole basis at once, as two plain products: the f stacked as rows
+    # times Xa, and Xb times the f side by side
+    rows = stack.reshape(h * db, da)
+    side = stack.transpose(1, 0, 2).reshape(db, h * da)
     for xa, xb in zip(a.mats, b.mats):
-        # the whole basis at once; FieldCtx.matmul needs stacks of one leading shape
-        lhs = linalg.matmul_fp(stack, np.broadcast_to(xa, (len(stack), da, da)), F)
-        rhs = linalg.matmul_fp(np.broadcast_to(xb, (len(stack), db, db)), stack, F)
+        lhs = linalg.matmul_fp(rows, xa, F).reshape(h, db, da).transpose(1, 0, 2)
+        rhs = linalg.matmul_fp(xb, side, F).reshape(db, h, da)
         if not np.array_equal(lhs, rhs):
             raise ConsistencyError("hom basis element fails to intertwine")
     return HomSpace(a, b, list(stack))
@@ -99,7 +109,10 @@ class Decomposition:
 
 
 def decompose(m: KEModule, seed: int = 0, rounds: int = 50) -> Decomposition:
-    """Split into (probable) indecomposables by random Fitting elements."""
+    """Split into indecomposables: zero action and local endomorphism
+    algebras exactly, other blocks by random Fitting elements."""
+    if rounds < 0:
+        raise InputError(f"rounds must be >= 0, got {rounds}")
     m.require_valid()
     rng = random.Random(seed)
     parts = _split_rec(m, rng, rounds)
@@ -129,10 +142,14 @@ def _split_rec(m: KEModule, rng: random.Random, rounds: int):
     if d == 0:
         return []
     F = m.ctx
+    eye = np.eye(d, dtype=np.int64)
+    if not any(x.any() for x in m.mats):
+        # zero action: k^d, the trivial module once along each unit vector
+        one = [np.zeros((1, 1), dtype=np.int64)] * m.r
+        return [(m._derive(m.r, one), eye[i : i + 1], True) for i in range(d)]
     hom = hom_space(m, m)
-    if hom.dim <= 1:
-        # only scalar endomorphisms: indecomposable for certain
-        return [(m, np.eye(d, dtype=np.int64), True)]
+    if _is_local(F, np.array(hom.basis)):
+        return [(m, eye, True)]
     for _ in range(rounds):
         e = _random_combination(F, hom.basis, rng, (d, d))
         en = linalg.matpow_fp(e, d, F)
@@ -145,7 +162,41 @@ def _split_rec(m: KEModule, rng: random.Random, rounds: int):
             kmod, krows = sub_as_module(m, ksub)
             imod, irows = sub_as_module(m, isub)
             return _part_list(kmod, krows, rng, rounds) + _part_list(imod, irows, rng, rounds)
-    return [(m, np.eye(d, dtype=np.int64), False)]
+    return [(m, eye, False)]
+
+
+def _is_local(F, basis: np.ndarray) -> bool:
+    """True when the algebra spanned by the (h, d, d) stack ``basis``, which
+    holds the identity, is F_q plus a nilpotent ideal: then every element is
+    a scalar plus a nilpotent, so the algebra is local, and a module with it
+    as endomorphism ring is indecomposable (absolutely so).
+
+    With P the least power of p >= d, B^P = mu I forces B = lambda I + N with
+    lambda^P = mu and N^P = (B - lambda I)^P = B^P - mu I = 0.  The N_i
+    generate a nilpotent algebra exactly when the chain V_0 = F^d,
+    V_{k+1} = sum_i N_i V_k, which only shrinks, reaches 0.  False when some
+    B^P is not scalar (End/rad is bigger than F_q, or M splits) or the chain
+    stalls; both leave the block to the random rounds."""
+    h, d, _ = basis.shape
+    eye = np.eye(d, dtype=np.int64)
+    e, P = 0, 1
+    while P < d:
+        e, P = e + 1, P * F.p
+    bp = dpoly.power(basis, P, F.matmul, eye)
+    mu = bp[:, 0, 0]
+    if not np.array_equal(bp, mu[:, None, None] * eye):
+        return False
+    # the P-th root is the (p^e)-th: x -> x^(p^(k - e mod k)) inverts x -> x^(p^e) on F_{p^k}
+    lam = dpoly.power(mu, F.p ** (-e % F.k), F.mul, np.ones_like(mu))
+    nil = F.sub(basis, lam[:, None, None] * eye)
+    side = nil.transpose(2, 0, 1).reshape(d, h * d)  # [N_1^T | ... | N_h^T]
+    v = Subspace.full(F, d)
+    while v.dim:
+        nxt = Subspace.span(F, d, linalg.matmul_fp(v.basis, side, F).reshape(-1, d))
+        if nxt.dim == v.dim:
+            return False
+        v = nxt
+    return True
 
 
 def _random_combination(F, basis, rng: random.Random, shape) -> np.ndarray:
@@ -179,6 +230,8 @@ class IsoVerdict:
 
 def iso_probe(a: KEModule, b: KEModule, seed: int = 0, rounds: int = 64) -> IsoVerdict:
     """Fast invariants, then randomized search for an invertible intertwiner."""
+    if rounds < 0:
+        raise InputError(f"rounds must be >= 0, got {rounds}")
     a.require_valid()
     b.require_valid()
     if a.r != b.r or not a.ctx.same_field(b.ctx):

@@ -33,6 +33,7 @@ too wide for two of its rows to fit under the cutoff gets BLAS's threads.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 
 import numpy as np
@@ -211,9 +212,16 @@ class FieldCtx:
             if value.ctx is self or value.ctx.same_field(self):
                 return value.v
             return int(self.embed(value.v, value.ctx))
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
         if isinstance(value, (int, np.integer)) or hasattr(value, "__index__"):
             return int(value) % self.p
-        coeffs = [int(c) % self.p for c in value]
+        if not isinstance(value, (list, tuple)) or not value:
+            raise InputError(f"not a field element: {value!r}")
+        try:
+            coeffs = [operator.index(c) % self.p for c in value]
+        except TypeError:
+            raise InputError(f"coefficients must be integers: {value!r}") from None
         if len(coeffs) > self.k:
             raise InputError("coefficient vector longer than the extension degree")
         return sum(c * self.p**i for i, c in enumerate(coeffs))
@@ -281,10 +289,11 @@ class FieldCtx:
         if isinstance(a, np.ndarray):
             a = a.tolist()
         try:
-            arr = np.asarray(a, dtype=np.int64)
-            if arr.ndim == ndim:
-                return arr % self.p
-        except (TypeError, ValueError, OverflowError):
+            # no dtype: numpy would read "1" and 1.5 as integers
+            arr = np.asarray(a)
+            if arr.ndim == ndim and arr.dtype.kind in "ib":
+                return arr.astype(np.int64) % self.p
+        except ValueError:  # ragged
             pass
         if ndim == 0:
             return np.int64(self.encode(a))

@@ -64,6 +64,8 @@ def module_from_dict(doc: dict) -> KEModule:
         labels = None
         meta = doc.get("metadata") or {}
         if isinstance(meta, dict) and meta.get("basis_labels"):
+            if not isinstance(meta["basis_labels"], list):
+                raise InputError("basis_labels must be a list")
             labels = [str(x) for x in meta["basis_labels"]]
             if len(labels) != dim:
                 raise InputError("basis_labels length differs from dim")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .decomp import decompose, iso_probe
-from .errors import KemodError, MathRefusal
+from .errors import InputError, KemodError, MathRefusal
 from .generate import mixed_family
 from .gf import FieldCtx
 from .genker import (
@@ -221,6 +221,8 @@ def conjecture_scan(count: int, seed: int, family: str = "all", primes=(3, 5)) -
     """Evidence scan: Loewy-length-3 summands of K^2/I^2 K^2 (and of
     K^2(M/I^2)) of constant-Jordan-type modules, checking whether the first
     subquotient sheaf vanishes on each.  Reports candidates; asserts nothing."""
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     mods = _scan_family(count, seed, family, primes)
     examined = 0
     loewy3 = 0
@@ -277,6 +279,8 @@ def _f1_zero_evidence(s: KEModule) -> dict:
 def question_scan(count: int, seed: int, primes=(3, 5)) -> dict:
     """Evidence scan on K^n(M)/I^m K^n(M) vs K^n(M/I^m(M)).  Reports
     isomorphism-probe verdicts; Unknown stays Unknown."""
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     mods = _scan_family(count, seed, "all", primes)
     results = {"isomorphic": 0, "not_isomorphic": 0, "unknown": 0}
     details = []

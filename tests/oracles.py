@@ -3,7 +3,8 @@ longer need them, and the tests use them as independent references."""
 
 import numpy as np
 
-from kemod import linalg
+from kemod import decomp, linalg
+from kemod.modules import sub_as_module
 from kemod.subspace import Subspace
 
 
@@ -42,3 +43,43 @@ def random_combination_loop(F, basis, rng, shape):
         if c:
             out = F.add(out, F.mul(c, f))
     return out
+
+
+def hom_space_stacked_check(a, b):
+    """``decomp.hom_space`` with its intertwining check as 2h stacked
+    products over broadcast copies of the generators, one per basis element
+    and side: the check that two plain products per generator replaced."""
+    F, da, db = a.ctx, a.dim, b.dim
+    idb, ida = np.eye(db, dtype=np.int64), np.eye(da, dtype=np.int64)
+    blocks = [F.sub(np.kron(idb, xa.T), np.kron(xb, ida)) for xa, xb in zip(a.mats, b.mats)]
+    kern = linalg.kernel_fp(np.vstack(blocks), F)
+    stack = kern.reshape(len(kern), db, da)
+    for xa, xb in zip(a.mats, b.mats):
+        lhs = linalg.matmul_fp(stack, np.broadcast_to(xa, (len(stack), da, da)), F)
+        rhs = linalg.matmul_fp(np.broadcast_to(xb, (len(stack), db, db)), stack, F)
+        if not np.array_equal(lhs, rhs):
+            raise AssertionError("hom basis element fails to intertwine")
+    return list(stack)
+
+
+def split_by_rounds(m, rng, rounds):
+    """``decomp._split_rec`` by random Fitting elements alone: a block with
+    only scalar endomorphisms is certain; any other block splits at the
+    first e whose d-th power has a proper kernel, or is kept, uncertain,
+    after ``rounds`` failures."""
+    d, F = m.dim, m.ctx
+    if d == 0:
+        return []
+    hom = decomp.hom_space(m, m)
+    if hom.dim <= 1:
+        return [(m, np.eye(d, dtype=np.int64), True)]
+    for _ in range(rounds):
+        en = linalg.matpow_fp(decomp._random_combination(F, hom.basis, rng, (d, d)), d, F)
+        ker = linalg.kernel_fp(en, F)
+        if 0 < len(ker) < d:
+            out = []
+            for sub in (Subspace.span(F, d, ker), Subspace.span(F, d, en.T)):
+                mod, rows = sub_as_module(m, sub)
+                out += [(s, linalg.matmul_fp(srows, rows, F), c) for s, srows, c in split_by_rounds(mod, rng, rounds)]
+            return out
+    return [(m, np.eye(d, dtype=np.int64), False)]

@@ -250,6 +250,15 @@ def test_scanners_small(capsys):
     assert "verdicts" in json.loads(out)
 
 
+@pytest.mark.parametrize("command, option", [("decompose", "--rounds"), ("isoprobe", "--rounds"),
+                                             ("conjecture-scan", "--count"), ("question-scan", "--count")])
+def test_negative_rounds_and_counts_exit_2(command, option, w43, capsys):
+    head = {"decompose": [w43], "isoprobe": [w43, w43]}.get(command, ["--seed", "0"])
+    code, out, err = run_cli([command, *head, option, "-2"], capsys)
+    assert (code, out) == (2, "") and err.startswith("input error")
+    assert run_cli([command, *head, option, "0"], capsys)[0] == 0
+
+
 def test_report_determinism(w43, capsys):
     _, out1, _ = run_cli(["cjt", w43, "--seed", "5"], capsys)
     _, out2, _ = run_cli(["cjt", w43, "--seed", "5"], capsys)

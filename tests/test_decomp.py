@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,14 +6,16 @@ import numpy as np
 import pytest
 
 import kemod as K
-from kemod import decomp, linalg
-from kemod.errors import ConsistencyError, InputError
+from kemod import decomp, generate, linalg, suite
+from kemod.errors import ConsistencyError, InputError, KemodError
 from kemod.fixdata import mainexample_module
 from kemod.gf import FieldCtx
-from oracles import random_combination_loop
+from kemod.modules import generic_power_ranks, loewy_length, random_invertible
+from oracles import hom_space_stacked_check, random_combination_loop, split_by_rounds
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
+FIELDS = [F2, F3, FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)]
 
 
 def brute_force_hom_dim(a, b):
@@ -200,3 +203,107 @@ def test_decompositions_and_iso_certificates_are_those_of_the_loop(monkeypatch, 
         assert all(np.array_equal(a, b) for a, b in zip(s.mats, t.mats))
     assert np.array_equal(new.certificate, old.certificate)
     assert np.array_equal(iso.certificate, K.iso_probe(m, m, seed=5).certificate)
+
+
+def _scrambled(m, seed):
+    """m in a random basis."""
+    g = random_invertible(m.ctx, m.dim, random.Random(seed))
+    ginv = linalg.inv_fp(g, m.ctx)
+    mats = [linalg.matmul_fp(linalg.matmul_fp(g, x, m.ctx), ginv, m.ctx) for x in m.mats]
+    return K.KEModule(m.ctx, m.r, mats)
+
+
+def _sum_of_small_modules(F):
+    parts = [K.w_module(F, 3, 2), K.dual(K.w_module(F, 2, 2)), K.w_module(F, 2, 2), K.trivial_module(F, 2, 2)]
+    return functools.reduce(K.direct_sum, parts)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"F{F.q}")
+def test_sums_split_into_certified_summands(F):
+    # every summand is certified: the trivial ones by their zero action, the
+    # others by a local endomorphism ring; nothing is left to the rounds
+    for m in (_sum_of_small_modules(F), _scrambled(_sum_of_small_modules(F), F.q)):
+        dec = K.decompose(m, seed=3)
+        assert sorted(s.dim for s in dec.summands) == [1, 1, 3, 3, 5]
+        assert dec.verify() and dec.flags == {}
+
+
+def test_zero_action_splits_without_a_hom_space_or_a_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the zero action needs no hom space and no draw")
+
+    m = K.trivial_module(F3, 2, 6)
+    monkeypatch.setattr(decomp, "hom_space", refuse)
+    monkeypatch.setattr(decomp, "_random_combination", refuse)
+    dec = K.decompose(m, seed=0)
+    assert [s.dim for s in dec.summands] == [1] * 6 and dec.flags == {}
+    assert np.array_equal(dec.certificate, np.eye(6, dtype=np.int64))
+    # derived from the block: one family, one cache for the equal summands
+    assert all(s._family is m._family and s._cache is dec.summands[0]._cache for s in dec.summands)
+
+
+def _f9_linear_module():
+    """X_1 = [[0, 0], [I, 0]] and X_2 = [[0, 0], [C, 0]] over F_3, with C the
+    companion matrix of F_9's modulus: End = F_9 + a radical, local but with
+    residue field F_9, so the module is indecomposable over F_3 yet splits
+    over F_9."""
+    c0, c1, _ = FieldCtx(3, 2).modulus
+    c = np.array([[0, -c0 % 3], [1, -c1 % 3]])
+    z, i = np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)
+    return K.KEModule(F3, 2, [np.block([[z, z], [i, z]]), np.block([[z, z], [c, z]])])
+
+
+def test_a_local_ring_with_a_bigger_residue_field_is_left_to_the_rounds():
+    m = _f9_linear_module()
+    assert m.validate().ok
+    hom = K.hom_space(m, m)
+    assert hom.dim == 6 and not decomp._is_local(F3, np.array(hom.basis))
+    dec = K.decompose(m, seed=0)
+    assert dec.count == 1 and dec.flags == {"rounds_exhausted_blocks": [0]}
+
+
+@pytest.mark.parametrize("F", [F2, F3], ids=lambda F: f"F{F.q}")
+def test_scalar_powers_alone_do_not_make_a_ring_local(F):
+    # I, E_12 and E_21 all have scalar P-th powers, but E_12 E_21 is an
+    # idempotent: the chain V_1 = E_12 V_0 + E_21 V_0 = V_0 stalls
+    eye, e12 = np.eye(2, dtype=np.int64), np.array([[0, 1], [0, 0]])
+    assert not decomp._is_local(F, np.array([eye, e12, e12.T]))
+    assert decomp._is_local(F, np.array([eye, e12]))
+
+
+def _invariants(dec):
+    return sorted((s.dim, tuple(generic_power_ranks(s, s.ctx.p)), loewy_length(s)) for s in dec.summands)
+
+
+def _scanned_modules():
+    """mixed_family members and the subquotients conjecture-scan decomposes."""
+    for mem in generate.mixed_family(9, 1, max_dim=14) + generate.mixed_family(9, 2, max_dim=14):
+        m, n = mem.module, min(2, mem.module.ctx.p)
+        yield mem.name, m
+        try:
+            subs = suite._power_subquotients(m, n, n)
+        except KemodError:
+            continue
+        yield from ((f"{mem.name} {tag}", q) for tag, q in zip(("K/IK", "K(M/I)"), subs))
+
+
+def test_structural_steps_agree_with_the_rounds_alone(monkeypatch):
+    for name, m in _scanned_modules():
+        new = K.decompose(m, seed=5, rounds=24)
+        with monkeypatch.context() as patch:
+            patch.setattr(decomp, "_split_rec", split_by_rounds)
+            old = K.decompose(m, seed=5, rounds=24)
+        assert _invariants(new) == _invariants(old), name
+        flagged = [len(d.flags.get("rounds_exhausted_blocks", ())) for d in (new, old)]
+        assert flagged[0] <= flagged[1], name
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"F{F.q}")
+def test_hom_space_is_that_of_the_stacked_check(F):
+    zero = K.KEModule(F, 2, [np.zeros((0, 0), dtype=np.int64)] * 2)
+    mods = [K.w_module(F, 3, 2), K.dual(K.w_module(F, 2, 2)), K.trivial_module(F, 2, 2), zero,
+            _scrambled(_sum_of_small_modules(F), 1)]
+    for a, b in itertools.product(mods, repeat=2):
+        new, old = K.hom_space(a, b).basis, hom_space_stacked_check(a, b)
+        assert len(new) == len(old)
+        assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(new, old))

@@ -79,13 +79,17 @@ def _malformed_docs():
         ("modulus is 5", ext, "modulus", 5),
         ("modulus holds 'a'", ext, "modulus", ["a", 1, 1]),
         ("basis_labels is 7", base, "metadata", {"basis_labels": 7}),
+        ("basis_labels is 'abc'", base, "metadata", {"basis_labels": "abc"}),
     ]:
         docs[name] = {**doc, key: value}
     for entry in ("a", None):
         docs[f"generator is {entry!r}"] = {**base, "generators": [entry, base["generators"][1]]}
+    # each entry replaces one of the value a lax reader would take it for ({}
+    # and [] as 0, "1" and 1.0 as 1): the module stays valid, only the type is wrong
+    for entry, reads_as in (("a", 0), (None, 0), ({}, 0), ([], 0), ("1", 1), (1.0, 1)):
         for field, doc in (("F3", base), ("F9", ext)):
             gens = copy.deepcopy(doc["generators"])
-            gens[0][0] = entry
+            gens[0][gens[0].index(reads_as if field == "F3" else [reads_as, 0])] = entry
             docs[f"{field} entry is {entry!r}"] = {**doc, "generators": gens}
     return docs
 
@@ -97,6 +101,18 @@ MALFORMED = _malformed_docs()
 def test_malformed_document_is_an_input_error(doc):
     with pytest.raises(InputError):
         module_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [{}, [], "1", 1.5, None, [1, "2"], [1.0]], ids=repr)
+def test_encode_refuses_what_is_not_a_field_element(value):
+    for F in (FieldCtx(3), FieldCtx(3, 2)):
+        with pytest.raises(InputError):
+            F.encode(value)
+
+
+def test_encode_reads_ints_lists_and_arrays():
+    F = FieldCtx(3, 2)
+    assert [F.encode(v) for v in (4, np.int64(4), [1, 2], (1, 2), np.array([1, 2]), np.array(4))] == [1, 1, 7, 7, 7, 1]
 
 
 def test_fixture_files_match_constructors():
