@@ -6,7 +6,7 @@ subquotient bundles on the projective line.
 
 from .errors import ConsistencyError, InputError, KemodError, MathRefusal
 from .gf import FieldCtx, FieldScalar
-from .subspace import Subspace, column_space, kernel_space, row_space
+from .subspace import Subspace
 from .snf import smith_normal_form
 from .modules import (
     CJTDecision,

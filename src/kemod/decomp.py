@@ -153,9 +153,8 @@ def _split_rec(m: KEModule, rng: random.Random, rounds: int):
     for _ in range(rounds):
         e = _random_combination(F, hom.basis, rng, (d, d))
         en = linalg.matpow_fp(e, d, F)
-        ker = linalg.kernel_fp(en, F)
-        if 0 < ker.shape[0] < d:
-            ksub = Subspace.span(m.ctx, d, ker)
+        ksub = Subspace.kernel(F, en)
+        if 0 < ksub.dim < d:
             isub = Subspace.span(m.ctx, d, en.T)
             if ksub.dim + isub.dim != d:
                 raise ConsistencyError("Fitting split dimensions do not add up")

@@ -87,16 +87,16 @@ def _lattice_kernel(m: KEModule, n: int) -> Subspace:
     """Sum of Ker(X_alpha^n) over the points of ``_lattice(m, n * rho)`` where
     the rank is the generic rank rho, brought back from F_{q^e} to F_q.
 
-    Each point's kernel is one ``kernel_fp``; the running sum is kept as an
-    RREF over F_{q^e}, which for a subspace defined over F_q has its
-    entries in F_q.  A point of rank above rho, no point of rank rho, or an
+    Each point's kernel is one ``kernel_fp``; the running sum is kept as a
+    Subspace over F_{q^e}, whose RREF, for a subspace defined over F_q, has
+    its entries in F_q.  A point of rank above rho, no point of rank rho, or an
     entry outside F_q is an error.
     """
     F = m.ctx
     rho = generic_power_ranks(m, n)[n - 1]
     fld, points = _lattice(m, n * rho)
     mats = mats_over(m, fld)
-    basis, top = np.zeros((0, m.dim), dtype=np.int64), 0
+    sub, top = Subspace.zero(fld, m.dim), 0
     for chunk in _chunks(points, m.dim):
         (pw,) = _point_powers(fld, mats, chunk, [n])
         ranks = _stack_ranks(fld, pw)
@@ -104,16 +104,17 @@ def _lattice_kernel(m: KEModule, n: int) -> Subspace:
         if top > rho:
             raise ConsistencyError(f"a lattice point has rank {top} above the generic rank {rho}")
         kernels = [linalg.kernel_fp(a, fld) for a in pw[ranks == rho]]
-        basis = linalg.row_space_fp(np.vstack([basis, *kernels]), fld)[0]
+        sub = Subspace.span(fld, m.dim, np.vstack([sub.basis, *kernels]))
     if top < rho:
         raise ConsistencyError(f"no lattice point reaches the generic rank {rho}")
     # the codes of F_q inside fld, sorted, and the F_q code of each
     emb = fld.embed(np.arange(F.q), F)
     order = emb.argsort()
-    at = emb[order].searchsorted(basis).clip(max=F.q - 1)
-    if not np.array_equal(emb[order][at], basis):
+    at = emb[order].searchsorted(sub.basis).clip(max=F.q - 1)
+    if not np.array_equal(emb[order][at], sub.basis):
         raise ConsistencyError("the generic kernel's echelon basis is not defined over the base field")
-    return Subspace.span(F, m.dim, order[at])
+    # the code map sends 0 to 0 and 1 to 1, so the RREF and its pivots survive
+    return Subspace(F, m.dim, order[at], sub.pivots)
 
 
 def generic_kernel(m: KEModule) -> GenericKernelReport:
@@ -192,8 +193,6 @@ def _cut_by_root_image(m: KEModule, n: int, w: Subspace, g: list) -> Subspace:
     ap = linalg.matpow_fp(root_operator(m, g), n, ctx)
     perp_rows = linalg.kernel_fp(ap.T, ctx)[:, :: len(g) - 1]
     lam = linalg.kernel_fp(linalg.matmul_fp(perp_rows, w.basis.T, ctx), ctx)
-    if lam.shape[0] == 0:
-        return Subspace.zero(ctx, m.dim)
     return Subspace.span(ctx, m.dim, linalg.matmul_fp(lam, w.basis, ctx))
 
 

@@ -123,19 +123,16 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if (p - 1) * (p - 1) * inner >= 2**53:
         return (a @ b) % p
     a, b = a.astype(np.float64), b.astype(np.float64)
-    if a.ndim > 2:
-        # a stack: numpy makes one BLAS product per slice
-        c = a @ b
-        return np.remainder(c, p, out=c).astype(np.int64)
     step = ONE_THREAD_MNK // max(1, inner * m)
-    if step >= n or step < 2:
-        c = a @ b
-        return np.remainder(c, p, out=c).astype(np.int64)
-    out = np.empty((n, m), dtype=np.int64)
-    for i in range(0, n, step):
-        c = a[i : i + step] @ b
-        out[i : i + step] = np.remainder(c, p, out=c)
-    return out
+    if a.ndim > 2 or step >= n or step < 2:
+        # a stack is one call too: numpy makes one BLAS product per slice
+        out = (a @ b).astype(np.int64)
+    else:
+        out = np.empty((n, m), dtype=np.int64)
+        for i in range(0, n, step):
+            out[i : i + step] = a[i : i + step] @ b
+    # every entry is an integer below 2^53: the cast is exact, and % is far faster on int64
+    return np.remainder(out, p, out=out)
 
 
 class FieldCtx:
@@ -726,7 +723,7 @@ def some_irreducible_factor(ctx: FieldCtx, f: list, seed: int = 0) -> list:
             return g if len(g) - 1 == e else _equal_degree_split(ctx, g, e, rng)
 
 
-def splitting_extension(ctx: FieldCtx, g: list, seed: int = 0):
+def splitting_extension(ctx: FieldCtx, g: list):
     """A field containing a root of the monic irreducible g over ctx (a code
     list), and the code of that root.
 
@@ -752,7 +749,7 @@ def splitting_extension(ctx: FieldCtx, g: list, seed: int = 0):
         out[: d.size] = d
         return out
 
-    for z in _primitive_candidates(ctx, deg, seed):
+    for z in _primitive_candidates(ctx, deg):
         powers = [[1]]
         for _ in range(n):
             powers.append(dpoly.rem(ops, dpoly.mul(ops, powers[-1], z), g))
@@ -767,12 +764,12 @@ def splitting_extension(ctx: FieldCtx, g: list, seed: int = 0):
     raise MathRefusal("no primitive element found")  # unreachable: candidates never end
 
 
-def _primitive_candidates(ctx: FieldCtx, deg: int, seed: int):
+def _primitive_candidates(ctx: FieldCtx, deg: int):
     """t, then t + s for s in F_q, then seeded random elements of ctx[t]/(g)."""
     yield [0, 1]
     for s in range(1, ctx.q):
         yield [s, 1]
-    rng = random.Random(seed)
+    rng = random.Random(0)
     while True:
         yield [ctx.random_code(rng) for _ in range(deg)]
 

@@ -16,7 +16,8 @@ by row as {column: residue} maps, touching only the nonzeros; any other
 matrix is reduced by dense row operations, vectorized per pivot.  Both
 routes give the same canonical echelon form, and in the input's form:
 dense in, dense out; ``Coo`` in, ``Coo`` out, with no dense array of the
-matrix's size unless it takes the dense route (``kernel_fp`` likewise).
+matrix's size unless it takes the dense route; ``kernel_fp`` takes dense
+input only.  Echelon forms of subspaces are built in ``subspace.Subspace``.
 Matrix products go through float64 BLAS when the intermediate values
 provably fit in the 53-bit mantissa, in pieces that BLAS makes on the
 calling thread unless a product is very wide (``gf._matmul_mod``), so no
@@ -253,25 +254,16 @@ def rank_fp(a, F) -> int:
     return len(rref_fp(a, F)[1])
 
 
-def kernel_fp(a, F):
-    """Row basis of the right kernel {x : a @ x = 0} over F_q: one row per
-    free column of the RREF R, 1 there and -R[i, free] at pivots[i].  A
-    ``Coo`` for a ``Coo`` a, else dense."""
+def kernel_fp(a: np.ndarray, F) -> np.ndarray:
+    """Row basis of the right kernel {x : a @ x = 0} over F_q of a dense
+    matrix: one row per free column of the RREF R, 1 there and
+    -R[i, free] at pivots[i]."""
     F = field(F)
     R, pivots = rref_fp(a, F)
     cols = R.shape[1]
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
     free = is_free.nonzero()[0]
-    if isinstance(R, Coo):
-        keep = is_free[R.col]
-        slot = np.empty(cols, dtype=np.int64)  # the basis row of each free column
-        slot[free] = ids = np.arange(free.size)
-        row = np.concatenate([ids, slot[R.col[keep]]])
-        col = np.concatenate([free, np.asarray(pivots, dtype=np.int64)[R.row[keep]]])
-        val = np.concatenate([np.ones(free.size, dtype=np.int64), F.neg(R.val[keep])])
-        order = row.argsort(kind="stable")
-        return Coo(row[order], col[order], val[order], (free.size, cols))
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = F.neg(R[: len(pivots)][:, free].T)
@@ -286,20 +278,6 @@ def inv_fp(a, F) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise InputError("matrix not invertible")
     return R[:, n:]
-
-
-def row_space_fp(a, F) -> tuple[np.ndarray, list[int]]:
-    """Echelonized row space with zero rows dropped."""
-    R, pivots = rref_fp(a, F)
-    return R[: len(pivots)].copy(), pivots
-
-
-def reduce_rows_fp(vecs: np.ndarray, ech: np.ndarray, pivots: list[int], F) -> np.ndarray:
-    """Residuals of row vectors after reduction by an echelon basis."""
-    F = field(F)
-    if len(pivots) == 0 or vecs.size == 0:
-        return F.canon(vecs)
-    return F.sub(vecs, F.matmul(vecs[:, pivots], ech))
 
 
 # ---------------------------------------------------------------------------

@@ -767,7 +767,7 @@ def radical(m: KEModule) -> Subspace:
 def socle(m: KEModule) -> Subspace:
     """Soc(M) = intersection of the kernels of the X_i."""
     m.require_valid()
-    return Subspace.span(m.ctx, m.dim, linalg.kernel_fp(np.vstack(m.mats), m.ctx))
+    return Subspace.kernel(m.ctx, np.vstack(m.mats))
 
 
 def radical_series(m: KEModule) -> list[Subspace]:
@@ -794,7 +794,7 @@ def preimage_under_all(m: KEModule, sub: Subspace) -> Subspace:
     if perp.dim == 0:
         return Subspace.full(m.ctx, m.dim)
     stacked = np.vstack([linalg.matmul_fp(perp.basis, x, m.ctx) for x in m.mats])
-    return Subspace.span(m.ctx, m.dim, linalg.kernel_fp(stacked, m.ctx))
+    return Subspace.kernel(m.ctx, stacked)
 
 
 def loewy_length(m: KEModule) -> int:
@@ -834,11 +834,10 @@ def subquotient_with_lift(m: KEModule, top: Subspace, bottom: Subspace):
     if not is_invariant(m, top) or not is_invariant(m, bottom):
         raise InputError("subquotient needs X-invariant subspaces")
     comp = bottom.complement_in(top)
-    pivots = list(Subspace.span(m.ctx, m.dim, comp).pivots)
     mats = [
-        bottom.reduce(linalg.matmul_fp(comp, x.T, m.ctx))[:, pivots].T for x in m.mats
+        bottom.reduce(linalg.matmul_fp(comp.basis, x.T, m.ctx))[:, list(comp.pivots)].T for x in m.mats
     ]
-    return m._derive(m.r, mats), comp
+    return m._derive(m.r, mats), comp.basis
 
 
 def sub_as_module(m: KEModule, sub: Subspace):
@@ -912,7 +911,7 @@ def syzygy(ctx_or_p, r: int, n: int) -> KEModule:
 
 def _syzygy_step(ctx: FieldCtx, r: int, m: KEModule) -> KEModule:
     rad = radical(m)
-    lifts = rad.complement_in(Subspace.full(ctx, m.dim))
+    lifts = rad.complement_in(Subspace.full(ctx, m.dim)).basis
     h = len(lifts)
     free = free_module(ctx, r, h)
     exps, eidx, nmono = free._cache["free_exponents"]
@@ -925,9 +924,7 @@ def _syzygy_step(ctx: FieldCtx, r: int, m: KEModule) -> KEModule:
                 for _ in range(e[i]):
                     w = linalg.matmul_fp(m.mats[i], w, ctx)
             cover[:, b * nmono + src] = w[:, 0]
-    ker_rows = linalg.kernel_fp(cover, ctx)
-    ksub = Subspace.span(ctx, free.dim, ker_rows)
-    return sub_as_module(free, ksub)[0]
+    return sub_as_module(free, Subspace.kernel(ctx, cover))[0]
 
 
 def random_invertible(ctx: FieldCtx, n: int, rng: random.Random):

@@ -83,8 +83,7 @@ class SliceCache:
 
     def kernel(self, n: int) -> Subspace:
         if n not in self._kernel:
-            rows = linalg.kernel_fp(self.theta(n), self.m.ctx)
-            self._kernel[n] = Subspace.span(self.m.ctx, self.ambient(n), rows)
+            self._kernel[n] = Subspace.kernel(self.m.ctx, self.theta(n))
         return self._kernel[n]
 
     def image(self, j: int, n: int) -> Subspace:

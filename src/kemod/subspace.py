@@ -4,6 +4,10 @@ A Subspace is an echelonized (reduced row echelon) basis with strictly
 increasing pivots, stored as an int64 array of element codes; two
 subspaces are equal iff their echelon forms are identical, which turns
 every lattice identity downstream into a plain equality test.
+
+Every echelon form of a subspace is built here, each with one elimination
+(``span``, ``kernel``); a basis already in RREF, with its pivots, is
+wrapped as it is.
 """
 
 from __future__ import annotations
@@ -32,8 +36,18 @@ class Subspace:
         arr = _as_rows(ctx.array(rows), ambient)
         if arr.shape[0] == 0:
             return cls.zero(ctx, ambient)
-        ech, piv = linalg.row_space_fp(arr, ctx)
-        return cls(ctx, ambient, ech, tuple(piv))
+        R, piv = linalg.rref_fp(arr, ctx)
+        return cls(ctx, ambient, R[: len(piv)].copy(), tuple(piv))
+
+    @classmethod
+    def kernel(cls, ctx: FieldCtx, a: np.ndarray) -> "Subspace":
+        """The right kernel {x : a @ x = 0} of a dense matrix, as an RREF from
+        one elimination: a ``kernel_fp`` row of a[:, ::-1] ends with a 1 at its
+        own free column, where every other row is 0; read backwards in rows and
+        columns, the rows start with those 1s at increasing columns."""
+        basis = np.ascontiguousarray(linalg.kernel_fp(a[:, ::-1], ctx)[::-1, ::-1])
+        pivots = tuple((basis != 0).argmax(axis=1).tolist()) if basis.size else ()
+        return cls(ctx, a.shape[1], basis, pivots)
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient: int) -> "Subspace":
@@ -56,7 +70,9 @@ class Subspace:
     def reduce(self, vecs) -> np.ndarray:
         """Residuals of row vectors after reduction modulo this subspace."""
         v = _as_rows(self.ctx.array(vecs), self.ambient)
-        return linalg.reduce_rows_fp(v, self.basis, list(self.pivots), self.ctx)
+        if self.dim == 0 or v.size == 0:
+            return self.ctx.canon(v)
+        return self.ctx.sub(v, self.ctx.matmul(v[:, list(self.pivots)], self.basis))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
@@ -89,18 +105,15 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Annihilator under the standard dot pairing."""
-        if self.dim == 0:
-            return Subspace.full(self.ctx, self.ambient)
-        return Subspace.span(self.ctx, self.ambient, linalg.kernel_fp(self.basis, self.ctx))
+        return Subspace.kernel(self.ctx, self.basis)
 
-    def complement_in(self, bigger: "Subspace") -> np.ndarray:
-        """Rows of `bigger` reduced mod self: a deterministic complement basis.
-
-        Requires self <= bigger; the result's span is a complement of self
-        inside bigger, chosen by echelon pivots.
-        """
+    def complement_in(self, bigger: "Subspace") -> "Subspace":
+        """Rows of `bigger` reduced mod self, echelonized: a deterministic
+        complement of self <= bigger chosen by echelon pivots."""
         self._check(bigger)
-        return Subspace.span(self.ctx, self.ambient, self.reduce(bigger.basis)).basis
+        if self.dim == 0:
+            return bigger
+        return Subspace.span(self.ctx, self.ambient, self.reduce(bigger.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -110,21 +123,3 @@ def _as_rows(arr: np.ndarray, ambient: int) -> np.ndarray:
     """arr as rows of length ambient.  In ambient 0 reshape(-1, 0) cannot
     infer the count, so every axis but the last counts rows."""
     return arr.reshape(-1, ambient) if ambient else arr.reshape(int(np.prod(arr.shape[:-1])), 0)
-
-
-def row_space(ctx: FieldCtx, mat) -> Subspace:
-    """Row space of a matrix as a canonical subspace."""
-    arr = ctx.array(mat)
-    return Subspace.span(ctx, arr.shape[1], arr)
-
-
-def column_space(ctx: FieldCtx, mat) -> Subspace:
-    """Image of a matrix acting on column vectors."""
-    arr = ctx.array(mat)
-    return Subspace.span(ctx, arr.shape[0], arr.T)
-
-
-def kernel_space(ctx: FieldCtx, mat) -> Subspace:
-    """Right kernel {x : mat x = 0} as a canonical subspace."""
-    arr = ctx.array(mat)
-    return Subspace.span(ctx, arr.shape[1], linalg.kernel_fp(arr, ctx))

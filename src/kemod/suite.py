@@ -40,11 +40,11 @@ from .modules import (
     syzygy,
 )
 from .sheaf import (
-    SliceCache,
     SplittingType,
     filtration_chern_check,
     fi_slice_dims,
     splitting_type,
+    theta_matrix,
 )
 from .subspace import Subspace
 
@@ -182,26 +182,18 @@ def _equal_n_images_slice_check(m: KEModule, n: int) -> dict:
     agree at a stable degree iff every Ker(X_alpha^n) equals K^n(M) — the
     equal n-kernels property, i.e. the equal n-images property of the dual."""
     deg = m.dim + m.ctx.p
-    cache = SliceCache(m, 1)
     # kernel of theta^n in degree deg: {v : theta^{n} v = 0} via composed maps
-    th = cache.theta(deg)
+    th = theta_matrix(m, deg)
     for step in range(1, n):
-        th = linalg.matmul_fp(cache.theta(deg + step), th, m.ctx)
-    kern = linalg.kernel_fp(th, m.ctx)
-    kdim = kern.shape[0]
-    ksub = Subspace.span(m.ctx, cache.ambient(deg), kern)
+        th = linalg.matmul_fp(theta_matrix(m, deg + step), th, m.ctx)
+    ksub = Subspace.kernel(m.ctx, th)
     genk = generic_kernel_power(m, n).subspace
-    # ~K^n slice in degree deg: K^n (x) S_deg
+    # ~K^n slice in degree deg: K^n (x) S_deg, already in RREF in the module-major layout
     nmono = deg + 1
-    rows = []
-    for v in genk.basis:
-        for mono in range(nmono):
-            w = np.zeros(m.dim * nmono, dtype=np.int64)
-            w[mono :: nmono] = v
-            rows.append(w)
-    tilde = Subspace.span(m.ctx, cache.ambient(deg), np.array(rows) if rows else np.zeros((0, cache.ambient(deg)), dtype=np.int64))
+    pivots = tuple(c * nmono + e for c in genk.pivots for e in range(nmono))
+    tilde = Subspace(m.ctx, m.dim * nmono, np.kron(genk.basis, np.eye(nmono, dtype=np.int64)), pivots)
     contained = tilde.contains(ksub)
-    dims_equal = kdim == tilde.dim
+    dims_equal = ksub.dim == tilde.dim
     eq = equal_n_images_decide(dual(m), n)
     verdict_matches = dims_equal == bool(eq.verdict) if eq.verdict is not None else True
     return {
@@ -217,13 +209,16 @@ def _equal_n_images_slice_check(m: KEModule, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def conjecture_scan(count: int, seed: int, family: str = "all", primes=(3, 5)) -> dict:
+SCAN_PRIMES = (3, 5)
+
+
+def conjecture_scan(count: int, seed: int, family: str = "all") -> dict:
     """Evidence scan: Loewy-length-3 summands of K^2/I^2 K^2 (and of
     K^2(M/I^2)) of constant-Jordan-type modules, checking whether the first
     subquotient sheaf vanishes on each.  Reports candidates; asserts nothing."""
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
-    mods = _scan_family(count, seed, family, primes)
+    mods = _scan_family(count, seed, family)
     examined = 0
     loewy3 = 0
     candidates = []
@@ -276,12 +271,12 @@ def _f1_zero_evidence(s: KEModule) -> dict:
     return {"zero": all(d == 0 for d in dims), "method": "high-degree slices", "dims": dims}
 
 
-def question_scan(count: int, seed: int, primes=(3, 5)) -> dict:
+def question_scan(count: int, seed: int) -> dict:
     """Evidence scan on K^n(M)/I^m K^n(M) vs K^n(M/I^m(M)).  Reports
     isomorphism-probe verdicts; Unknown stays Unknown."""
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
-    mods = _scan_family(count, seed, "all", primes)
+    mods = _scan_family(count, seed, "all")
     results = {"isomorphic": 0, "not_isomorphic": 0, "unknown": 0}
     details = []
     for idx, (name, m) in enumerate(mods):
@@ -305,8 +300,8 @@ def question_scan(count: int, seed: int, primes=(3, 5)) -> dict:
     return {"scanned": len(mods), "verdicts": results, "attention": details}
 
 
-def _scan_family(count: int, seed: int, family: str, primes):
-    members = mixed_family(count, seed, primes=primes, max_dim=14)
+def _scan_family(count: int, seed: int, family: str):
+    members = mixed_family(count, seed, primes=SCAN_PRIMES, max_dim=14)
     out = []
     for mem in members:
         if family == "wmix" and "syzygy" in mem.name:
@@ -316,6 +311,6 @@ def _scan_family(count: int, seed: int, family: str, primes):
         out.append((mem.name, mem.module))
     if family == "syzygy" and not out:
         # guarantee at least the syzygies themselves
-        for p in primes:
+        for p in SCAN_PRIMES:
             out.append((f"syzygy1(p={p})", syzygy(FieldCtx(p), 2, 1)))
     return out[:count] if len(out) > count else out

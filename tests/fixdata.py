@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldCtx
-from .modules import KEModule
+from kemod.gf import FieldCtx
+from kemod.modules import KEModule
 
 
 def mainexample_module() -> KEModule:

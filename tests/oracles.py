@@ -83,3 +83,35 @@ def split_by_rounds(m, rng, rounds):
                 out += [(s, linalg.matmul_fp(srows, rows, F), c) for s, srows, c in split_by_rounds(mod, rng, rounds)]
             return out
     return [(m, np.eye(d, dtype=np.int64), False)]
+
+
+def _reduce_two_eliminations(sub, rows):
+    """Rows reduced mod sub's echelon basis, as ``linalg.reduce_rows_fp`` did."""
+    F = sub.ctx
+    if sub.dim == 0 or rows.size == 0:
+        return F.canon(rows)
+    return F.sub(rows, F.matmul(rows[:, list(sub.pivots)], sub.basis))
+
+
+def perp_two_eliminations(sub):
+    """``Subspace.perp`` as a ``kernel_fp`` of the basis and a second
+    elimination of its rows: the route ``Subspace.kernel`` replaced."""
+    if sub.dim == 0:
+        return Subspace.full(sub.ctx, sub.ambient)
+    return Subspace.span(sub.ctx, sub.ambient, linalg.kernel_fp(sub.basis, sub.ctx))
+
+
+def complement_two_eliminations(small, bigger):
+    """``small.complement_in(bigger).basis``, eliminated even when small is 0."""
+    return Subspace.span(small.ctx, small.ambient, _reduce_two_eliminations(small, bigger.basis)).basis
+
+
+def subquotient_with_lift_two_eliminations(m, top, bottom):
+    """``modules.subquotient_with_lift`` for invariant bottom <= top, with the
+    complement's pivots read off a second elimination of it."""
+    comp = complement_two_eliminations(bottom, top)
+    pivots = list(Subspace.span(m.ctx, m.dim, comp).pivots)
+    mats = [
+        _reduce_two_eliminations(bottom, linalg.matmul_fp(comp, x.T, m.ctx))[:, pivots].T for x in m.mats
+    ]
+    return mats, comp

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import kemod as K
-from kemod.fixdata import mainexample_module, sixteen_module
 from kemod.generate import mixed_family
 from kemod.gf import FieldCtx
 from kemod.modules import random_invertible
 from kemod.sheaf import SplittingType
 from kemod.suite import conjecture_scan
+from fixdata import mainexample_module, sixteen_module
 
 FAMILY_SEED = 20260811
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import kemod as K
-from kemod import modules, pencil
+from kemod import linalg, modules, pencil
 from kemod.cli import main
 from kemod.gf import FieldCtx
 from kemod.io import fixture_path, load_module
@@ -82,6 +82,19 @@ def test_verify_theorems_repeats_no_smith_form_or_sweep(monkeypatch):
     rep = verify_theorems(load_module(fixture_path("sixteen")), seed=0)
     assert rep["ok"]
     assert len(snfs) <= 16 and len(sweeps) <= 10
+
+
+def test_verify_theorems_eliminates_each_subspace_once(monkeypatch):
+    # kernels taken as kernel_fp rows and eliminated again, perps eliminated
+    # from their own echelon forms and complements eliminated twice made 127
+    # and 137 eliminations here
+    # pencil binds rref_fp by name
+    calls = [_count_calls(monkeypatch, owner, "rref_fp") for owner in (linalg, pencil)]
+    for name, most in (("mainexample", 92), ("sixteen", 101)):
+        for c in calls:
+            c.clear()
+        assert verify_theorems(load_module(fixture_path(name)), seed=0)["ok"]
+        assert sum(map(len, calls)) <= most, (name, sum(map(len, calls)))
 
 
 def test_the_duality_check_computes_the_dual_kernel_apart(monkeypatch):

@@ -1,4 +1,5 @@
-"""Every top-level function of ``src/kemod`` has a caller.
+"""Every top-level function of ``src/kemod`` has a caller, and every module
+of it is imported.
 
 A function counts as called when code in ``src/kemod`` outside its own body
 names it, when ``kemod/__init__.py`` exports it, when the command line
@@ -7,7 +8,9 @@ benchmark's tracer wraps it (``LAYERS`` in ``bench/tracer.py``, read here
 with ``ast``, not imported).  Code that only the tests read belongs in the
 tests, as ``tests/oracles.py`` and ``tests/symbolic.py`` do.  Names are
 matched without their module, so a dead function that shares its name with
-a live one elsewhere goes unseen.
+a live one elsewhere goes unseen.  A module counts as imported when another
+module of the package imports it (by a relative import, as the package
+does) or when it holds the console script.
 """
 
 import ast
@@ -53,3 +56,18 @@ def _uncalled():
 
 def test_every_top_level_function_has_a_caller():
     assert _uncalled() == []
+
+
+def _unimported():
+    entry = {mod for mod, _ in re.findall(r'"kemod\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text())}
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+                imported |= names - {path.stem}
+    return sorted({path.stem for path in SRC.glob("*.py")} - {"__init__"} - imported - entry)
+
+
+def test_every_module_is_imported():
+    assert _unimported() == []

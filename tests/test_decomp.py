@@ -8,9 +8,9 @@ import pytest
 import kemod as K
 from kemod import decomp, generate, linalg, suite
 from kemod.errors import ConsistencyError, InputError, KemodError
-from kemod.fixdata import mainexample_module
 from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, loewy_length, random_invertible
+from fixdata import mainexample_module
 from oracles import hom_space_stacked_check, random_combination_loop, split_by_rounds
 
 F2 = FieldCtx(2)

@@ -5,10 +5,10 @@ import pytest
 
 import kemod as K
 from kemod.errors import InputError
-from kemod.fixdata import mainexample_module, sixteen_module
 from kemod.gf import FieldCtx
 from kemod.modules import is_invariant
 from kemod.subspace import Subspace
+from fixdata import mainexample_module, sixteen_module
 from oracles import apply_generator
 from symbolic import genker_symbolic
 

@@ -314,6 +314,22 @@ def test_chunked_product_with_tiny_pieces(monkeypatch):
     assert np.array_equal(F._mul_digits(x[:, :6], y[:9]), whole[1])
 
 
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((3, 8192), (8192, 2)),  # one call
+    ((40, 8192), (8192, 1)),  # pieces of 32 rows
+    ((2, 3, 8192), (2, 8192, 2)),  # a stack
+])
+def test_product_at_the_float64_bound_is_exact(shape_a, shape_b):
+    # the largest float64 sums: (p - 1)^2 * inner just below 2^53; one more
+    # term takes the int64 fallback
+    p, inner = 1048573, 8192
+    assert (p - 1) ** 2 * inner < 2**53 <= (p - 1) ** 2 * (inner + 1)
+    got = gf._matmul_mod(np.full(shape_a, p - 1), np.full(shape_b, p - 1), p)
+    # (p - 1)^2 = 1 mod p, so every entry is inner mod p
+    assert got.dtype == np.int64 and got.shape == shape_a[:-1] + shape_b[-1:]
+    assert (got == inner % p).all()
+
+
 def test_product_past_the_float64_bound_is_exact():
     # (p - 1)^2 * inner >= 2^53: the int64 fallback
     p, inner = 1048573, 9000

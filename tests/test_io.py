@@ -6,7 +6,6 @@ import pytest
 
 import kemod as K
 from kemod.errors import InputError
-from kemod.fixdata import FIXTURES
 from kemod.gf import FieldCtx
 from kemod.io import (
     fixture_path,
@@ -16,6 +15,7 @@ from kemod.io import (
     module_to_dict,
     save_module,
 )
+from fixdata import FIXTURES
 
 
 def test_round_trip_prime_field(tmp_path):

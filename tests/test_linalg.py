@@ -4,12 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kemod as K
 from kemod import linalg, pencil
 from kemod.gf import FieldCtx
 from kemod.modules import random_invertible
+from kemod.subspace import Subspace
 from oracles import solve_fp
 from symbolic import rank_gen
 from test_pencil import linearize
@@ -284,9 +285,21 @@ def test_rref_of_coo_is_the_dense_rref(case, seed):
     assert pivots == dense[1] == want[1]
     _assert_coo_of_nonzeros(R, a.shape)
     assert np.array_equal(R.dense(), dense[0]) and np.array_equal(R.dense(), want[0])
-    K_ = linalg.kernel_fp(coo, F)
-    _assert_coo_of_nonzeros(K_, (a.shape[1] - len(pivots), a.shape[1]))
-    assert np.array_equal(K_.dense(), linalg.kernel_fp(a, F))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rref_inputs())
+@example((FieldCtx(2), np.zeros((0, 5), dtype=np.int64)))
+@example((FieldCtx(3, 2), np.ones((4, 0), dtype=np.int64)))
+@example((FieldCtx(5), np.zeros((0, 0), dtype=np.int64)))
+def test_kernel_subspace_is_the_span_of_kernel_fp(case):
+    """Subspace.kernel reads the kernel's echelon form off one elimination:
+    byte for byte the Subspace that eliminating kernel_fp's rows gives."""
+    F, a = case
+    got, want = Subspace.kernel(F, a), Subspace.span(F, a.shape[1], linalg.kernel_fp(a, F))
+    assert got.ambient == want.ambient and got.pivots == want.pivots
+    assert got.basis.dtype == want.basis.dtype and got.basis.shape == want.basis.shape
+    assert got.basis.tobytes() == want.basis.tobytes()
 
 
 def test_rref_leaves_its_input_alone():

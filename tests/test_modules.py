@@ -9,7 +9,12 @@ from kemod.errors import InputError, MathRefusal
 from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, random_invertible
 from kemod.subspace import Subspace
-from oracles import apply_generator
+from oracles import (
+    apply_generator,
+    complement_two_eliminations,
+    perp_two_eliminations,
+    subquotient_with_lift_two_eliminations,
+)
 from symbolic import generic_rank, x_alpha_generic
 
 F2 = FieldCtx(2)
@@ -267,6 +272,37 @@ def test_w_n2_jordan_type():
         w = K.w_module(p, n, 2)
         jt = K.jordan_type(w)
         assert jt.mult(2) == n - 1 and jt.mult(1) == 1
+
+
+def test_one_elimination_subspaces_match_the_two_elimination_oracles():
+    """perp, complement_in and subquotient_with_lift, which read pivots off
+    the echelon forms they hold, equal the routes that eliminated again,
+    byte for byte, on the radical and socle layers and generic kernels of
+    mixed_family members and disguised W-modules."""
+    from kemod.generate import mixed_family
+    from kemod.modules import subquotient_with_lift
+
+    rng = random.Random(3)
+    mods = [mem.module for mem in mixed_family(9, seed=2, max_dim=12)]
+    mods += [_disguise(K.w_module(F, n, d), rng) for F, n, d in ((F2, 5, 2), (F3, 4, 3), (F5, 3, 2))]
+    for m in mods:
+        subs = K.radical_series(m) + K.socle_series(m)
+        subs += [K.generic_kernel_power(m, n).subspace for n in range(1, m.ctx.p)]
+        for sub in subs:
+            want = perp_two_eliminations(sub)
+            assert sub.perp() == want and sub.perp().basis.tobytes() == want.basis.tobytes()
+        for top in subs:
+            for bottom in subs:
+                if not top.contains(bottom):
+                    continue
+                comp = bottom.complement_in(top)
+                want = complement_two_eliminations(bottom, top)
+                assert comp.basis.tobytes() == want.tobytes() and comp.basis.shape == want.shape
+                assert comp.pivots == Subspace.span(m.ctx, m.dim, want).pivots
+                mod, lift = subquotient_with_lift(m, top, bottom)
+                mats, want_lift = subquotient_with_lift_two_eliminations(m, top, bottom)
+                assert lift.tobytes() == want_lift.tobytes() and lift.shape == want_lift.shape
+                assert all(x.tobytes() == y.tobytes() and x.shape == y.shape for x, y in zip(mod.mats, mats))
 
 
 def test_subquotient_full_is_identity():

@@ -83,7 +83,7 @@ def oracle_graded_kernel_basis(a, F, kappa):
         else:
             ech, piv = np.zeros((0, (delta + 1) * cols), dtype=np.int64), []
         for row in K_:
-            res = linalg.reduce_rows_fp(row[None, :], ech, list(piv), F)[0] if len(piv) else row
+            res = F.sub(row, F.matmul(row[None, piv], ech)[0]) if len(piv) else row
             if not res.any():
                 continue
             coeffs = res.reshape(delta + 1, cols).T.copy()
@@ -147,7 +147,7 @@ def oracle_shifted_left_kernel(c, rowshifts, F, count):
         else:
             ech, piv = np.zeros((0, M.shape[1]), dtype=np.int64), []
         for row in K_:
-            res = linalg.reduce_rows_fp(row[None, :], ech, list(piv), F)[0] if len(piv) else row
+            res = F.sub(row, F.matmul(row[None, piv], ech)[0]) if len(piv) else row
             if not res.any():
                 continue
             bounds = np.cumsum([0] + lens)

@@ -6,10 +6,10 @@ import pytest
 import kemod as K
 from kemod import linalg
 from kemod.errors import ConsistencyError, InputError, MathRefusal
-from kemod.fixdata import mainexample_module, sixteen_module
 from kemod.gf import FieldCtx
 from kemod.sheaf import ChowClass, SliceCache, SplittingType, monomials
 from kemod.subspace import Subspace
+from fixdata import mainexample_module, sixteen_module
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)

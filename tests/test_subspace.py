@@ -88,7 +88,7 @@ def test_perp_reverses_sum(a, b):
 def test_complement_in():
     big = Subspace.full(F3, 4)
     small = Subspace.span(F3, 4, np.array([[1, 0, 0, 0], [0, 1, 0, 0]]))
-    comp = small.complement_in(big)
+    comp = small.complement_in(big).basis
     joined = small.sum(Subspace.span(F3, 4, np.array(comp)))
     assert joined == big
     assert len(comp) == 2
