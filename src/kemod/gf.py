@@ -272,10 +272,17 @@ class FieldCtx:
 
         An int array (or a list of them) is taken as codes already; other
         entries may be FieldScalars, coefficient lists, or ints, which are
-        read as elements of F_p.
+        read as elements of F_p.  Nested lists that numpy reads as one int or
+        bool array with one axis more than ``ndim``, of length L with
+        1 <= L <= k, are coefficient lists and are read in one pass as
+        ``(arr % p) @ p**arange(L)``; every other input is read entry by
+        entry, with the same refusals.
         """
         if isinstance(a, (list, tuple)) and a and isinstance(a[0], np.ndarray):
-            a = np.asarray(a)
+            try:
+                a = np.asarray(a)
+            except ValueError:
+                raise InputError("ragged nesting: arrays of different shapes") from None
         if isinstance(a, np.ndarray) and a.dtype != object:
             a = a.astype(np.int64, copy=False)
             if self.k == 1:
@@ -288,10 +295,15 @@ class FieldCtx:
         try:
             # no dtype: numpy would read "1" and 1.5 as integers
             arr = np.asarray(a)
-            if arr.ndim == ndim and arr.dtype.kind in "ib":
-                return arr.astype(np.int64) % self.p
         except ValueError:  # ragged
-            pass
+            arr = None
+        if arr is not None and arr.dtype.kind in "ib":
+            if arr.ndim == ndim:
+                return arr.astype(np.int64) % self.p
+            if arr.ndim == ndim + 1 and arr.shape[-1]:
+                if arr.shape[-1] > self.k:
+                    raise InputError("coefficient vector longer than the extension degree")
+                return (arr.astype(np.int64) % self.p) @ self._pw[: arr.shape[-1]]
         if ndim == 0:
             return np.int64(self.encode(a))
         rows = [self.array(x, ndim - 1) for x in a]
@@ -371,10 +383,12 @@ class FieldCtx:
             return _matmul_mod(a, b, self.p)
         k, (n, inner), m = self.k, a.shape[-2:], b.shape[-1]
         lead = a.shape[:-2]
-        da = np.moveaxis(self._digits(a), -1, -3).reshape(lead + (k * n, inner))
+        # (n, inner, k) -> (k, n, inner) and (k, n, m, k) -> (n, m, k, k) by
+        # swapaxes pairs: np.moveaxis costs more per call than the small products
+        da = self._digits(a).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (k * n, inner))
         db = self._digits(b).reshape(lead + (inner, m * k))
         planes = _matmul_mod(da, db, self.p).reshape(lead + (k, n, m, k))
-        return self._fold(np.moveaxis(planes, -4, -2))
+        return self._fold(planes.swapaxes(-4, -3).swapaxes(-3, -2))
 
     def embed(self, a, src: "FieldCtx"):
         """Codes over the subfield src, mapped into this field."""

@@ -4,6 +4,7 @@ longer need them, and the tests use them as independent references."""
 import numpy as np
 
 from kemod import decomp, linalg
+from kemod.errors import InputError
 from kemod.modules import sub_as_module
 from kemod.subspace import Subspace
 
@@ -115,3 +116,43 @@ def subquotient_with_lift_two_eliminations(m, top, bottom):
         _reduce_two_eliminations(bottom, linalg.matmul_fp(comp, x.T, m.ctx))[:, pivots].T for x in m.mats
     ]
     return mats, comp
+
+
+def array_per_entry(F, a, ndim: int = 2):
+    """``FieldCtx.array`` with every coefficient list read by its own
+    ``F.encode`` call in a recursion over the nesting: the path that the
+    one-pass reading of uniform coefficient lists replaced."""
+    if isinstance(a, (list, tuple)) and a and isinstance(a[0], np.ndarray):
+        a = np.asarray(a)
+    if isinstance(a, np.ndarray) and a.dtype != object:
+        a = a.astype(np.int64, copy=False)
+        if F.k == 1:
+            return a % F.p
+        if a.size and (a.min() < 0 or a.max() >= F.q):
+            raise InputError(f"element codes must lie in [0, {F.q})")
+        return a
+    if isinstance(a, np.ndarray):
+        a = a.tolist()
+    try:
+        arr = np.asarray(a)
+        if arr.ndim == ndim and arr.dtype.kind in "ib":
+            return arr.astype(np.int64) % F.p
+    except ValueError:  # ragged
+        pass
+    if ndim == 0:
+        return np.int64(F.encode(a))
+    rows = [array_per_entry(F, x, ndim - 1) for x in a]
+    if not rows:
+        return np.zeros((0,) * ndim, dtype=np.int64)
+    if len({x.shape for x in rows}) > 1:
+        raise InputError("ragged nesting: entries of different lengths")
+    return np.array(rows, dtype=np.int64)
+
+
+def matmul_schoolbook(F, a, b):
+    """Slice by slice a @ b over F_q as sum_t a[..., :, t] * b[..., t, :],
+    one ``F.mul`` and one ``F.add`` per term of the inner dimension."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for t in range(a.shape[-1]):
+        out = F.add(out, F.mul(a[..., :, t, None], b[..., None, t, :]))
+    return out

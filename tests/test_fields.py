@@ -10,7 +10,9 @@ from kemod.errors import ConsistencyError, InputError
 from kemod.generate import mixed_family
 from kemod.gf import FieldCtx, find_irreducible_fp, irreducible_of_degree, splitting_extension
 from kemod.modules import rank_at_point, root_operator
+from kemod.subspace import Subspace
 from kemod.suite import verify_theorems
+from oracles import array_per_entry
 
 
 def base_change(m, k):
@@ -176,3 +178,78 @@ def test_ragged_nesting_is_an_input_error(F):
     for a in ([[1, 0], [0]], [[1], [0, 1]]):
         with pytest.raises(InputError, match="ragged"):
             F.array(a)
+    # rows given as arrays of different lengths
+    with pytest.raises(InputError, match="ragged"):
+        K.KEModule(F, 1, [[np.array([0, 1]), np.array([0])]])
+    with pytest.raises(InputError, match="ragged"):
+        Subspace.span(F, 2, [np.array([1, 0]), np.array([1])])
+
+
+ARRAY_FIELDS = [FieldCtx(3), FieldCtx(2, 2), FieldCtx(2, 3), FieldCtx(3, 2), FieldCtx(5, 2)]
+COEFF = st.one_of(st.integers(-30, 30), st.booleans(), st.sampled_from([2**70, -(2**70), 2**63 - 1, -(2**63)]))
+
+
+def _outcome(read):
+    """What a reading gives, byte for byte, or what it raises.  A scalar
+    where a list belongs raises a TypeError on both paths."""
+    try:
+        x = read()
+    except (InputError, TypeError) as e:
+        return type(e), str(e)
+    return type(x), x.dtype, x.shape, x.tobytes()
+
+
+@st.composite
+def _nested(draw, F, ndim):
+    """Either ints and bools in one array of ndim + 1 axes (last axis 0..k+1
+    long, any axis possibly 0), or lists nested about ndim + 1 deep with
+    mixed leaves: coefficients, coefficient lists, floats, strings, None
+    and FieldScalars, at any depth and of any lengths."""
+    if draw(st.booleans()):
+        shape = draw(st.lists(st.integers(0, 3), min_size=ndim, max_size=ndim)) + [draw(st.integers(0, F.k + 1))]
+        flat = draw(st.lists(COEFF, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=object).reshape(shape).tolist()
+    leaf = st.one_of(
+        COEFF, st.lists(COEFF, max_size=F.k + 1), st.floats(-3, 3), st.text(max_size=2), st.none(),
+        st.lists(st.one_of(COEFF, st.floats(-3, 3)), max_size=2), st.integers(0, F.q - 1).map(F.decode),
+    )
+
+    def level(d):
+        return leaf if d == 0 else st.one_of(st.lists(level(d - 1), max_size=3), leaf)
+
+    return draw(level(ndim + 1))
+
+
+@pytest.mark.parametrize("ndim", [0, 1, 2])
+@pytest.mark.parametrize("F", ARRAY_FIELDS, ids=lambda F: f"F{F.q}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_reads_as_the_per_entry_recursion(F, ndim, data):
+    a = data.draw(_nested(F, ndim))
+    assert _outcome(lambda: F.array(a, ndim)) == _outcome(lambda: array_per_entry(F, a, ndim))
+
+
+ARRAY_CASES = {
+    "shorter than k": ([[[1], [2]], [[0], [1]]], 2),
+    "negative and bool": ([[[-1, True], [False, -4]]], 2),
+    "0x0": ([], 2),
+    "0xn": ([[], []], 2),
+    "longer than k": ([[[1, 0, 0, 0]]], 2),
+    "float coefficient": ([[[1.5, 0]]], 2),
+    "float entry": ([[1.0]], 2),
+    "empty coefficient list": ([[[]]], 2),
+    "empty int array as an entry": ([[np.zeros(0, dtype=np.int64)]], 2),
+    "ragged coefficient lists": ([[[1, 0], [1]]], 2),
+    "ragged rows": ([[[1, 0]], [[1, 0], [0, 1]]], 2),
+    "mixed ints and lists": ([[1, [0, 1]]], 2),
+    "2**70 coefficient": ([[[2**70, 1]]], 2),
+    "2**70 entry": ([[2**70]], 2),
+    "one coefficient list": ([1, 2], 0),
+    "vector of coefficient lists": ([[-1, 1], [True, 0]], 1),
+}
+
+
+@pytest.mark.parametrize("a, ndim", ARRAY_CASES.values(), ids=ARRAY_CASES.keys())
+@pytest.mark.parametrize("F", ARRAY_FIELDS, ids=lambda F: f"F{F.q}")
+def test_array_edge_cases_read_as_the_per_entry_recursion(F, a, ndim):
+    assert _outcome(lambda: F.array(a, ndim)) == _outcome(lambda: array_per_entry(F, a, ndim))

@@ -17,6 +17,7 @@ from kemod.gf import (
     splitting_extension,
     squarefree_part,
 )
+from oracles import matmul_schoolbook
 
 
 def test_prime_validation():
@@ -372,6 +373,21 @@ def test_stacked_matmul_is_the_product_of_each_slice(F):
     for s in range(4):
         assert np.array_equal(got[s], F.matmul(a[s], b[s]))
     assert F.matmul(a[:0], b[:0]).shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("F", [FieldCtx(2, 2), FieldCtx(2, 3), FieldCtx(3, 2), FieldCtx(5, 2), FieldCtx(2, 13)],
+                         ids=lambda F: f"F{F.q}")
+def test_matmul_is_the_schoolbook_product(F):
+    rng = np.random.default_rng(F.q + 1)
+    shapes = [((), 3, 5, 2), ((), 7, 1, 6), ((4,), 3, 5, 2), ((2, 3), 2, 4, 3),
+              ((), 0, 3, 2), ((), 3, 0, 2), ((), 3, 2, 0), ((0,), 2, 3, 2), ((2, 3), 0, 4, 0)]
+    for lead, n, inner, m in shapes:
+        a = rng.integers(0, F.q, lead + (n, inner), dtype=np.int64)
+        b = rng.integers(0, F.q, lead + (inner, m), dtype=np.int64)
+        a.reshape(-1)[:1] = F.q - 1
+        got = F.matmul(a, b)
+        assert got.dtype == np.int64 and got.shape == lead + (n, m)
+        assert np.array_equal(got, matmul_schoolbook(F, a, b)), (lead, n, inner, m)
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 4)], ids=["F9", "F25", "F81"])

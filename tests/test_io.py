@@ -91,10 +91,60 @@ def _malformed_docs():
             gens = copy.deepcopy(doc["generators"])
             gens[0][gens[0].index(reads_as if field == "F3" else [reads_as, 0])] = entry
             docs[f"{field} entry is {entry!r}"] = {**doc, "generators": gens}
+    # uniform coefficient lists that the one-pass reading refuses or hands on
+    k = ext["field_degree"]
+    for name, gens in (
+        ("F9 every entry has k + 1 coefficients", [[c + [0] for c in g] for g in ext["generators"]]),
+        ("F9 one coefficient is 1.5", [[[1.5, 0] if (i, j) == (0, 0) else c for j, c in enumerate(g)]
+                                       for i, g in enumerate(ext["generators"])]),
+        ("F9 every entry is []", [[[] for _ in g] for g in ext["generators"]]),
+    ):
+        assert k == 2 and gens != ext["generators"]
+        docs[name] = {**ext, "generators": gens}
     return docs
 
 
 MALFORMED = _malformed_docs()
+
+
+def _disguised(F, n, d, seed=0):
+    """W_{n,d} over F under a random change of basis over all of F, so its
+    entries use every coefficient of the power basis."""
+    w = K.w_module(F, n, d)
+    rng = np.random.default_rng(seed)
+    while True:
+        P = rng.integers(0, F.q, (w.dim, w.dim), dtype=np.int64)
+        if K.linalg.rank_fp(P, F) == w.dim:
+            break
+    Pinv = K.linalg.inv_fp(P, F)
+    return K.KEModule(F, w.r, [F.matmul(F.matmul(P, x), Pinv) for x in w.mats])
+
+
+@pytest.mark.parametrize("p, k, n, d", [(2, 2, 31, 2), (2, 3, 31, 2), (3, 2, 21, 3), (5, 2, 14, 5)],
+                         ids=["F4", "F8", "F9", "F25"])
+def test_round_trip_of_a_large_extension_field_module(p, k, n, d):
+    m = _disguised(FieldCtx(p, k), n, d)
+    assert m.dim >= 60
+    back = module_from_dict(json.loads(json.dumps(module_to_dict(m))))
+    assert back.ctx.same_field(m.ctx)
+    assert all(np.array_equal(a, b) for a, b in zip(back.mats, m.mats))
+
+
+def test_coefficient_lists_are_read_without_encoding_each_entry(tmp_path, monkeypatch):
+    F = FieldCtx(3, 2)
+    m = _disguised(F, 21, 3)
+    lists = [F.serialize(x) for x in m.mats]
+    path = tmp_path / "m.json"
+    save_module(m, path)
+    calls = []
+    encode = FieldCtx.encode
+    monkeypatch.setattr(FieldCtx, "encode", lambda self, value: calls.append(value) or encode(self, value))
+    built = K.KEModule(F, 2, lists)
+    loaded = load_module(path)
+    assert m.dim >= 60 and calls == []
+    assert all(np.array_equal(a, b) and np.array_equal(a, c) for a, b, c in zip(m.mats, built.mats, loaded.mats))
+    F.array([[1, 0], F.gen()], ndim=1)  # the wrapper counts: a FieldScalar is read by encode
+    assert calls
 
 
 @pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
