@@ -96,15 +96,13 @@ def cmd_jtype(args):
 
 def cmd_cjt(args):
     m = load_module(args.file)
-    dec = constant_jordan_type(m, samples=args.samples, ext_degree=args.ext_degree, seed=args.seed)
-    rep = {"command": "cjt", "input": digest(module_to_dict(m)), "verdict": dec.kind, "seed": args.seed}
+    dec = constant_jordan_type(m)
+    rep = {"command": "cjt", "input": digest(module_to_dict(m)), "verdict": dec.kind}
     if dec.jordan_type is not None:
         rep["jordan_type"] = repr(dec.jordan_type)
         rep["multiplicities"] = list(dec.jordan_type.mults)
     if dec.witness:
         rep["witness"] = dec.witness
-    if dec.confidence is not None:
-        rep["confidence"] = dec.confidence
     _emit(rep, args)
     return 0
 
@@ -283,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("cjt", cmd_cjt, help="constant Jordan type decision")
     sp.add_argument("file")
-    sp.add_argument("--samples", type=int, default=64)
-    sp.add_argument("--ext-degree", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("bundle", cmd_bundle, help="splitting type of the i-th bundle (r = 2)")
     sp.add_argument("file")

@@ -269,7 +269,7 @@ def layer_module(m: KEModule, top_index: int, bottom_index: int) -> KEModule:
 
 @dataclass
 class EqualImagesDecision:
-    verdict: bool | None          # None = probabilistic "probably equal"
+    verdict: bool | None          # None = "probably equal": r >= 3, no rank drop found
     n: int
     detail: dict
 
@@ -298,7 +298,6 @@ def equal_n_images_decide(m: KEModule, n: int) -> EqualImagesDecision:
     equal = dec.rank == target
     detail = {"generic_rank": dec.rank, tagname: target}
     if dec.kind == "probably_constant":
-        detail["confidence"] = dec.confidence
         return EqualImagesDecision(None if equal else False, n, detail)
     return EqualImagesDecision(equal, n, detail)
 

@@ -14,16 +14,15 @@ equal-degree splitting, both reading t^(q^e) mod f off one Frobenius
 chain.  They name jump points of polynomial matrices by their minimal
 polynomials, and the seeded search ``irreducible_of_degree`` names every
 default modulus and the extension fields F_{q^m} that the generic-rank
-lattice, the r >= 3 generic kernels and the r >= 3 sampling evaluate in.
+lattice and the r >= 3 generic kernels evaluate in.
 
 Elementwise products: residues mod p for k = 1, log/antilog tables up to
 ``TABLE_Q``; past the tables a p = 2 code is a bit string, multiplied by
 shift-and-XOR with the reduction by the modulus interleaved, so codes stay
 below 2^k and shifted ones below 2^62 for every k <= 61; odd p multiplies
-base-p digit planes, folded by the modulus's structure constants.  The
-F_{2^21} points of the r >= 3 sampling take the XOR route: a product of
-4096 codes takes 0.5 ms there against 24 ms on digit planes (best of 5,
-2-CPU machine).
+base-p digit planes, folded by the modulus's structure constants.  Over
+F_{2^21} a product of 4096 codes takes 0.5 ms on the XOR route against
+24 ms on digit planes (best of 5, 2-CPU machine).
 
 Thread policy: float64 products (``_matmul_mod``) are made in pieces below
 OpenBLAS's single-thread cutoff, so no thread setting is needed; only one
@@ -306,6 +305,8 @@ class FieldCtx:
                 return (arr.astype(np.int64) % self.p) @ self._pw[: arr.shape[-1]]
         if ndim == 0:
             return np.int64(self.encode(a))
+        if not isinstance(a, (list, tuple)):
+            raise InputError(f"expected a sequence of rows, got {a!r}")
         rows = [self.array(x, ndim - 1) for x in a]
         if not rows:
             return np.zeros((0,) * ndim, dtype=np.int64)

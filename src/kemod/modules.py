@@ -16,9 +16,9 @@ type.  For r >= 3 they are the maximum of numeric ranks over a principal
 lattice of points (``_lattice``) on which no maximal minor can vanish,
 taken in an extension field F_{q^m} when the base field is too small; the
 r >= 3 generic kernels are the sums of the point kernels on such a lattice
-(``genker``).  The lattice's points, and those the r >= 3 decision tests,
-are ranked as stacks of matrices by one fraction-free elimination of all
-of them (``_point_ranks``).
+(``genker``).  The lattice's points, and the rational points that the r >= 3
+constancy decision tests (``constant_jrank_decide``), are ranked as stacks
+of matrices by one fraction-free elimination of all of them (``_point_ranks``).
 """
 
 from __future__ import annotations
@@ -489,7 +489,6 @@ class JRankDecision:
     j: int
     rank: int
     witness: dict | None = None
-    confidence: float | None = None
 
     @property
     def constant(self) -> bool:
@@ -501,7 +500,6 @@ class CJTDecision:
     kind: str                      # "cjt" | "not_cjt" | "probably_cjt"
     jordan_type: JordanType | None
     witness: dict | None = None
-    confidence: float | None = None
 
     @property
     def is_cjt(self) -> bool:
@@ -518,42 +516,36 @@ def _snf_of_power(m: KEModule, j: int):
     return res
 
 
-def constant_jrank_decide(
-    m: KEModule, j: int, samples: int = 64, ext_degree: int | None = None, seed: int = 0
-) -> JRankDecision:
+# The r >= 3 constancy decision tests the points of P^{r-1}(F_q) when there
+# are at most this many of them.
+RATIONAL_POINTS = 64
+
+
+def constant_jrank_decide(m: KEModule, j: int) -> JRankDecision:
     """Decide whether rank(X_alpha^j) is independent of the point.
 
     Exact for r <= 2: the Smith form over F_q[t] gives the generic rank and
     the jump points on the affine chart, and the point at infinity is
     checked apart.  Exact for the zero module, of rank 0 everywhere.  For
     r >= 3 the generic rank is exact (``_grid_ranks``) and the decision
-    tests every point of P^{r-1}(F_q) when there are at most ``samples`` of
-    them, then ``samples`` random points over a large extension.  The
-    points are ranked as stacks, a chunk of at most ``STACK_CELLS`` matrix
-    entries at a time (``_point_ranks``); the first point in draw order
-    whose rank differs from the generic one is the witness, and the sweep
-    ends with its chunk.
+    tests every point of P^{r-1}(F_q) when there are at most
+    ``RATIONAL_POINTS`` of them.  The points are ranked as stacks, a chunk
+    of at most ``STACK_CELLS`` matrix entries at a time (``_point_ranks``);
+    the first point whose rank differs from the generic one is the witness,
+    and the sweep ends with its chunk.  With no witness the verdict is
+    ``probably_constant``, and no bound on its error is claimed.
     """
     m.require_valid()
-    _check_sampling(samples, ext_degree)
     p = m.ctx.p
     if not 1 <= j <= p:
         raise InputError(f"power j must be in 1..{p}")
-    # r <= 2 is exact; for r >= 3 the answer depends on the sampling
-    key = ("jrank", j) + ((samples, ext_degree, seed) if m.r >= 3 else ())
+    key = ("jrank", j)
     if key not in m._cache:
-        m._cache[key] = _jrank_decision(m, j, samples, ext_degree, seed)
+        m._cache[key] = _jrank_decision(m, j)
     return m._cache[key]
 
 
-def _check_sampling(samples: int, ext_degree: int | None) -> None:
-    if samples < 0:
-        raise InputError(f"samples must be >= 0, got {samples}")
-    if ext_degree is not None and ext_degree < 1:
-        raise InputError(f"extension degree must be >= 1, got {ext_degree}")
-
-
-def _jrank_decision(m: KEModule, j: int, samples: int, ext_degree: int | None, seed: int) -> JRankDecision:
+def _jrank_decision(m: KEModule, j: int) -> JRankDecision:
     if j == m.ctx.p:
         return JRankDecision("constant", j, 0)
     rho = generic_power_ranks(m, j)[j - 1]
@@ -569,42 +561,24 @@ def _jrank_decision(m: KEModule, j: int, samples: int, ext_degree: int | None, s
             witness = {"point": "(0, 1)", "rank_there": inf_rank, "generic_rank": rho}
             return JRankDecision("not_constant", j, rho, witness=witness)
         return JRankDecision("constant", j, rho)
-    # r >= 3: the rational points when there are few, then Monte Carlo over
-    # a large extension
+    # r >= 3: the rational points when there are few, in order, a chunk at a
+    # time; the first point off rank rho is the witness
     F = m.ctx
-    rational = []
-    if (F.q**m.r - 1) // (F.q - 1) <= samples:
-        rational = [
-            (F.zero,) * lead + (F.one,) + tuple(map(F.decode, rest))
+    if (F.q**m.r - 1) // (F.q - 1) <= RATIONAL_POINTS:
+        rational = (
+            (0,) * lead + (1,) + rest
             for lead in range(m.r)
             for rest in itertools.product(range(F.q), repeat=m.r - 1 - lead)
-        ]
-    if ext_degree is None:
-        ext_degree = 1
-        while (F.q**ext_degree) <= 2**20:
-            ext_degree += 1
-    ext = extension(F, ext_degree)
-    rng = random.Random(seed)
-    randoms = (_random_projective_point(ext, m.r, rng) for _ in range(samples))
-    # in draw order, a chunk at a time: the first point off rank rho is the witness
-    for fld, points in ((F, rational), (ext, randoms)):
-        mats = mats_over(m, fld)
-        for chunk in _chunks(points, m.dim):
-            ranks = _point_ranks(fld, mats, [[c.v for c in pt] for pt in chunk], [j])[:, 0]
+        )
+        for chunk in _chunks(rational, m.dim):
+            ranks = _point_ranks(F, m.mats, chunk, [j])[:, 0]
             off = np.flatnonzero(ranks != rho)
             if off.size:
                 i = off[0]
-                witness = {"point": repr(chunk[i]), "rank_there": int(ranks[i]), "generic_rank": rho}
+                point = tuple(map(F.decode, chunk[i]))
+                witness = {"point": repr(point), "rank_there": int(ranks[i]), "generic_rank": rho}
                 return JRankDecision("not_constant", j, rho, witness=witness)
-    per = min(1.0, (j * m.dim) / ext.q)
-    return JRankDecision("probably_constant", j, rho, confidence=1.0 - per**samples if samples else 0.0)
-
-
-def _random_projective_point(fld: FieldCtx, r: int, rng: random.Random):
-    while True:
-        coords = tuple(fld.random_scalar(rng) for _ in range(r))
-        if any(bool(c) for c in coords):
-            return coords
+    return JRankDecision("probably_constant", j, rho)
 
 
 def root_operator(m: KEModule, g: list) -> np.ndarray:
@@ -646,11 +620,10 @@ def _witness_from_factor(m: KEModule, j: int, rho: int, factor) -> JRankDecision
     )
 
 
-def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None = None, seed: int = 0) -> CJTDecision:
+def constant_jordan_type(m: KEModule) -> CJTDecision:
     """Decide constant Jordan type (exact for r <= 2 and for the zero module)."""
     m.require_valid()
-    _check_sampling(samples, ext_degree)
-    key = ("cjt", (samples, ext_degree, seed) if m.r >= 3 else None)
+    key = "cjt"
     if key in m._cache:
         return m._cache[key]
     p = m.ctx.p
@@ -661,7 +634,7 @@ def constant_jordan_type(m: KEModule, samples: int = 64, ext_degree: int | None 
         # is swept once, and only for a module that passes j = 1
         if j == 2 and m.r >= 3 and _grid_fits(m, p - 1):
             generic_power_ranks(m, p - 1)
-        dec = constant_jrank_decide(m, j, samples=samples, ext_degree=ext_degree, seed=seed + j)
+        dec = constant_jrank_decide(m, j)
         if dec.kind == "not_constant":
             out = CJTDecision("not_cjt", None, witness={"j": j, **(dec.witness or {})})
             m._cache[key] = out

@@ -141,6 +141,8 @@ def array_per_entry(F, a, ndim: int = 2):
         pass
     if ndim == 0:
         return np.int64(F.encode(a))
+    if not isinstance(a, (list, tuple)):
+        raise InputError(f"expected a sequence of rows, got {a!r}")
     rows = [array_per_entry(F, x, ndim - 1) for x in a]
     if not rows:
         return np.zeros((0,) * ndim, dtype=np.int64)

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,14 +87,17 @@ def test_bundle_refusal_exit_code(tmp_path, capsys):
 
 
 def test_bad_sampling_options_exit_2(tmp_path, capsys):
+    # the r >= 3 decision tests rational points only: no sample count,
+    # extension degree or seed is accepted (a usage error, exit 2)
     path = str(tmp_path / "free3.json")
     save_module(K.free_module(K.FieldCtx(2), 3, 1), path)
-    for opt in (["--ext-degree", "0"], ["--ext-degree", "-1"], ["--samples", "-1"]):
-        code, out, err = run_cli(["cjt", path] + opt, capsys)
-        assert (code, out) == (2, ""), opt
-        assert err.startswith("input error"), opt
-    for opt in (["--samples", "0"], ["--ext-degree", "1"]):
-        assert run_cli(["cjt", path] + opt, capsys)[0] == 0, opt
+    for opt in (["--samples", "5"], ["--ext-degree", "1"], ["--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["cjt", path] + opt)
+        assert exc.value.code == 2, opt
+        assert opt[0] in capsys.readouterr().err, opt
+    code, out, _ = run_cli(["cjt", path], capsys)
+    assert code == 0 and "seed" not in json.loads(out)
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
@@ -259,9 +264,24 @@ def test_negative_rounds_and_counts_exit_2(command, option, w43, capsys):
     assert run_cli([command, *head, option, "0"], capsys)[0] == 0
 
 
+def test_readme_commands_parse():
+    # every command line the README shows is one the parser accepts, so the
+    # docs cannot advertise a removed option
+    from kemod import cli
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()]
+    argvs = [argv[1:] for argv in lines if argv[:1] == ["kemod"]]
+    assert argvs
+    parser = cli.build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).fn.__name__ == "cmd_" + argv[0].replace("-", "_"), argv
+
+
 def test_report_determinism(w43, capsys):
-    _, out1, _ = run_cli(["cjt", w43, "--seed", "5"], capsys)
-    _, out2, _ = run_cli(["cjt", w43, "--seed", "5"], capsys)
+    _, out1, _ = run_cli(["cjt", w43], capsys)
+    _, out2, _ = run_cli(["cjt", w43], capsys)
     assert out1 == out2
 
 
@@ -329,7 +349,7 @@ def test_one_parser_serves_every_call(w43, monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
     cli._parser.cache_clear()
     try:
-        argvs = [["cjt", w43, "--seed", "5"], ["bundle", w43, "--i", "1"], ["jtype", w43, "--generic"]]
+        argvs = [["cjt", w43], ["bundle", w43, "--i", "1"], ["jtype", w43, "--generic"]]
         in_process = [run_cli(argv, capsys)[:2] for argv in argvs + argvs[::-1]]
     finally:
         cli._parser.cache_clear()

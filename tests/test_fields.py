@@ -185,16 +185,25 @@ def test_ragged_nesting_is_an_input_error(F):
         Subspace.span(F, 2, [np.array([1, 0]), np.array([1])])
 
 
+@pytest.mark.parametrize("F", [FieldCtx(3), FieldCtx(3, 2)], ids=["F3", "F9"])
+def test_a_scalar_where_rows_belong_is_an_input_error(F):
+    with pytest.raises(InputError, match="sequence of rows"):
+        K.KEModule(F, 1, [[[1, 0], 3]])
+    with pytest.raises(InputError, match="sequence of rows"):
+        K.KEModule(F, 1, [[1, 0], None])
+    with pytest.raises(InputError, match="sequence of rows"):
+        Subspace.span(F, 2, [[1, 0], 3])
+
+
 ARRAY_FIELDS = [FieldCtx(3), FieldCtx(2, 2), FieldCtx(2, 3), FieldCtx(3, 2), FieldCtx(5, 2)]
 COEFF = st.one_of(st.integers(-30, 30), st.booleans(), st.sampled_from([2**70, -(2**70), 2**63 - 1, -(2**63)]))
 
 
 def _outcome(read):
-    """What a reading gives, byte for byte, or what it raises.  A scalar
-    where a list belongs raises a TypeError on both paths."""
+    """What a reading gives, byte for byte, or the InputError it raises."""
     try:
         x = read()
-    except (InputError, TypeError) as e:
+    except InputError as e:
         return type(e), str(e)
     return type(x), x.dtype, x.shape, x.tobytes()
 

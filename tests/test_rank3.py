@@ -1,12 +1,12 @@
-"""Higher-rank (r >= 3) paths: Monte Carlo constant-rank decisions, exact
-generic ranks and kernels via lattices of points, slice dimensions, and
-line restrictions.
+"""Higher-rank (r >= 3) paths: constant-rank decisions on the rational
+points, exact generic ranks and kernels via lattices of points, slice
+dimensions, and line restrictions.
 
 The library evaluates the points of both r >= 3 sweeps as stacks, ranked by
 one fraction-free elimination; the per-point loops over the full grid it
 replaced are kept here as oracles (``oracle_grid_ranks``,
-``oracle_jrank_decision``), and verdicts, witnesses and confidences must
-match them exactly.  Generic kernels and images are held to the symbolic
+``oracle_jrank_decision``), and verdicts and witnesses must match them
+exactly.  Generic kernels and images are held to the symbolic
 route over F_q(t_2..t_r) (``symbolic.genker_symbolic``)."""
 
 import itertools
@@ -36,25 +36,24 @@ def rank3_free():
 
 def test_free_module_rank3_probably_constant():
     m = rank3_free()
-    dec = K.constant_jrank_decide(m, 1, samples=32, seed=1)
+    dec = K.constant_jrank_decide(m, 1)
     assert dec.kind == "probably_constant"
     assert dec.rank == 4  # dim 8, kernel dim 4 at every point
-    assert dec.confidence is not None and dec.confidence > 0.99
     cjt = K.constant_jordan_type(m)
     assert cjt.kind == "probably_cjt"
     assert repr(cjt.jordan_type) == "[2]^4"
 
 
 def test_rank3_nonconstant_witness_found_over_small_field():
-    # jump locus is a coordinate hyperplane; over F_2 itself ~ half of all
-    # sampled points lie on it, so the witness search finds one
+    # jump locus is a coordinate hyperplane; three of the seven points of
+    # P^2(F_2) lie on it, and the first of them in order is the witness
     j = np.zeros((2, 2), dtype=np.int64)
     j[1, 0] = 1
     z = np.zeros((2, 2), dtype=np.int64)
     m = K.KEModule(F2, 3, [j, z, z])
-    dec = K.constant_jrank_decide(m, 1, samples=64, ext_degree=1, seed=0)
+    dec = K.constant_jrank_decide(m, 1)
     assert dec.kind == "not_constant"
-    assert dec.witness is not None
+    assert dec.witness == {"point": "(0, 1, 0)", "rank_there": 0, "generic_rank": 1}
 
 
 def test_generic_ranks_match_symbolic_r3():
@@ -130,29 +129,6 @@ def test_rational_points_are_searched_before_random_samples():
     assert dec.witness["rank_there"] < dec.witness["generic_rank"]
     free = K.constant_jordan_type(rank3_free())
     assert free.kind == "probably_cjt" and repr(free.jordan_type) == "[2]^4"
-
-
-def test_decision_cache_keys_on_sampling():
-    # with no samples nothing is tested; a later default call must not
-    # reuse that answer
-    j = np.zeros((2, 2), dtype=np.int64)
-    j[1, 0] = 1
-    z = np.zeros((2, 2), dtype=np.int64)
-    m = K.KEModule(F2, 3, [j, z, z])
-    assert K.constant_jordan_type(m, samples=0).kind == "probably_cjt"
-    assert K.constant_jordan_type(m).kind == "not_cjt"
-    assert K.constant_jrank_decide(m, 1, samples=0).kind == "probably_constant"
-
-
-def test_bad_sampling_options_are_refused_for_every_rank():
-    # also for r <= 2, where no sampling happens, and after a cached answer
-    for m in (rank3_free(), K.w_module(3, 4, 3), K.free_module(F3, 1, 1)):
-        K.constant_jordan_type(m)
-        for kw in ({"samples": -1}, {"ext_degree": 0}, {"ext_degree": -2}):
-            with pytest.raises(InputError):
-                K.constant_jordan_type(m, **kw)
-            with pytest.raises(InputError):
-                K.constant_jrank_decide(m, 1, **kw)
 
 
 def test_rank_grid_swept_once_per_module(monkeypatch):
@@ -247,35 +223,23 @@ def oracle_grid_ranks(m, jmax):
     return ranks
 
 
-def oracle_jrank_decision(m, j, samples, ext_degree, seed):
-    """The r >= 3 decision with ``rank_at_point`` at each point in draw order;
-    the generic rank is the library's, which the tests below hold to
+def oracle_jrank_decision(m, j):
+    """The r >= 3 decision with ``rank_at_point`` at each rational point in
+    order; the generic rank is the library's, which the tests below hold to
     ``oracle_grid_ranks``."""
     F = m.ctx
     if j == F.p:
         return JRankDecision("constant", j, 0)
     rho = modules.generic_power_ranks(m, j)[j - 1]
-    rational = []
-    if (F.q**m.r - 1) // (F.q - 1) <= samples:
-        rational = [
-            (F.zero,) * lead + (F.one,) + tuple(map(F.decode, rest))
-            for lead in range(m.r)
-            for rest in itertools.product(range(F.q), repeat=m.r - 1 - lead)
-        ]
-    if ext_degree is None:
-        ext_degree = 1
-        while (F.q**ext_degree) <= 2**20:
-            ext_degree += 1
-    ext = extension(F, ext_degree)
-    rng = random.Random(seed)
-    randoms = (modules._random_projective_point(ext, m.r, rng) for _ in range(samples))
-    for coords in itertools.chain(rational, randoms):
-        rk = modules.rank_at_point(m, coords, j)
-        if rk != rho:
-            witness = {"point": repr(coords), "rank_there": rk, "generic_rank": rho}
-            return JRankDecision("not_constant", j, rho, witness=witness)
-    per = min(1.0, (j * m.dim) / ext.q)
-    return JRankDecision("probably_constant", j, rho, confidence=1.0 - per**samples if samples else 0.0)
+    if (F.q**m.r - 1) // (F.q - 1) <= modules.RATIONAL_POINTS:
+        for lead in range(m.r):
+            for rest in itertools.product(range(F.q), repeat=m.r - 1 - lead):
+                coords = (F.zero,) * lead + (F.one,) + tuple(map(F.decode, rest))
+                rk = modules.rank_at_point(m, coords, j)
+                if rk != rho:
+                    witness = {"point": repr(coords), "rank_there": rk, "generic_rank": rho}
+                    return JRankDecision("not_constant", j, rho, witness=witness)
+    return JRankDecision("probably_constant", j, rho)
 
 
 # -- the stacked elimination against rank_fp ---------------------------------------
@@ -395,9 +359,6 @@ ORACLE_MODULES = {
     "r4 F4 slope": lambda: _pair_with_f4_slope(4),
     "r4 F5 fault": lambda: _block(F5, 4, [2], which=1),
 }
-# (samples, ext_degree): the default, few samples (no rational points, so a
-# drop is caught at a random sample), and small extensions
-SAMPLINGS = [(64, None), (5, 1), (12, 2)]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
@@ -408,32 +369,24 @@ def test_stacked_sweeps_match_the_per_point_loops(monkeypatch, name):
     p = m.ctx.p
     # the grid at j = p only where it stays small
     want_grid = {jmax: oracle_grid_ranks(m, jmax) for jmax in {p - 1, p if m.dim * p <= 8 else 1}}
-    want = {
-        (j, s, e, seed): oracle_jrank_decision(m, j, s, e, seed)
-        for j in range(1, p)
-        for s, e in SAMPLINGS
-        for seed in ((j, 7) if j == 1 else (j,))
-    }
+    want = {j: oracle_jrank_decision(m, j) for j in range(1, p)}
     for cells in (modules.STACK_CELLS, 2 * m.dim * m.dim + 1, 1):
         monkeypatch.setattr(modules, "STACK_CELLS", cells)
         for jmax, ranks in want_grid.items():
             assert modules._grid_ranks(build(), jmax) == ranks, (cells, jmax)
         fresh = build()
-        for (j, s, e, seed), dec in want.items():
-            got = modules._jrank_decision(fresh, j, s, e, seed)
-            assert got == dec and repr(got) == repr(dec), (cells, j, s, e, seed)
+        for j, dec in want.items():
+            got = modules._jrank_decision(fresh, j)
+            assert got == dec and repr(got) == repr(dec), (cells, j)
 
 
 def test_oracle_set_covers_both_kinds_of_witness():
-    # a drop caught at a rational point, and one caught at a random sample
+    # a drop caught at a rational point, and verdicts of both kinds
     fault = ORACLE_MODULES["F2 fault"]()
-    dec = oracle_jrank_decision(fault, 1, 64, None, 1)
+    dec = oracle_jrank_decision(fault, 1)
     assert dec.kind == "not_constant" and dec.witness["point"] == "(0, 1, 0)"
-    dec = oracle_jrank_decision(fault, 1, 5, 1, 1)
-    assert dec.kind == "not_constant"
-    assert modules._jrank_decision(fault, 1, 5, 1, 1) == dec
     kinds = {
-        oracle_jrank_decision(ORACLE_MODULES[n](), 1, 64, None, 1).kind
+        oracle_jrank_decision(ORACLE_MODULES[n](), 1).kind
         for n in ("F4 slope", "r4 F4 slope", "F3 sq0", "r4 F2 sq0")
     }
     assert kinds == {"not_constant", "probably_constant"}
@@ -445,13 +398,38 @@ def test_sweep_stops_at_the_first_chunk_with_a_drop(monkeypatch):
     monkeypatch.setattr(modules, "_point_ranks", lambda *a: calls.append(len(a[2])) or real(*a))
     monkeypatch.setattr(modules, "STACK_CELLS", 4 * 3)  # three points per chunk at dim 2
     m = ORACLE_MODULES["F2 fault"]()
-    dec = modules._jrank_decision(m, 1, 64, None, 1)
+    dec = modules._jrank_decision(m, 1)
     assert dec.witness["point"] == "(0, 1, 0)"
     # the chunks of the lattice of degree dim = 2 in r - 1 = 2 variables,
     # binomial(2 + 2, 2) = 6 points; then the first of the seven rational
     # points' chunks holds (0, 1, 0), the fifth point in draw order
     lattice = math.comb(m.dim + m.r - 1, m.r - 1)
     assert calls[-2:] == [3, 3] and sum(calls) == lattice + 6
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=repr)
+def test_decision_ranks_points_over_the_base_field_only(monkeypatch, F):
+    # once the generic ranks are known, every point the decision ranks is a
+    # point of P^2(F_q): no extension field is built for it
+    m = _sq0(F, 3)
+    modules.generic_power_ranks(m, F.p - 1)
+    fields = []
+    real = modules._point_ranks
+    monkeypatch.setattr(modules, "_point_ranks", lambda fld, *a: fields.append(fld) or real(fld, *a))
+    assert K.constant_jordan_type(m).kind == "probably_cjt"
+    assert fields and all(fld is m.ctx for fld in fields)
+
+
+def test_a_drop_off_the_rational_points_tested_is_not_certified():
+    # the rank drops on the hyperplane l_1 + g l_2 = 0 of P^3(F_4), whose 85
+    # points are more than are tested: the verdict stays probable, and no
+    # number is attached to it
+    m = ORACLE_MODULES["r4 F4 slope"]()
+    dec = K.constant_jrank_decide(m, 1)
+    assert dec.kind == "probably_constant" and dec.witness is None
+    assert not hasattr(dec, "confidence")
+    cjt = K.constant_jordan_type(m)
+    assert cjt.kind == "probably_cjt" and not hasattr(cjt, "confidence")
 
 
 # -- generic kernels and images on the lattice against the symbolic route -----------
