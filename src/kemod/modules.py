@@ -12,7 +12,8 @@ subquotients) keep one cache per distinct set of matrices
 Exact generic ranks — the rank of X_alpha^j at the generic point of the
 projective parameter space — come for r = 2 from the Smith form of
 (X_1 + t X_2)^j over F_q[t], the same one that decides constant Jordan
-type.  For r >= 3 they are the maximum of numeric ranks over a principal
+type; the pencil powers and the point at infinity X_2^j are read off one
+table of generator powers (``KEModule.powers``).  For r >= 3 they are the maximum of numeric ranks over a principal
 lattice of points (``_lattice``) on which no maximal minor can vanish,
 taken in an extension field F_{q^m} when the base field is too small; the
 r >= 3 generic kernels are the sums of the point kernels on such a lattice
@@ -24,6 +25,7 @@ of matrices by one fraction-free elimination of all of them (``_point_ranks``).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -142,9 +144,9 @@ class KEModule:
     FieldScalars, coefficient lists, or ints (read as elements of F_p);
     they are stored as a tuple of (d, d) int64 code arrays.
 
-    ``_cache`` holds what has been computed on the module (validation, Smith
-    forms, generic ranks, kernel bases, decisions, generic kernels, splitting
-    types), each under a key that with the field, r and the matrices fixes
+    ``_cache`` holds what has been computed on the module (validation, powers,
+    Smith forms, generic ranks, kernel bases, decisions, generic kernels,
+    splitting types), each under a key that with the field, r and the matrices fixes
     the value.  A module made from another by ``dual``, ``restrict`` or a
     subquotient (``_derive``) joins its source's *family*: a dict, shared
     by the root and everything derived from it, from the content
@@ -190,8 +192,22 @@ class KEModule:
     def mat(self, i: int):
         return self.mats[i]
 
+    def powers(self) -> np.ndarray:
+        """The table of generator powers: X_i^e at [e, i - 1] for e = 0..p,
+        one stacked product of all generators per power.  Read-only."""
+        key = "powers"
+        if key not in self._cache:
+            x = np.array(self.mats).reshape(self.r, self.dim, self.dim)
+            table = [np.broadcast_to(np.eye(self.dim, dtype=np.int64), x.shape), x]
+            while len(table) <= self.ctx.p:
+                table.append(self.ctx.matmul(table[-1], x))
+            self._cache[key] = table = np.array(table)
+            table.flags.writeable = False
+        return self._cache[key]
+
     def validate(self) -> ValidationReport:
-        """Check commutativity and vanishing p-th powers."""
+        """Check commutativity and vanishing p-th powers, the latter on the
+        table of generator powers (``powers``)."""
         key = "validation"
         if key in self._cache:
             return self._cache[key]
@@ -204,7 +220,7 @@ class KEModule:
                 if not np.array_equal(a, b):
                     violations.append({"kind": "commutativity", "pair": (i + 1, j + 1)})
         for i in range(self.r):
-            if linalg.matpow_fp(self.mats[i], F.p, F).any():
+            if self.powers()[F.p, i].any():
                 violations.append({"kind": "pth_power", "index": i + 1})
         report = ValidationReport(not violations, violations)
         self._cache[key] = report
@@ -225,15 +241,24 @@ class KEModule:
         return self._cache[key]
 
     def power_pencil(self, j: int) -> pencil.Pm:
-        """(X_1 + t X_2)^j (r = 2); zero from j = p on, since the X_i commute
-        and X_i^p = 0."""
+        """(X_1 + t X_2)^j = sum_i C(j, i) X_1^(j-i) X_2^i t^i (r = 2), read
+        off the table of generator powers (``powers``), with the cross
+        products in one stacked product.  The expansion needs X_1 and X_2 to
+        commute, so an invalid module is refused.  Zero from j = p on, since
+        the X_i commute and X_i^p = 0."""
+        if j < 0:
+            raise InputError(f"power j must be >= 0, got {j}")
         key = ("power_pencil", j)
         if key not in self._cache:
-            a = self.pencil()  # refuses r != 2, for the vanishing powers too
-            if j >= self.ctx.p:
+            self.pencil()  # refuses r != 2, for the vanishing powers too
+            self.require_valid()
+            F, x = self.ctx, self.powers()
+            if j >= F.p:
                 self._cache[key] = np.zeros((self.dim, self.dim, 1), dtype=np.int64)
             else:
-                self._cache[key] = pencil.pm_pow(a, j, self.ctx)
+                cross = F.matmul(x[j - 1 : 0 : -1, 0], x[1:j, 1]) if j > 1 else []
+                terms = [F.mul(math.comb(j, i) % F.p, a) for i, a in enumerate([x[j, 0], *cross, x[j, 1]][: j + 1])]
+                self._cache[key] = pencil.pm_trim(np.stack(terms, axis=2))
         return self._cache[key]
 
     def kernel_generators(self, ell: int) -> list[pencil.GradedGen]:
@@ -313,7 +338,7 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
     top = min(jmax, F.p)
     js = range(1, top + 1)
     if d == 0 or m.r == 1:
-        ranks = [linalg.rank_fp(linalg.matpow_fp(m.mats[0], j, F), F) if d else 0 for j in js]
+        ranks = [linalg.rank_fp(m.powers()[j, 0], F) if d else 0 for j in js]
     elif m.r == 2:
         ranks = [_snf_of_power(m, j).rank if j < F.p else 0 for j in js]
     else:
@@ -556,7 +581,7 @@ def _jrank_decision(m: KEModule, j: int) -> JRankDecision:
         if nonunit is not None:
             return _witness_from_factor(m, j, rho, nonunit)
         # affine chart constant; check the point at infinity (0, 1)
-        inf_rank = rank_at_point(m, (m.ctx.zero, m.ctx.one), j)
+        inf_rank = linalg.rank_fp(m.powers()[j, 1], m.ctx)
         if inf_rank != rho:
             witness = {"point": "(0, 1)", "rank_there": inf_rank, "generic_rank": rho}
             return JRankDecision("not_constant", j, rho, witness=witness)

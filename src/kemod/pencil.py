@@ -43,7 +43,6 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .dpoly import power
 from .errors import ConsistencyError
 from .linalg import Coo, field, matmul_fp, rref_fp
 
@@ -73,14 +72,6 @@ def pm_mul(a: Pm, b: Pm, F) -> Pm:
         for j in range(db):
             out[:, :, i + j] = F.add(out[:, :, i + j], matmul_fp(a[:, :, i], b[:, :, j], F))
     return pm_trim(out)
-
-
-def pm_pow(a: Pm, e: int, F) -> Pm:
-    """a^e by ``dpoly.power``, as ``linalg.matpow_fp``: no product by the
-    identity and no squaring past the highest bit of e."""
-    F = field(F)
-    one = np.eye(a.shape[0], dtype=np.int64)[:, :, None]
-    return power(pm_trim(F.canon(a)).copy(), e, lambda x, y: pm_mul(x, y, F), one)
 
 
 class GradedGen:

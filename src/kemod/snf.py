@@ -28,6 +28,16 @@ degrees of dense inputs small (Kannan and Bachem, SIAM J. Comput. 8, 1979,
 on entry growth).  The degree axis is trimmed to the block's top degree
 before each choice, and a zero block ends at once.
 
+Unit peel, once before the pivot loop: a row whose only nonzero entry is
+a nonzero constant is struck with that entry's column, and so is a column
+whose only nonzero entry is one.  This is exact: clearing the partner line
+with the struck one changes no other entry, so A ~ 1 (+) (A without the two
+lines).  Strikes can leave new such lines, which the peel follows in one
+pass over the nonzeros (the singleton pass of ``linalg._rref_sparse``); one
+index operation cuts out the rest.  The pencils of basis-aligned modules
+lose their whole rank this way; input with no line of one nonzero entry,
+as a dense one, costs the peel one vectorized check.
+
 Only the invariant factors are returned, monic, d_i | d_{i+1}; the
 unimodular transforms are not recorded.
 """
@@ -72,9 +82,9 @@ def smith_normal_form(entries, ctx: FieldCtx) -> SNFResult:
                  dtype=np.int64)
     if not A.any():
         return SNFResult([])
-    A = ctx.canon(A)
+    A, struck = _strike_units(ctx.canon(A))
 
-    factors = []
+    factors = [[1]] * struck
     while A.shape[0] and A.shape[1]:
         nz = A != 0
         size = nz[:, :, 0].astype(np.int64)  # degree + 1, 0 for zero
@@ -117,6 +127,40 @@ def smith_normal_form(entries, ctx: FieldCtx) -> SNFResult:
         factors.append(g.tolist())
         A = rest
     return SNFResult(factors)
+
+
+def _strike_units(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A without its struck lines, the number of strikes): the unit peel."""
+    nz = A.any(axis=2)
+    count = (nz.sum(axis=1).tolist(), nz.sum(axis=0).tolist())  # nonzeros per row, per column
+    if 1 not in count[0] and 1 not in count[1]:
+        return A, 0
+    r, c = nz.nonzero()
+    lines = ([[] for _ in count[0]], [[] for _ in count[1]])  # each line's nonzeros: (other index, constant?)
+    for i, j, u in zip(r.tolist(), c.tolist(), (~A[r, c, 1:].any(axis=1)).tolist()):
+        lines[0][i].append((j, u))
+        lines[1][j].append((i, u))
+    live = ([True] * len(count[0]), [True] * len(count[1]))
+    todo = [(ax, k) for ax in (0, 1) for k, n in enumerate(count[ax]) if n == 1]
+    struck = 0
+    while todo:
+        ax, k = todo.pop()
+        if not live[ax][k] or count[ax][k] != 1:
+            continue
+        other = live[1 - ax]
+        x, u = next(e for e in lines[ax][k] if other[e[0]])
+        if not u:
+            continue
+        live[ax][k] = other[x] = False
+        struck += 1
+        for ax2, at in ((1 - ax, k), (ax, x)):  # the lines that the two struck ones meet
+            cnt, alive = count[ax2], live[ax2]
+            for y, _ in lines[1 - ax2][at]:
+                if alive[y]:
+                    cnt[y] -= 1
+                    if cnt[y] == 1:
+                        todo.append((ax2, y))
+    return A[np.ix_(np.flatnonzero(live[0]), np.flatnonzero(live[1]))], struck
 
 
 def _row_array(row, nc: int) -> np.ndarray:

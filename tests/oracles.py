@@ -3,7 +3,7 @@ longer need them, and the tests use them as independent references."""
 
 import numpy as np
 
-from kemod import decomp, linalg
+from kemod import decomp, dpoly, linalg, pencil
 from kemod.errors import InputError
 from kemod.modules import sub_as_module
 from kemod.subspace import Subspace
@@ -158,3 +158,14 @@ def matmul_schoolbook(F, a, b):
     for t in range(a.shape[-1]):
         out = F.add(out, F.mul(a[..., :, t, None], b[..., None, t, :]))
     return out
+
+
+def pm_pow(a, e, F):
+    """a^e of a polynomial matrix by ``dpoly.power`` of ``pencil.pm_mul``
+    products, as ``linalg.matpow_fp``: no product by the identity and no
+    squaring past the highest bit of e.  The route that the binomial
+    expansion of ``KEModule.power_pencil`` over the table of generator
+    powers replaced."""
+    F = linalg.field(F)
+    one = np.eye(a.shape[0], dtype=np.int64)[:, :, None]
+    return dpoly.power(pencil.pm_trim(F.canon(a)).copy(), e, lambda x, y: pencil.pm_mul(x, y, F), one)

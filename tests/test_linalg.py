@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kemod as K
-from kemod import linalg, pencil
+from kemod import linalg
 from kemod.gf import FieldCtx
 from kemod.modules import random_invertible
 from kemod.subspace import Subspace
-from oracles import solve_fp
+from oracles import pm_pow, solve_fp
 from symbolic import rank_gen
 from test_pencil import linearize
 
@@ -219,7 +219,7 @@ def rref_inputs(draw):
         n, ell = draw(st.integers(1, 8)), draw(st.integers(1, 3))
         density = draw(st.sampled_from([0.1, 0.3, 1.0]))
         pencil_ = np.stack([_random_matrix(rng, F, n, n, density) for _ in range(2)], axis=2)
-        return F, linearize(pencil.pm_pow(pencil_, ell, F), draw(st.integers(0, 5)))
+        return F, linearize(pm_pow(pencil_, ell, F), draw(st.integers(0, 5)))
     density = draw(st.sampled_from([0.02, 0.08, 0.3, 1.0]))
     return F, _random_matrix(rng, F, rows, cols, density)
 
@@ -346,7 +346,7 @@ def test_aligned_linearization_is_sparse_disguised_is_dense(sparse_calls):
     disguised = _disguise(m, random.Random(2))
     for mod, sparse in ((m, True), (disguised, False)):
         sparse_calls.clear()
-        a = pencil.pm_pow(mod.pencil(), 2, mod.ctx)
+        a = pm_pow(mod.pencil(), 2, mod.ctx)
         linalg.rref_fp(linearize(a, 4), mod.ctx)
         assert bool(sparse_calls) == sparse
 

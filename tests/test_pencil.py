@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kemod as K
-from kemod import linalg, pencil
-from kemod.errors import ConsistencyError, MathRefusal
+from kemod import genker, linalg, pencil
+from kemod.errors import ConsistencyError, InputError, MathRefusal
 from kemod.generate import mixed_family
 from kemod.gf import FieldCtx
-from kemod.modules import generic_power_ranks, random_invertible
+from kemod.modules import generic_power_ranks, random_invertible, rank_at_point
 from kemod.pencil import GradedGen
-from oracles import solve_fp
+from kemod.subspace import Subspace
+from oracles import pm_pow, solve_fp
 from symbolic import Poly, RationalFunction, rank_gen
 
 # -- oracles: one generator at a time ----------------------------------------------
@@ -497,7 +498,7 @@ def test_pm_pow_from_the_lowest_set_bit(monkeypatch):
     for e in range(7):
         calls = []
         monkeypatch.setattr(pencil, "pm_mul", lambda *x: calls.append(1) or real(*x))
-        got = pencil.pm_pow(a, e, F)
+        got = pm_pow(a, e, F)
         monkeypatch.undo()
         assert np.array_equal(got, naive), e
         # squarings up to the top bit, then one product per further set bit
@@ -510,9 +511,49 @@ def test_power_pencil_from_p_on_is_zero_without_a_product(monkeypatch):
         raise AssertionError("product made for a vanishing power")
 
     for m in (K.w_module(3, 4, 3), K.w_module(FieldCtx(2, 2), 3, 2)):
+        m.validate()  # the table of generator powers is made here, once
         monkeypatch.setattr(pencil, "pm_mul", boom)
+        monkeypatch.setattr(FieldCtx, "matmul", boom)
         for j in (m.ctx.p, m.ctx.p + 1, 2 * m.ctx.p + 3):
             z = m.power_pencil(j)
             assert z.shape == (m.dim, m.dim, 1) and not z.any()
         monkeypatch.undo()
-        assert not pencil.pm_pow(m.pencil(), m.ctx.p, m.ctx).any()
+        assert not pm_pow(m.pencil(), m.ctx.p, m.ctx).any()
+
+
+def _aligned_reordered_disguised(rng):
+    """W-sums over F_2, F_3, F_5, F_4 and F_9, each as built, in a reordered
+    basis and disguised."""
+    out = []
+    for F in (FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)):
+        d = min(F.p, 3)
+        m = K.direct_sum(K.w_module(F, 4, d), K.dual(K.w_module(F, 3, 2)))
+        order = rng.sample(range(m.dim), m.dim)
+        out += [m, K.KEModule(F, 2, [x[np.ix_(order, order)] for x in m.mats]), _disguise(m, rng)]
+    return out
+
+
+def test_power_pencil_from_the_table_equals_the_products():
+    # the binomial expansion over the table of generator powers gives the
+    # square-and-multiply pencil powers byte for byte, and the table's powers
+    # of X_2 the ranks and images at infinity of the matpow_fp route
+    for m in _aligned_reordered_disguised(random.Random(12)):
+        F, p = m.ctx, m.ctx.p
+        for j in range(p + 2):
+            got, want = m.power_pencil(j), pm_pow(m.pencil(), j, F)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (m, j)
+        for n in range(1, p + 1):
+            at_inf = linalg.matpow_fp(m.mats[1], n, F)
+            assert np.array_equal(m.powers()[n, 1], at_inf)
+            assert genker._image_at_infinity(m, n) == Subspace.span(F, m.dim, at_inf.T)
+            assert linalg.rank_fp(m.powers()[n, 1], F) == rank_at_point(m, (F.zero, F.one), n)
+
+
+def test_power_pencil_refuses_negative_powers_and_invalid_modules():
+    with pytest.raises(InputError):
+        K.w_module(3, 4, 2).power_pencil(-1)
+    F3 = FieldCtx(3)
+    e21, e12 = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+    e21[1, 0] = e12[0, 1] = 1
+    with pytest.raises(MathRefusal, match="invalid module"):
+        K.KEModule(F3, 2, [e21, e12]).power_pencil(2)

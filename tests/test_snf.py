@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kemod import dpoly, linalg, pencil
+import kemod as K
+from kemod import dpoly, linalg, pencil, snf
 from kemod.errors import InputError
 from kemod.gf import FieldCtx
 from kemod.snf import SNFResult, smith_normal_form
@@ -218,16 +219,59 @@ def _poly_matrix(rng, F, rows, cols, deg, density):
     return np.array(codes, dtype=np.int64).reshape(rows, cols, deg + 1)
 
 
+def _permuted(rng, a):
+    """a with its rows and its columns in random orders."""
+    return a[rng.sample(range(a.shape[0]), a.shape[0])][:, rng.sample(range(a.shape[1]), a.shape[1])]
+
+
+def _w_sum(F, rng):
+    """W_{n,d} (+) W_{n',d'}^* over F, with 2 <= d <= n <= 4 and n' <= 3."""
+    n, n2 = rng.randint(2, 4), rng.randint(1, 3)
+    a, b = K.w_module(F, n, rng.randint(2, min(n, F.p))), K.w_module(F, n2, rng.randint(1, min(n2, F.p)))
+    return K.direct_sum(a, K.dual(b))
+
+
+def _sparse_matrix(rng, F, rows, cols):
+    """A chain of lines that each hold one constant entry, ending in the
+    corner (0, 0): c_i at (i, i) with an entry of positive degree at
+    (i, i + 1), so each strike leaves the next line with one entry.  Then
+    single entries of positive degree and a few random entries, some lines
+    left zero, and the rows and columns permuted."""
+    a = np.zeros((rows, cols, 3), dtype=np.int64)
+    k = rng.randint(0, min(rows, cols))
+    for i in range(k):
+        a[i, i, 0] = F.random_code(rng) or 1
+        if i + 1 < k:
+            a[i, i + 1, :2] = [F.random_code(rng), F.random_code(rng) or 1]
+    for _ in range(rng.randint(0, 3) if rows > k and cols > k else 0):
+        i, j, e = rng.randrange(k, rows), rng.randrange(k, cols), rng.randint(1, 2)
+        a[i, j, e] = F.random_code(rng) or 1
+    for _ in range(rng.randint(0, 2) if rows and cols else 0):
+        a[rng.randrange(rows), rng.randrange(cols)] = [F.random_code(rng) for _ in range(3)]
+    return _permuted(rng, a)
+
+
+SPARSE_FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)]
+
+
 @st.composite
 def smith_inputs(draw):
     """(F, code array): random matrices up to 6 x 6 of degree <= 3 over F_2,
-    F_3, F_5, F_4, F_8 and F_9, and about as many low-rank products
+    F_3, F_5, F_4, F_8 and F_9; about as many low-rank products
     B diag(t - c_i) C of linear factors, whose non-unit invariant factors
-    exercise the divisibility fold."""
-    F = draw(st.sampled_from(FIELDS))
+    exercise the divisibility fold; and sparse matrices over F_2, F_3, F_5,
+    F_4 and F_9 for the unit peel: pencil powers of W-sums and chains of
+    lines with one constant entry (``_sparse_matrix``), rows and columns
+    permuted."""
+    kind = draw(st.sampled_from(["product", "random", "sparse"]))
+    F = draw(st.sampled_from(SPARSE_FIELDS if kind == "sparse" else FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    if draw(st.sampled_from(["product", "random"])) == "random":
+    if kind == "sparse":
+        if draw(st.booleans()):
+            return F, _permuted(rng, _w_sum(F, rng).power_pencil(draw(st.integers(1, F.p - 1))))
+        return F, _sparse_matrix(rng, F, rows + 1, cols + 1)
+    if kind == "random":
         density = draw(st.sampled_from([0.2, 0.5, 1.0]))
         return F, _poly_matrix(rng, F, rows, cols, draw(st.integers(0, 3)), density)
     k = draw(st.integers(0, min(rows, cols)))
@@ -247,3 +291,31 @@ def test_smith_form_matches_euclidean_oracle(case):
     want = oracle_smith_form(lists, F)
     assert smith_normal_form(list(a), F) == want
     assert smith_normal_form(lists, F) == want
+
+
+def test_the_peel_alone_finishes_the_pencil_of_a_reordered_w_sum(monkeypatch):
+    # every pivot of X_1 + t X_2 on a W-sum in a reordered basis is a line
+    # with one constant entry, so no Schur step is left after the peel
+    def boom(*args):
+        raise AssertionError("Schur step after the peel")
+
+    rng = random.Random(6)
+    for F in SPARSE_FIELDS:
+        for _ in range(3):
+            a = _permuted(rng, _w_sum(F, rng).power_pencil(1))
+            want = oracle_smith_form([[[int(x) for x in e] for e in row] for row in a], F)
+            monkeypatch.setattr(snf, "_sub_outer", boom)
+            assert smith_normal_form(list(a), F) == want
+            monkeypatch.undo()
+            assert all(f == [1] for f in want.invariant_factors)
+
+
+def test_a_disguised_pencil_strikes_nothing():
+    from test_pencil import _disguise
+
+    rng = random.Random(7)
+    for F in SPARSE_FIELDS:
+        m = _disguise(K.direct_sum(K.w_module(F, 4, 2), K.dual(K.w_module(F, 3, 2))), rng)
+        a = m.power_pencil(1)
+        assert snf._strike_units(F.canon(a))[1] == 0
+
