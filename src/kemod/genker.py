@@ -178,7 +178,7 @@ def _direct_image_r2(m: KEModule, n: int, generic_part: Subspace) -> Subspace:
 
 
 def _image_at_infinity(m: KEModule, n: int) -> Subspace:
-    return Subspace.span(m.ctx, m.dim, m.powers()[n, 1].T)
+    return Subspace.span(m.ctx, m.dim, m.power(1, n).T)
 
 
 def _cut_by_root_image(m: KEModule, n: int, w: Subspace, g: list) -> Subspace:

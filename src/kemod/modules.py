@@ -12,9 +12,9 @@ subquotients) keep one cache per distinct set of matrices
 Exact generic ranks — the rank of X_alpha^j at the generic point of the
 projective parameter space — come for r = 2 from the Smith form of
 (X_1 + t X_2)^j over F_q[t], the same one that decides constant Jordan
-type; the pencil powers and the point at infinity X_2^j are read off one
-table of generator powers (``KEModule.powers``).  For r >= 3 they are the maximum of numeric ranks over a principal
-lattice of points (``_lattice``) on which no maximal minor can vanish,
+type; the pencil powers and X_2^j at infinity come off one table of
+generator powers (``KEModule.powers``).  For r >= 3 they are the maximum of
+numeric ranks over a principal lattice of points (``_lattice``) on which no maximal minor can vanish,
 taken in an extension field F_{q^m} when the base field is too small; the
 r >= 3 generic kernels are the sums of the point kernels on such a lattice
 (``genker``).  The lattice's points, and the rational points that the r >= 3
@@ -144,10 +144,10 @@ class KEModule:
     FieldScalars, coefficient lists, or ints (read as elements of F_p);
     they are stored as a tuple of (d, d) int64 code arrays.
 
-    ``_cache`` holds what has been computed on the module (validation, powers,
-    Smith forms, generic ranks, kernel bases, decisions, generic kernels,
-    splitting types), each under a key that with the field, r and the matrices fixes
-    the value.  A module made from another by ``dual``, ``restrict`` or a
+    ``_cache`` holds what has been computed on the module (validation,
+    powers, Smith forms, generic ranks, kernel bases, decisions, generic
+    kernels, splitting types), each under a key that with the field, r and
+    the matrices fixes the value.  A module made from another by ``dual``, ``restrict`` or a
     subquotient (``_derive``) joins its source's *family*: a dict, shared
     by the root and everything derived from it, from the content
     (r, dim, matrices) to one cache.  So derived modules whose matrices
@@ -189,25 +189,28 @@ class KEModule:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def mat(self, i: int):
-        return self.mats[i]
-
     def powers(self) -> np.ndarray:
-        """The table of generator powers: X_i^e at [e, i - 1] for e = 0..p,
-        one stacked product of all generators per power.  Read-only."""
+        """The table X_i^e at [e, i - 1], e = 0..min(p, d), one stacked product
+        of all generators per power; read-only.  X^d = 0 iff X is nilpotent."""
         key = "powers"
         if key not in self._cache:
             x = np.array(self.mats).reshape(self.r, self.dim, self.dim)
             table = [np.broadcast_to(np.eye(self.dim, dtype=np.int64), x.shape), x]
-            while len(table) <= self.ctx.p:
+            while len(table) <= min(self.ctx.p, self.dim):
                 table.append(self.ctx.matmul(table[-1], x))
             self._cache[key] = table = np.array(table)
             table.flags.writeable = False
         return self._cache[key]
 
+    def power(self, i: int, e: int) -> np.ndarray:
+        """X_{i+1}^e off the table, e <= p.  Where d < p the table stops at
+        X^d, which has the rank and image of every higher power (Fitting)
+        and is zero iff X^p is."""
+        x = self.powers()
+        return x[min(e, len(x) - 1), i]
+
     def validate(self) -> ValidationReport:
-        """Check commutativity and vanishing p-th powers, the latter on the
-        table of generator powers (``powers``)."""
+        """Check commutativity and, on the table of powers, X_i^p = 0."""
         key = "validation"
         if key in self._cache:
             return self._cache[key]
@@ -220,7 +223,7 @@ class KEModule:
                 if not np.array_equal(a, b):
                     violations.append({"kind": "commutativity", "pair": (i + 1, j + 1)})
         for i in range(self.r):
-            if self.powers()[F.p, i].any():
+            if self.power(i, F.p).any():
                 violations.append({"kind": "pth_power", "index": i + 1})
         report = ValidationReport(not violations, violations)
         self._cache[key] = report
@@ -241,11 +244,10 @@ class KEModule:
         return self._cache[key]
 
     def power_pencil(self, j: int) -> pencil.Pm:
-        """(X_1 + t X_2)^j = sum_i C(j, i) X_1^(j-i) X_2^i t^i (r = 2), read
-        off the table of generator powers (``powers``), with the cross
-        products in one stacked product.  The expansion needs X_1 and X_2 to
-        commute, so an invalid module is refused.  Zero from j = p on, since
-        the X_i commute and X_i^p = 0."""
+        """(X_1 + t X_2)^j = sum_i C(j, i) X_1^(j-i) X_2^i t^i (r = 2), off the
+        table of generator powers (``powers``), the cross products in one
+        stacked product.  The expansion needs X_1 and X_2 to commute, so an
+        invalid module is refused.  Zero from j = min(p, d) on."""
         if j < 0:
             raise InputError(f"power j must be >= 0, got {j}")
         key = ("power_pencil", j)
@@ -253,7 +255,7 @@ class KEModule:
             self.pencil()  # refuses r != 2, for the vanishing powers too
             self.require_valid()
             F, x = self.ctx, self.powers()
-            if j >= F.p:
+            if j >= min(F.p, self.dim):
                 self._cache[key] = np.zeros((self.dim, self.dim, 1), dtype=np.int64)
             else:
                 cross = F.matmul(x[j - 1 : 0 : -1, 0], x[1:j, 1]) if j > 1 else []
@@ -338,7 +340,7 @@ def generic_power_ranks(m: KEModule, jmax: int) -> list[int]:
     top = min(jmax, F.p)
     js = range(1, top + 1)
     if d == 0 or m.r == 1:
-        ranks = [linalg.rank_fp(m.powers()[j, 0], F) if d else 0 for j in js]
+        ranks = [linalg.rank_fp(m.power(0, j), F) if d else 0 for j in js]
     elif m.r == 2:
         ranks = [_snf_of_power(m, j).rank if j < F.p else 0 for j in js]
     else:
@@ -581,7 +583,7 @@ def _jrank_decision(m: KEModule, j: int) -> JRankDecision:
         if nonunit is not None:
             return _witness_from_factor(m, j, rho, nonunit)
         # affine chart constant; check the point at infinity (0, 1)
-        inf_rank = linalg.rank_fp(m.powers()[j, 1], m.ctx)
+        inf_rank = linalg.rank_fp(m.power(1, j), m.ctx)
         if inf_rank != rho:
             witness = {"point": "(0, 1)", "rank_there": inf_rank, "generic_rank": rho}
             return JRankDecision("not_constant", j, rho, witness=witness)

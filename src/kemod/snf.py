@@ -30,13 +30,13 @@ before each choice, and a zero block ends at once.
 
 Unit peel, once before the pivot loop: a row whose only nonzero entry is
 a nonzero constant is struck with that entry's column, and so is a column
-whose only nonzero entry is one.  This is exact: clearing the partner line
-with the struck one changes no other entry, so A ~ 1 (+) (A without the two
-lines).  Strikes can leave new such lines, which the peel follows in one
-pass over the nonzeros (the singleton pass of ``linalg._rref_sparse``); one
-index operation cuts out the rest.  The pencils of basis-aligned modules
+whose only nonzero entry is one.  Exact: clearing the partner line with the
+struck one changes no other entry, so A ~ 1 (+) (A without the two lines).
+The peel follows the chains of such lines that strikes leave in one pass
+over the nonzeros (the singleton pass of ``linalg._rref_sparse``) and cuts
+out the rest with one index operation.  Pencils of basis-aligned modules
 lose their whole rank this way; input with no line of one nonzero entry,
-as a dense one, costs the peel one vectorized check.
+as a dense one, costs one vectorized check.
 
 Only the invariant factors are returned, monic, d_i | d_{i+1}; the
 unimodular transforms are not recorded.
@@ -84,7 +84,7 @@ def smith_normal_form(entries, ctx: FieldCtx) -> SNFResult:
         return SNFResult([])
     A, struck = _strike_units(ctx.canon(A))
 
-    factors = [[1]] * struck
+    factors = [[1] for _ in range(struck)]
     while A.shape[0] and A.shape[1]:
         nz = A != 0
         size = nz[:, :, 0].astype(np.int64)  # degree + 1, 0 for zero
@@ -153,13 +153,11 @@ def _strike_units(A: np.ndarray) -> tuple[np.ndarray, int]:
             continue
         live[ax][k] = other[x] = False
         struck += 1
-        for ax2, at in ((1 - ax, k), (ax, x)):  # the lines that the two struck ones meet
-            cnt, alive = count[ax2], live[ax2]
-            for y, _ in lines[1 - ax2][at]:
-                if alive[y]:
-                    cnt[y] -= 1
-                    if cnt[y] == 1:
-                        todo.append((ax2, y))
+        for y, _ in lines[1 - ax][x]:  # line k met no other live line; its partner x did
+            if live[ax][y]:
+                count[ax][y] -= 1
+                if count[ax][y] == 1:
+                    todo.append((ax, y))
     return A[np.ix_(np.flatnonzero(live[0]), np.flatnonzero(live[1]))], struck
 
 

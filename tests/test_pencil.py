@@ -522,10 +522,10 @@ def test_power_pencil_from_p_on_is_zero_without_a_product(monkeypatch):
 
 
 def _aligned_reordered_disguised(rng):
-    """W-sums over F_2, F_3, F_5, F_4 and F_9, each as built, in a reordered
-    basis and disguised."""
+    """W-sums over F_2, F_3, F_5, F_4, F_9 and F_101 (dimension below p),
+    each as built, in a reordered basis and disguised."""
     out = []
-    for F in (FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2)):
+    for F in (FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2), FieldCtx(101)):
         d = min(F.p, 3)
         m = K.direct_sum(K.w_module(F, 4, d), K.dual(K.w_module(F, 3, 2)))
         order = rng.sample(range(m.dim), m.dim)
@@ -539,14 +539,15 @@ def test_power_pencil_from_the_table_equals_the_products():
     # of X_2 the ranks and images at infinity of the matpow_fp route
     for m in _aligned_reordered_disguised(random.Random(12)):
         F, p = m.ctx, m.ctx.p
+        assert len(m.powers()) == min(p, m.dim) + 1
         for j in range(p + 2):
             got, want = m.power_pencil(j), pm_pow(m.pencil(), j, F)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (m, j)
         for n in range(1, p + 1):
             at_inf = linalg.matpow_fp(m.mats[1], n, F)
-            assert np.array_equal(m.powers()[n, 1], at_inf)
+            assert np.array_equal(m.power(1, n), at_inf)
             assert genker._image_at_infinity(m, n) == Subspace.span(F, m.dim, at_inf.T)
-            assert linalg.rank_fp(m.powers()[n, 1], F) == rank_at_point(m, (F.zero, F.one), n)
+            assert linalg.rank_fp(m.power(1, n), F) == rank_at_point(m, (F.zero, F.one), n)
 
 
 def test_power_pencil_refuses_negative_powers_and_invalid_modules():
@@ -557,3 +558,15 @@ def test_power_pencil_refuses_negative_powers_and_invalid_modules():
     e21[1, 0] = e12[0, 1] = 1
     with pytest.raises(MathRefusal, match="invalid module"):
         K.KEModule(F3, 2, [e21, e12]).power_pencil(2)
+
+
+def test_the_table_of_powers_stops_at_the_dimension():
+    # a (d, d) matrix has X^p = 0 iff X^d = 0 when d < p, so a large p costs
+    # the table d products, and its last entry stands for every higher power
+    F = FieldCtx(10007)
+    m = K.w_module(F, 3, 2)
+    assert len(m.powers()) == m.dim + 1 and m.validate().ok
+    assert not m.power(0, F.p - 1).any() and np.array_equal(m.power(1, 1), m.mats[1])
+    assert not m.power_pencil(F.p - 1).any()
+    bad = K.KEModule(F, 2, [np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)])
+    assert bad.validate().violations == [{"kind": "pth_power", "index": 1}]

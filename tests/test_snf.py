@@ -10,6 +10,7 @@ from kemod import dpoly, linalg, pencil, snf
 from kemod.errors import InputError
 from kemod.gf import FieldCtx
 from kemod.snf import SNFResult, smith_normal_form
+from test_pencil import _disguise
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
@@ -311,11 +312,8 @@ def test_the_peel_alone_finishes_the_pencil_of_a_reordered_w_sum(monkeypatch):
 
 
 def test_a_disguised_pencil_strikes_nothing():
-    from test_pencil import _disguise
-
     rng = random.Random(7)
     for F in SPARSE_FIELDS:
         m = _disguise(K.direct_sum(K.w_module(F, 4, 2), K.dual(K.w_module(F, 3, 2))), rng)
         a = m.power_pencil(1)
         assert snf._strike_units(F.canon(a))[1] == 0
-
