@@ -22,7 +22,10 @@ shift-and-XOR with the reduction by the modulus interleaved, so codes stay
 below 2^k and shifted ones below 2^62 for every k <= 61; odd p multiplies
 base-p digit planes, folded by the modulus's structure constants.  Over
 F_{2^21} a product of 4096 codes takes 0.5 ms on the XOR route against
-24 ms on digit planes (best of 5, 2-CPU machine).
+24 ms on digit planes (best of 5, 2-CPU machine).  ``FieldCtx.ops``
+multiplies one pair of codes the same ways, with the XOR route on Python
+ints, so the scalar products of the pencil sweep over a large F_{2^k} make
+no numpy call.
 
 Thread policy: float64 products (``_matmul_mod``) are made in pieces below
 OpenBLAS's single-thread cutoff, so no thread setting is needed; only one
@@ -531,6 +534,16 @@ class _ExtOps:
         ctx = self.ctx
         if ctx._tables():
             return ctx._exp_l[ctx._log_l[a] + ctx._log_l[b]]
+        if self.p == 2:
+            # FieldCtx._mul_xor on one pair of Python ints, with no numpy call
+            k, mod, out = ctx.k, ctx._mod_bits, 0
+            for i in range(b.bit_length() - 1, -1, -1):
+                out <<= 1
+                if out >> k:
+                    out ^= mod
+                if b >> i & 1:
+                    out ^= a
+            return out
         return int(ctx._mul_digits(a, b))
 
     def inv(self, a):

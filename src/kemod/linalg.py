@@ -8,20 +8,22 @@ Matrices over F_q are int64 arrays of element codes (see ``gf.FieldCtx``)
 or, where they are large and mostly zero, ``Coo`` triplets of their
 nonzeros; every routine takes the field as a ``FieldCtx`` or, for a prime
 field, as the plain prime p, and does its arithmetic through the field's
-array methods.  Every elimination goes through ``rref_fp``, which picks its
-route from the input's nonzero count: over a prime field a matrix with a
-few nonzeros per row and column first loses its single-entry rows, which
-are pivots of their own, in vectorized passes, and the rest is reduced row
-by row as {column: residue} maps, touching only the nonzeros; any other
-matrix is reduced by dense row operations, vectorized per pivot.  Both
-routes give the same canonical echelon form, and in the input's form:
-dense in, dense out; ``Coo`` in, ``Coo`` out, with no dense array of the
-matrix's size unless it takes the dense route; ``kernel_fp`` takes dense
-input only.  Echelon forms of subspaces are built in ``subspace.Subspace``.
-Matrix products go through float64 BLAS when the intermediate values
-provably fit in the 53-bit mantissa, in pieces that BLAS makes on the
-calling thread unless a product is very wide (``gf._matmul_mod``), so no
-thread setting is needed.
+array methods.  Every elimination of a matrix goes through ``rref_fp``,
+which picks its route from the input's nonzero count: over a prime field a
+matrix with a few nonzeros per row and column first loses its single-entry
+rows, which are pivots of their own, in vectorized passes, and the rest is
+reduced row by row as {column: residue} maps, touching only the nonzeros;
+any other matrix is reduced by dense row operations, vectorized per
+pivot.  Both routes give the same canonical echelon form, and in the
+input's form: dense in, dense out; ``Coo`` in, ``Coo`` out, with no dense
+array of the matrix's size unless it takes the dense route; ``kernel_fp``
+takes dense input only.  Echelon forms of subspaces are built in
+``subspace.Subspace``.  The degree sweeps of ``pencil`` eliminate no
+matrix: they reduce one column map at a time with ``_eliminate``, or
+``_eliminate_ops`` over F_{p^k}.  Matrix products go through float64 BLAS
+when the intermediate values provably fit in the 53-bit mantissa, in
+pieces that BLAS makes on the calling thread unless a product is very wide
+(``gf._matmul_mod``), so no thread setting is needed.
 """
 
 from __future__ import annotations
@@ -244,6 +246,17 @@ def _eliminate(row: dict, f: int, b: dict, p: int) -> None:
     """row -= f * b over F_p, in place, dropping the entries that vanish."""
     for j, x in b.items():
         y = (row.get(j, 0) - f * x) % p
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _eliminate_ops(row: dict, f: int, b: dict, ops) -> None:
+    """row -= f * b over F_q by the scalar ops of ``FieldCtx.ops``, in place,
+    dropping the entries that vanish."""
+    for j, x in b.items():
+        y = ops.sub(row.get(j, 0), ops.mul(f, x))
         if y:
             row[j] = y
         else:

@@ -14,37 +14,37 @@ ascending shifted degree.  It has two entry points:
   give the section space of the dual of a cokernel bundle on the
   projective line.
 
-The unknowns of shifted degree <= n come first, so one echelon form up to
-a top degree holds that of every lower degree as a column prefix, and the
-top grows when the sweep passes it.  Its free columns give the generators
-straight away: those of degree n are the kernel vectors of the unknowns of
-degree n that are free while the same row's unknown of degree n - 1 is
-not.  Such a vector is 0 at every free unknown but its own, so the basis
-is in shifted Popov form, weak Popov in particular (Mulders and
-Storjohann, J. Symbolic Comput. 35, 2003).  ``solve_in_basis`` solves all
-targets of a splitting type with one echelon form, at their top degree,
-and writes the coordinates straight into the coefficient array.  The
-matrices of a basis-aligned module are almost monomial: in a seed-1
-``bundle`` benchmark round half of their rows are empty, and 9 in 10
-pivots come from rows that hold a single entry, directly or once other
-such rows are gone.  So their eliminations take the sparse route of
-``linalg.rref_fp``, which peels those rows before it eliminates.  Every
-matrix the engine eliminates (the constraints of a sweep and the
-[shifts | targets] of a solve) is built as a ``linalg.Coo`` straight from
-the nonzeros of its source, by vectorized gathers and one sort by row, and
-the echelon forms come back as ``Coo``s that are read the same way; only
-the generators and the coordinates are dense.
+The sweep takes the unknowns (the coefficients of psi) once each, in
+ascending shifted degree, and reduces the column of psi -> psi * c at each
+one by the pivot columns kept so far, as a {constraint: code} map that
+touches only the nonzeros (``linalg._eliminate``, or the scalar ops of
+``FieldCtx.ops`` over F_{p^k}).  Whether an unknown is a pivot depends
+only on the columns before its own, so every degree is final once it is
+reduced, and nothing is eliminated twice.  An unknown whose column
+vanishes is free, and the combination that made it vanish is its kernel
+vector, 0 at every other free unknown.  The generators of degree n are the
+kernel vectors of the unknowns of degree n that are free while the same
+row's unknown of degree n - 1 is not, so the basis is in shifted Popov
+form, weak Popov in particular (Mulders and Storjohann, J. Symbolic
+Comput. 35, 2003).  ``solve_in_basis`` solves all targets of a splitting
+type with one ``linalg.rref_fp`` of [shifts | targets] at their top
+degree, built as a ``linalg.Coo`` straight from the nonzeros by vectorized
+gathers and one sort by row; on a basis-aligned module that matrix is
+almost monomial, so it takes the sparse route, which peels the rows with a
+single entry before it eliminates.  The coordinates are written straight
+into the coefficient array.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from bisect import bisect_left
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .linalg import Coo, field, matmul_fp, rref_fp
+from .linalg import Coo, _eliminate, _eliminate_ops, field, matmul_fp, rref_fp
 
 Pm = np.ndarray  # (rows, cols, deg+1)
 
@@ -114,17 +114,25 @@ def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list
     with row degree shifts, as (shifted degree, coefficients over the
     unknowns of shifted degree <= it) per generator, degrees ascending.
 
-    The coefficient of t^e in psi_m has level e - shifts[m], and the
-    unknowns are ordered by level, then row.  The first echelon form reaches
-    four levels past the lowest; the top grows by half when the sweep passes
-    it, and the generators found so far are kept.  A kernel vector's last
-    nonzero lies on a free unknown, and t maps the free unknown (level, m)
-    to the free unknown (level + 1, m).  So the generators of level k are
-    the kernel vectors of the free unknowns (k, m) with (k - 1, m) not free:
-    1 there and -R[i, u] at the pivot of row i.  The shifts of all the
-    generators end on distinct free unknowns, one on each, so they span
-    every slice.  Once there are count generators, no unknown may become
-    free for check more levels.
+    The coefficient of t^e in psi_m is the unknown (e - shifts[m], m), of
+    that level, and the unknowns are taken once each, by level, then row.
+    The column of psi -> psi * c at an unknown holds row m of c shifted to
+    power e; it is reduced by the pivot columns kept so far (``_reduce``).
+    A column that is left independent is kept as a pivot.  One that
+    vanishes belongs to a free unknown u, and the combination of unknowns
+    that made it vanish is the kernel vector with 1 at u, 0 at every other
+    free unknown and the unique coefficients on the pivot unknowns before
+    u; it is made only for the unknowns that give generators
+    (``_combination``).  Whether a column is a pivot depends only on the
+    columns before it, so each level is final once it is reduced.  A kernel
+    vector's last nonzero lies on a free unknown, and t maps the free
+    unknown (level, m) to the free unknown (level + 1, m).  So the
+    generators of level k are the kernel vectors of the free unknowns (k, m)
+    with (k - 1, m) not free.  The shifts of all the generators end on
+    distinct free unknowns, one on each, so they span every slice, and the
+    basis is in shifted Popov form, weak Popov in particular (Mulders and
+    Storjohann, J. Symbolic Comput. 35, 2003).  Once there are count
+    generators, no unknown may become free for check more levels.
     """
     rows, cols, d1 = c.shape
     if count == 0:
@@ -135,41 +143,47 @@ def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list
     # index sum theorem the unshifted ones add up to at most that, and shifts
     # >= 0 only lower them.  The cap keeps a margin of rows + cols + 5 + max(shifts).
     cap = (d1 - 1) * max(1, rows) + rows + cols + 5 - lo
+    # row m of c as {e * cols + j: c[m, j, e]}, its nonzeros keyed by the
+    # constraint (power of t, column of c) they reach from power 0
+    shift = shifts.tolist()
+    src, j, e = c.nonzero()
+    entries: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for m, key, x in zip(src.tolist(), (e * cols + j).tolist(), c[src, j, e].tolist()):
+        entries[m].append((key, x))
+    basis: dict[int, dict] = {}  # lead constraint -> pivot column
+    recipes: dict[int, tuple] = {}  # lead constraint -> (unknown, steps, scale)
     gens: list[tuple[int, np.ndarray]] = []  # (level index, coefficients)
-    top, done = lo - 1, None
+    free = [False] * rows  # whether row m's unknown of the last level was free
+    nfree = u = 0
+    done = None
     for k in itertools.count():
         n = lo + k
         if done is None and n > cap:
             raise ConsistencyError(
                 f"kernel basis incomplete: found {len(gens)} of {count} generators below degree {cap}"
             )
-        if n > top:
-            top = min(lo + max(4, (top - lo) * 3 // 2), cap + check if done is None else lo + done + check)
-            active = shifts[None, :] + np.arange(lo, top + 1)[:, None] >= 0
-            lev, row = np.nonzero(active)  # level index and row of each unknown, level-major
-            column = np.full(active.shape, -1)
-            column[lev, row] = np.arange(row.size)
-            ends = np.cumsum(active.sum(axis=1))
-            R, piv = rref_fp(_constraints(c, lo + lev + shifts[row], row), F)
-            piv = np.array(piv, dtype=np.int64)
-            free = active.copy()
-            free[lev[piv], row[piv]] = False
-            fresh = free.copy()  # free, but not free one level lower
-            fresh[1:] &= ~free[:-1]
-        u = column[k, fresh[k]]
-        if done is not None:
-            if u.size:
-                raise ConsistencyError(
-                    f"kernel slice of dimension {free[: k + 1].sum()} at degree {n}, "
-                    f"{sum(k - k0 + 1 for k0, _ in gens)} predicted"
-                )
-        elif u.size:
-            slot = np.full(row.size, -1)
-            slot[u] = np.arange(u.size)
-            at = slot[R.col] >= 0
-            vecs = np.zeros((u.size, ends[k]), dtype=np.int64)
-            vecs[np.arange(u.size), u] = 1
-            vecs[slot[R.col[at]], piv[R.row[at]]] = F.neg(R.val[at])
+        fresh = []  # (unknown, steps) of the free unknowns (k, m) with (k - 1, m) not free
+        for m, s in enumerate(shift):
+            if n + s < 0:
+                continue
+            off = (n + s) * cols
+            steps = _reduce({key + off: x for key, x in entries[m]}, u, basis, recipes, F)
+            if steps is not None:
+                nfree += 1
+                if not free[m]:
+                    fresh.append((u, steps))
+            free[m] = steps is not None
+            u += 1
+        if fresh and done is not None:
+            raise ConsistencyError(
+                f"kernel slice of dimension {nfree} at degree {n}, "
+                f"{sum(k - k0 + 1 for k0, _ in gens)} predicted"
+            )
+        if fresh:
+            vecs = np.zeros((len(fresh), u), dtype=np.int64)
+            for vec, (v, steps) in zip(vecs, fresh):
+                comb = _combination(v, steps, recipes, F)
+                vec[list(comb)] = list(comb.values())
             gens += [(k, vec) for vec in vecs]
             if len(gens) >= count:
                 if len(gens) > count:
@@ -177,6 +191,64 @@ def _minimal_basis(c: Pm, shifts: np.ndarray, F, count: int, check: int) -> list
                 done = k
         if done is not None and k == done + check:
             return [(lo + k0, vec) for k0, vec in gens]
+
+
+def _reduce(col: dict, v: int, basis: dict, recipes: dict, F) -> list | None:
+    """Reduce the column {constraint: code} of unknown v by the pivot
+    columns of basis, each kept with a unit at its lead, the least
+    constraint it holds.  Returns the steps (lead, f), col -= f *
+    basis[lead], that make it vanish; or, when it does not, keeps what is
+    left as the pivot of its lead, with the recipe (v, steps, scale) of its
+    combination in recipes, and returns None."""
+    eliminate, arg = (_eliminate, F.p) if F.k == 1 else (_eliminate_ops, F.ops)
+    steps = []
+    while col:
+        lead = min(col)
+        f = col[lead]
+        b = basis.get(lead)
+        if b is None:
+            if f != 1:
+                f = F.ops.inv(f)
+                col = {i: F.ops.mul(x, f) for i, x in col.items()}
+            basis[lead] = col
+            recipes[lead] = (v, steps, f)
+            return None
+        steps.append((lead, f))
+        eliminate(col, f, b, arg)
+    return steps
+
+
+def _combination(u: int, steps: list, recipes: dict, F) -> dict:
+    """The kernel vector {unknown: code} of the free unknown u whose column
+    the steps made vanish, by back substitution through the recipes.
+
+    The column of u is sum y[lead] * basis[lead] with y = f of the steps,
+    and a pivot column is scale * (column of v - sum f * basis[lead']) by
+    its recipe (v, steps, scale).  Taking the pivots that y reaches from the
+    last made down, each one's y is final when it is taken: it puts
+    -scale * y at v and moves y * scale * f onto each lead' of its steps,
+    which were made before it."""
+    ops = F.ops
+    y = dict(steps)  # each lead is in the steps at most once
+    heap = [(-recipes[lead][0], lead) for lead in y]
+    heapq.heapify(heap)
+    comb = {u: 1}
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        coef = y.pop(lead)
+        if not coef:
+            continue
+        v, pivot_steps, scale = recipes[lead]
+        if scale != 1:
+            coef = ops.mul(coef, scale)
+        comb[v] = ops.neg(coef)
+        for i, f in pivot_steps:
+            if i in y:
+                y[i] = ops.sub(y[i], ops.mul(coef, f))
+            else:
+                y[i] = ops.neg(ops.mul(coef, f))
+                heapq.heappush(heap, (-recipes[i][0], i))
+    return comb
 
 
 def graded_kernel_basis(a: Pm, F, kappa: int) -> list[GradedGen]:

@@ -1,10 +1,12 @@
 """Plain F_q routines that only the tests read: the library's engines no
 longer need them, and the tests use them as independent references."""
 
+import itertools
+
 import numpy as np
 
 from kemod import decomp, dpoly, linalg, pencil
-from kemod.errors import InputError
+from kemod.errors import ConsistencyError, InputError
 from kemod.modules import sub_as_module
 from kemod.subspace import Subspace
 
@@ -169,3 +171,61 @@ def pm_pow(a, e, F):
     F = linalg.field(F)
     one = np.eye(a.shape[0], dtype=np.int64)[:, :, None]
     return dpoly.power(pencil.pm_trim(F.canon(a)).copy(), e, lambda x, y: pencil.pm_mul(x, y, F), one)
+
+
+def sweep_minimal_basis(c, shifts, F, count, check):
+    """``pencil._minimal_basis`` as a grown echelon form: the whole
+    linearization up to a top level in one ``rref_fp``, the top raised by
+    half and the matrix eliminated again from scratch each time the sweep
+    passes it.  The generators of level k are the kernel vectors of the free
+    unknowns (k, m) with (k - 1, m) not free: 1 there and -R[i, u] at the
+    pivot of row i.  The route that the one pass over the unknowns
+    replaced, with the same cap, count, check and errors."""
+    rows, cols, d1 = c.shape
+    if count == 0:
+        return []
+    F = linalg.field(F)
+    lo = -int(shifts.max(initial=0))
+    cap = (d1 - 1) * max(1, rows) + rows + cols + 5 - lo
+    gens = []  # (level index, coefficients)
+    top, done = lo - 1, None
+    for k in itertools.count():
+        n = lo + k
+        if done is None and n > cap:
+            raise ConsistencyError(
+                f"kernel basis incomplete: found {len(gens)} of {count} generators below degree {cap}"
+            )
+        if n > top:
+            top = min(lo + max(4, (top - lo) * 3 // 2), cap + check if done is None else lo + done + check)
+            active = shifts[None, :] + np.arange(lo, top + 1)[:, None] >= 0
+            lev, row = np.nonzero(active)  # level index and row of each unknown, level-major
+            column = np.full(active.shape, -1)
+            column[lev, row] = np.arange(row.size)
+            ends = np.cumsum(active.sum(axis=1))
+            R, piv = linalg.rref_fp(pencil._constraints(c, lo + lev + shifts[row], row), F)
+            piv = np.array(piv, dtype=np.int64)
+            free = active.copy()
+            free[lev[piv], row[piv]] = False
+            fresh = free.copy()  # free, but not free one level lower
+            fresh[1:] &= ~free[:-1]
+        u = column[k, fresh[k]]
+        if done is not None:
+            if u.size:
+                raise ConsistencyError(
+                    f"kernel slice of dimension {free[: k + 1].sum()} at degree {n}, "
+                    f"{sum(k - k0 + 1 for k0, _ in gens)} predicted"
+                )
+        elif u.size:
+            slot = np.full(row.size, -1)
+            slot[u] = np.arange(u.size)
+            at = slot[R.col] >= 0
+            vecs = np.zeros((u.size, ends[k]), dtype=np.int64)
+            vecs[np.arange(u.size), u] = 1
+            vecs[slot[R.col[at]], piv[R.row[at]]] = F.neg(R.val[at])
+            gens += [(k, vec) for vec in vecs]
+            if len(gens) >= count:
+                if len(gens) > count:
+                    raise ConsistencyError(f"{len(gens)} kernel generators for {count} expected")
+                done = k
+        if done is not None and k == done + check:
+            return [(lo + k0, vec) for k0, vec in gens]

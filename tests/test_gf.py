@@ -358,6 +358,9 @@ def test_xor_product_equals_digit_planes(k):
         assert got.dtype == np.int64 and (got.size == 0 or 0 <= got.min() <= got.max() < F.q)
     prod = F.mul(a, b)
     assert not prod[0].any() and np.array_equal(prod[1], b[0])
+    # one pair of Python ints at a time, as the scalar ops of the sweep multiply
+    pairs = [[F.ops.mul(x, y) for y in b.reshape(-1).tolist()] for x in a.reshape(-1).tolist()]
+    assert pairs == prod.reshape(6, 16).tolist()
     # each nonzero code times its inverse is one
     x = [int(v) for v in b.reshape(-1) if v]
     assert F.mul(np.array(x), np.array([F.inv(v) for v in x])).tolist() == [1] * len(x)

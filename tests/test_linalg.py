@@ -352,8 +352,9 @@ def test_aligned_linearization_is_sparse_disguised_is_dense(sparse_calls):
 
 
 def test_sparse_route_is_reached_only_through_rref_fp(sparse_calls):
-    # every elimination enters through linalg.rref_fp, where the benchmark's
-    # tracer counts it
+    # every matrix elimination (here the coordinate solves of the splitting
+    # types) enters through linalg.rref_fp, where the benchmark's tracer
+    # counts it; the degree sweeps reduce column maps and eliminate no matrix
     m = K.w_module(3, 6, 3)
     for i in range(1, 4):
         K.splitting_type(m, i)

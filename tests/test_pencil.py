@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import kemod as K
 from kemod import genker, linalg, pencil
@@ -24,7 +24,7 @@ from kemod.gf import FieldCtx
 from kemod.modules import generic_power_ranks, random_invertible, rank_at_point
 from kemod.pencil import GradedGen
 from kemod.subspace import Subspace
-from oracles import pm_pow, solve_fp
+from oracles import pm_pow, solve_fp, sweep_minimal_basis
 from symbolic import Poly, RationalFunction, rank_gen
 
 # -- oracles: one generator at a time ----------------------------------------------
@@ -333,6 +333,91 @@ def test_sweep_generators_are_in_popov_form(F, data):
         lev, row = layout(n)
         for i, (ni, m) in enumerate(ends):
             assert i == j or not vec[(row == m) & (lo + lev >= ni)].any()
+
+
+def _disguised_w_sum_pencil(F, data):
+    """The transposed power pencil of a disguised sum W + W'*, of dim at
+    most 12, random row shifts, and the corank over F_q(t)."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    parts = []
+    for _ in range(2):
+        n = data.draw(st.integers(1, 4))
+        parts.append(K.w_module(F, n, data.draw(st.integers(1, min(n, F.p)))))
+    m = _disguise(K.direct_sum(parts[0], K.dual(parts[1])), rng)
+    ell = data.draw(st.integers(1, F.p))
+    c = m.power_pencil(ell).transpose(1, 0, 2)
+    shifts = data.draw(st.lists(st.integers(0, 3), min_size=m.dim, max_size=m.dim))
+    return c, shifts, m.dim - generic_power_ranks(m, ell)[-1]
+
+
+def _sweep_outcome(sweep, c, shifts, F, count, check):
+    """The generators as (degree, dtype, bytes), or the refusal's message."""
+    try:
+        return [(n, vec.dtype, vec.tobytes()) for n, vec in sweep(c, shifts, F, count, check)]
+    except ConsistencyError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("F", FIELDS + [FieldCtx(2, 20)], ids=lambda F: f"F{F.q}")
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_pass_sweep_equals_the_grown_echelon_sweep(F, data):
+    """The one pass over the unknowns gives the generators of the sweep that
+    eliminated its whole linearization up to a growing top, byte for byte:
+    random pencils with row shifts, whose count may be one off (then both
+    refuse with the same message), and disguised W-sums."""
+    if data.draw(st.booleans()):
+        c, shifts, count = _random_pencil(F, data)
+        count = max(0, count + data.draw(st.sampled_from([0, 0, -1, 1])))
+    else:
+        c, shifts, count = _disguised_w_sum_pencil(F, data)
+    s, check = np.array(shifts, dtype=np.int64), data.draw(st.sampled_from([0, 2]))
+    new = _sweep_outcome(pencil._minimal_basis, c, s, F, count, check)
+    event("refused" if isinstance(new, str) else f"generators: {min(len(new), 3)} or more")
+    assert new == _sweep_outcome(sweep_minimal_basis, c, s, F, count, check)
+
+
+def test_sweeps_reduce_each_unknown_once_and_eliminate_no_matrix(monkeypatch):
+    """Both sweeps reach the unknowns 0, 1, 2, ... once each, up to the last
+    level they look at, and make no ``rref_fp`` call: the aligned and the
+    disguised W_{4,2} + W_{3,3}* over F_3, and W_{3,2} + W_{2,2}* over F_9."""
+    left = []
+    real_left = pencil.shifted_left_kernel
+    monkeypatch.setattr(pencil, "shifted_left_kernel", lambda *x: left.append(x) or real_left(*x))
+    mods = []
+    for F, a, b in ((FieldCtx(3), (4, 2), (3, 3)), (FieldCtx(3, 2), (3, 2), (2, 2))):
+        m = K.direct_sum(K.w_module(F, *a), K.dual(K.w_module(F, *b)))
+        mods += [m, _disguise(m, random.Random(F.q))]
+    for m in mods:
+        for i in range(1, m.ctx.p + 1):
+            K.splitting_type(m, i)
+    monkeypatch.undo()
+
+    reached, eliminations = [], []
+    real_reduce = pencil._reduce
+    monkeypatch.setattr(pencil, "_reduce", lambda col, v, *x: reached.append(v) or real_reduce(col, v, *x))
+    for where in (linalg, pencil):
+        monkeypatch.setattr(where, "rref_fp", lambda *x: eliminations.append(x))
+
+    def unknowns(shifts, degrees, check):
+        """The unknowns of shifted degree at most check past the last
+        generator's, none when there is no generator."""
+        return sum(max(0, max(degrees) + check + s + 1) for s in shifts) if degrees else 0
+
+    sweeps = 0
+    for m in mods:
+        for ell in range(1, m.ctx.p + 1):
+            kappa = m.dim - generic_power_ranks(m, ell)[-1]
+            reached.clear()
+            gens = pencil.graded_kernel_basis(m.power_pencil(ell), m.ctx, kappa)
+            assert reached == list(range(unknowns([0] * m.dim, [g.deg for g in gens], 0)))
+            sweeps += bool(gens)
+    for c, rowshifts, F, count in left:
+        reached.clear()
+        indices = pencil.shifted_left_kernel(c, rowshifts, F, count)
+        assert reached == list(range(unknowns(rowshifts, indices, 2)))
+        sweeps += bool(indices)
+    assert not eliminations and sweeps > 10 and left
 
 
 def test_zero_shift_constraints_are_the_linearization():
